@@ -8,7 +8,9 @@
  * matrix is exactly the workload the litmus runner, the fuzzer's
  * shrinker and fence synthesis keep re-issuing, so the warm/cold ratio
  * here is the speedup those frontends see on repeated queries.  The
- * acceptance bar for the cache is a >= 5x warm speedup.
+ * acceptance bar for the cache is a >= 5x warm speedup, and the warm
+ * passes must run no engine at all: the decide.engine.* registry
+ * counters may not move.
  */
 
 #include <chrono>
@@ -17,6 +19,7 @@
 #include "harness/decision.hh"
 #include "harness/litmus_runner.hh"
 #include "litmus/suite.hh"
+#include "obs/registry.hh"
 
 namespace
 {
@@ -66,6 +69,7 @@ main()
                 cold, (unsigned long long)after_cold.misses,
                 (unsigned long long)cache.size());
 
+    const obs::MetricSnapshot before_warm = obs::metrics().snapshot();
     double warm_best = -1.0;
     for (int pass = 1; pass <= 2; ++pass) {
         const double warm = matrixPass(tests, models, cache);
@@ -81,7 +85,17 @@ main()
                 (unsigned long long)stats.misses,
                 (unsigned long long)stats.uncached);
 
+    const obs::MetricSnapshot warm_delta =
+        obs::metrics().snapshot().delta(before_warm);
+    uint64_t warm_engine_runs = 0;
+    for (const char *engine : {"decide.engine.axiomatic",
+                               "decide.engine.operational",
+                               "decide.engine.cat"})
+        warm_engine_runs += warm_delta.counter(engine);
+    std::printf("  warm engine decisions: %llu (target: 0)\n",
+                (unsigned long long)warm_engine_runs);
+
     const double speedup = warm_best > 0 ? cold / warm_best : 0.0;
     std::printf("  best warm speedup: %.1fx (target: >= 5x)\n", speedup);
-    return speedup >= 5.0 ? 0 : 1;
+    return speedup >= 5.0 && warm_engine_runs == 0 ? 0 : 1;
 }

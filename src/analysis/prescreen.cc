@@ -4,8 +4,8 @@
 #include <array>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "isa/instruction.hh"
@@ -15,7 +15,6 @@ namespace gam::analysis
 {
 
 using isa::Addr;
-using isa::FenceKind;
 using isa::Instruction;
 using isa::Opcode;
 using isa::Reg;
@@ -30,20 +29,20 @@ namespace
  * A bounded set of 64-bit values: either an explicit sorted set of at
  * most Cap values, or Top (any value).  The abstraction is a plain
  * powerset domain with a cardinality widening, so every operation is
- * a sound over-approximation of the concrete operation.
+ * a sound over-approximation of the concrete operation.  The values
+ * live inline, so no abstract operation allocates.
  */
-struct ValSet
+class ValSet
 {
+  public:
     static constexpr size_t Cap = 24;
-
-    bool top = false;
-    std::vector<Value> vals; ///< sorted, unique; empty+!top = bottom
 
     static ValSet
     singleton(Value v)
     {
         ValSet s;
-        s.vals.push_back(v);
+        s.vals[0] = v;
+        s.n = 1;
         return s;
     }
 
@@ -55,45 +54,60 @@ struct ValSet
         return s;
     }
 
-    bool isSingleton() const { return !top && vals.size() == 1; }
+    bool isTop() const { return top; }
+    bool isSingleton() const { return !top && n == 1; }
+    /** The explicit values, sorted (empty when Top). */
+    const Value *begin() const { return vals.data(); }
+    const Value *end() const { return vals.data() + n; }
 
     bool
     contains(Value v) const
     {
-        return top
-            || std::binary_search(vals.begin(), vals.end(), v);
+        return top || std::binary_search(begin(), end(), v);
     }
 
-    void
+    /** Add @p v, widening to Top past Cap values.  @return grew. */
+    bool
     add(Value v)
     {
         if (top)
-            return;
-        auto it = std::lower_bound(vals.begin(), vals.end(), v);
-        if (it != vals.end() && *it == v)
-            return;
-        vals.insert(it, v);
-        if (vals.size() > Cap) {
+            return false;
+        Value *last = vals.data() + n;
+        Value *pos = std::lower_bound(vals.data(), last, v);
+        if (pos != last && *pos == v)
+            return false;
+        if (n == Cap) {
             top = true;
-            vals.clear();
+            n = 0;
+            return true;
         }
+        std::copy_backward(pos, last, last + 1);
+        *pos = v;
+        ++n;
+        return true;
     }
 
-    void
+    /** Join @p other into this set.  @return grew. */
+    bool
     join(const ValSet &other)
     {
         if (top)
-            return;
+            return false;
         if (other.top) {
             top = true;
-            vals.clear();
-            return;
+            n = 0;
+            return true;
         }
-        for (Value v : other.vals)
-            add(v);
+        bool grew = false;
+        for (Value v : other)
+            grew |= add(v);
+        return grew;
     }
 
-    bool operator==(const ValSet &other) const = default;
+  private:
+    std::array<Value, Cap> vals{}; ///< sorted, unique: the first n
+    uint8_t n = 0;                 ///< 0 and !top: bottom
+    bool top = false;
 };
 
 /** Pointwise map of @p f over @p s (Top maps to Top). */
@@ -101,10 +115,10 @@ template <typename F>
 ValSet
 mapSet(const ValSet &s, F f)
 {
-    if (s.top)
+    if (s.isTop())
         return ValSet::topSet();
     ValSet out;
-    for (Value v : s.vals)
+    for (Value v : s)
         out.add(f(v));
     return out;
 }
@@ -114,42 +128,27 @@ template <typename F>
 ValSet
 mapSet2(const ValSet &a, const ValSet &b, F f)
 {
-    if (a.top || b.top)
+    if (a.isTop() || b.isTop())
         return ValSet::topSet();
     ValSet out;
-    for (Value va : a.vals) {
-        for (Value vb : b.vals) {
+    for (Value va : a) {
+        for (Value vb : b) {
             out.add(f(va, vb));
-            if (out.top)
+            if (out.isTop())
                 return out;
         }
     }
     return out;
 }
 
-bool
-setsOverlap(const ValSet &a, const ValSet &b)
-{
-    if (a.top || b.top)
-        return true; // conservative
-    for (Value v : a.vals)
-        if (b.contains(v))
-            return true;
-    return false;
-}
-
 /** Abstract register file. */
-using RegState = std::vector<ValSet>;
+using RegFile = std::array<ValSet, isa::NUM_REGS>;
 
 void
-joinInto(std::optional<RegState> &dst, const RegState &src)
+joinFile(RegFile &dst, const RegFile &src)
 {
-    if (!dst) {
-        dst = src;
-        return;
-    }
-    for (size_t r = 0; r < src.size(); ++r)
-        (*dst)[r].join(src[r]);
+    for (size_t r = 0; r < dst.size(); ++r)
+        dst[r].join(src[r]);
 }
 
 /**
@@ -162,37 +161,46 @@ struct Universe
     std::map<Addr, ValSet> perAddr;
     bool wildStore = false;
     ValSet wildVals;
+};
 
-    bool operator==(const Universe &other) const = default;
+/**
+ * A reachable memory access, with its address when the value fixpoint
+ * pins it to one value: all screen() reads.
+ */
+struct Access
+{
+    size_t index = 0;
+    std::optional<Addr> addr;
 };
 
 struct ValueAnalysis
 {
     const LitmusTest &test;
     Universe uni;
+    /** The universe changed during the current round. */
+    bool changed = false;
     bool bailed = false;
 
-    /** Abstract register file *before* each instruction (final pass). */
-    std::vector<std::vector<std::optional<RegState>>> before;
     /** Abstract register file at each thread's exit (final pass). */
-    std::vector<std::optional<RegState>> exit;
+    std::vector<std::optional<RegFile>> exits;
+    /** Each thread's reachable memory accesses (final pass). */
+    std::vector<std::vector<Access>> accesses;
+
+    /** interpretThread()'s running state, reused across passes. */
+    RegFile cur;
+    /** States branched forward to instructions not yet reached. */
+    std::vector<std::pair<size_t, RegFile>> arrivals;
 
     explicit ValueAnalysis(const LitmusTest &t) : test(t) {}
-
-    void
-    bail()
-    {
-        bailed = true;
-    }
 
     /** Values a load with abstract address set @p addrs can observe. */
     ValSet
     loadFrom(const ValSet &addrs) const
     {
-        if (addrs.top)
+        if (addrs.isTop())
             return ValSet::topSet();
         ValSet out;
-        for (Value a : addrs.vals) {
+        for (Value a : addrs) {
             if (a & 7)
                 continue; // no well-formed execution reaches it
             out.add(test.initialMem.load(a));
@@ -222,97 +230,129 @@ struct ValueAnalysis
     void
     contributeStore(const ValSet &addrs, const ValSet &data)
     {
-        if (addrs.top) {
+        if (addrs.isTop()) {
+            changed |= !uni.wildStore;
             uni.wildStore = true;
-            uni.wildVals.join(data);
+            changed |= uni.wildVals.join(data);
             return;
         }
-        for (Value a : addrs.vals) {
+        for (Value a : addrs) {
             if (a & 7)
                 continue;
-            uni.perAddr[a].join(data);
+            auto [it, fresh] = uni.perAddr.try_emplace(a);
+            changed |= it->second.join(data) || fresh;
         }
     }
 
     ValSet
-    addrSetOf(const Instruction &in, const RegState &st) const
+    addrSetOf(const Instruction &in) const
     {
-        return mapSet(st[size_t(in.src1)],
-                      [&](Value base) { return in.imm + base; });
+        return mapSet(cur[size_t(in.src1)], [&](Value base) {
+            return Value(uint64_t(in.imm) + uint64_t(base));
+        });
+    }
+
+    /** Fold the states that branched to @p k into the running state. */
+    void
+    arrive(size_t k, bool &live)
+    {
+        for (auto &[target, state] : arrivals) {
+            if (target != k)
+                continue;
+            if (live)
+                joinFile(cur, state);
+            else
+                cur = state;
+            live = true;
+        }
     }
 
     /**
      * One abstract pass over thread @p tid, joining over all forward
      * branch outcomes.  Contributes store values to the universe; when
-     * @p record, also captures per-instruction and exit states.
+     * @p record, also captures the exit state and the accesses.
      */
     void
-    interpretThread(int tid, bool record)
+    interpretThread(size_t tid, bool record)
     {
-        const isa::Program &prog = test.threads[size_t(tid)];
+        const isa::Program &prog = test.threads[tid];
         const size_t n = prog.size();
-        std::vector<std::optional<RegState>> pending(n + 1);
-        pending[0] = RegState(isa::NUM_REGS, ValSet::singleton(0));
-        std::optional<RegState> exitState;
+        cur.fill(ValSet::singleton(0));
+        arrivals.clear();
+        bool live = true;
 
         for (size_t k = 0; k < n && !bailed; ++k) {
-            if (record)
-                before[size_t(tid)][k] = pending[k];
-            if (!pending[k])
+            arrive(k, live);
+            if (!live)
                 continue; // statically unreachable
-            RegState st = *pending[k];
             const Instruction &in = prog[k];
-            bool fallThrough = true;
 
             auto branchTo = [&](int64_t target) {
                 if (target <= int64_t(k) || target > int64_t(n)) {
-                    bail(); // engines require strictly forward targets
+                    bailed = true; // engines require forward targets
                     return;
                 }
-                joinInto(pending[size_t(target)], st);
+                for (auto &[t, state] : arrivals) {
+                    if (t == size_t(target)) {
+                        joinFile(state, cur);
+                        return;
+                    }
+                }
+                arrivals.emplace_back(size_t(target), cur);
             };
 
+            if (record && in.isMem()) {
+                const ValSet addrs = addrSetOf(in);
+                accesses[tid].push_back(
+                    {k, addrs.isSingleton()
+                            ? std::optional<Addr>(*addrs.begin())
+                            : std::nullopt});
+            }
             if (in.isRegToReg() || in.op == Opcode::LI) {
-                ValSet v = mapSet2(st[size_t(in.src1)],
-                                   st[size_t(in.src2)],
-                                   [&](Value a, Value b) {
-                                       return isa::evalRegToReg(in, a,
-                                                                b);
-                                   });
-                st[size_t(in.dst)] = std::move(v);
+                cur[size_t(in.dst)] = mapSet2(
+                    cur[size_t(in.src1)], cur[size_t(in.src2)],
+                    [&](Value a, Value b) {
+                        return isa::evalRegToReg(in, a, b);
+                    });
             } else if (in.op == Opcode::LD) {
-                st[size_t(in.dst)] = loadFrom(addrSetOf(in, st));
+                cur[size_t(in.dst)] = loadFrom(addrSetOf(in));
             } else if (in.op == Opcode::ST) {
-                contributeStore(addrSetOf(in, st), st[size_t(in.src2)]);
+                contributeStore(addrSetOf(in), cur[size_t(in.src2)]);
             } else if (in.isRmw()) {
-                const ValSet addrs = addrSetOf(in, st);
+                const ValSet addrs = addrSetOf(in);
                 const ValSet loaded = loadFrom(addrs);
-                const ValSet stored =
-                    mapSet2(loaded, st[size_t(in.src2)],
-                            [&](Value old_v, Value s2) {
-                                return isa::evalRmwStored(in, old_v,
-                                                          s2);
-                            });
-                contributeStore(addrs, stored);
-                st[size_t(in.dst)] = loaded;
+                contributeStore(addrs,
+                                mapSet2(loaded, cur[size_t(in.src2)],
+                                        [&](Value old_v, Value s2) {
+                                            return isa::evalRmwStored(
+                                                in, old_v, s2);
+                                        }));
+                cur[size_t(in.dst)] = loaded;
             } else if (in.isCondBranch()) {
                 branchTo(in.imm); // both directions stay joined
             } else if (in.op == Opcode::JMP) {
                 branchTo(in.imm);
-                fallThrough = false;
+                live = false;
             } else if (in.op == Opcode::HALT) {
-                joinInto(exitState, st);
-                fallThrough = false;
+                if (record)
+                    exitWith(tid);
+                live = false;
             }
             // NOP and FENCE leave the register file untouched.
-
-            if (fallThrough)
-                joinInto(pending[k + 1], st);
         }
-        if (pending[n])
-            joinInto(exitState, *pending[n]);
-        if (record)
-            exit[size_t(tid)] = std::move(exitState);
+        arrive(n, live);
+        if (record && live)
+            exitWith(tid);
+    }
+
+    void
+    exitWith(size_t tid)
+    {
+        std::optional<RegFile> &state = exits[tid];
+        if (state)
+            joinFile(*state, cur);
+        else
+            state = cur;
     }
 
     /** @return false when the analysis bailed (make no claims). */
@@ -323,20 +363,18 @@ struct ValueAnalysis
         // Universes only grow and saturate at Cap values per address;
         // the loop terminates long before the safety bound.
         for (int round = 0; round < 100 && !bailed; ++round) {
-            const Universe snapshot = uni;
+            changed = false;
             for (size_t tid = 0; tid < nthreads; ++tid)
-                interpretThread(int(tid), false);
-            if (uni == snapshot)
+                interpretThread(tid, false);
+            if (!changed)
                 break;
         }
         if (bailed)
             return false;
-        before.assign(nthreads, {});
-        exit.assign(nthreads, std::nullopt);
-        for (size_t tid = 0; tid < nthreads; ++tid) {
-            before[tid].assign(test.threads[tid].size(), std::nullopt);
-            interpretThread(int(tid), true);
-        }
+        exits.assign(nthreads, std::nullopt);
+        accesses.assign(nthreads, {});
+        for (size_t tid = 0; tid < nthreads; ++tid)
+            interpretThread(tid, true);
         return !bailed;
     }
 };
@@ -356,7 +394,7 @@ valueCoverForbidden(const ValueAnalysis &va)
             || rc.reg < 0 || rc.reg >= isa::NUM_REGS) {
             return std::nullopt; // malformed; let the engine assert
         }
-        const auto &ex = va.exit[size_t(rc.tid)];
+        const auto &ex = va.exits[size_t(rc.tid)];
         if (!ex)
             continue;
         const ValSet &s = (*ex)[size_t(rc.reg)];
@@ -383,200 +421,105 @@ valueCoverForbidden(const ValueAnalysis &va)
 
 // ------------------------------------------------------ sc delegate
 
-/** Static po-forward load-value flow, as cat/exec.cc computes it. */
-struct FlowInfo
-{
-    /** Loads (instruction indices) feeding each instr's address regs. */
-    std::vector<std::set<size_t>> addrFlow;
-    /** Loads feeding each instr's store-data regs. */
-    std::vector<std::set<size_t>> dataFlow;
-};
+static_assert(isa::NUM_REGS <= 64, "register masks are 64-bit");
 
-FlowInfo
-computeFlow(const isa::Program &prog, size_t limit)
+/** Does any register of @p regs lie in the mask @p mask? */
+bool
+readsAny(const std::vector<Reg> &regs, uint64_t mask)
 {
-    FlowInfo info;
-    info.addrFlow.assign(limit, {});
-    info.dataFlow.assign(limit, {});
-    std::array<std::set<size_t>, isa::NUM_REGS> flow;
-    auto readFlow = [&](const std::vector<Reg> &regs) {
-        std::set<size_t> s;
-        for (Reg r : regs)
-            s.insert(flow[size_t(r)].begin(), flow[size_t(r)].end());
-        return s;
-    };
-    for (size_t k = 0; k < limit; ++k) {
-        const Instruction &in = prog[k];
-        if (in.isMem()) {
-            info.addrFlow[k] = readFlow(in.addrReadSet());
-            info.dataFlow[k] = readFlow(in.dataReadSet());
-            if (in.isLoad() && in.dst != isa::REG_ZERO)
-                flow[size_t(in.dst)] = {k};
-        } else if (in.isRegToReg() || in.op == Opcode::LI) {
-            if (in.dst != isa::REG_ZERO)
-                flow[size_t(in.dst)] = readFlow(in.readSet());
-        }
-    }
-    return info;
+    for (Reg r : regs)
+        if (mask >> r & 1)
+            return true;
+    return false;
 }
 
-struct DelegateChecker
+/**
+ * Is the po-adjacent memory pair (@p x, @p y) of a branchless thread
+ * provably preserved program order under @p model?
+ */
+bool
+pairPreserved(const isa::Program &prog, ModelKind model, const Access &x,
+              const Access &y)
 {
-    const ValueAnalysis &va;
-    const ModelKind model;
+    const Instruction &a = prog[x.index];
+    const Instruction &b = prog[y.index];
 
-    bool
-    sameSingletonAddr(const ValSet &a, const ValSet &b) const
-    {
-        return a.isSingleton() && b.isSingleton()
-            && a.vals[0] == b.vals[0];
+    // Walk the instructions between the pair.  A FenceXY with matching
+    // endpoint types orders it (FenceOrd / the TSO fence rule); `flow`
+    // is the registers a's loaded value reaches, the static po-forward
+    // flow cat/exec.cc computes syntactic dependencies from.
+    uint64_t flow = a.isLoad() && a.dst != isa::REG_ZERO
+        ? uint64_t(1) << a.dst : 0;
+    for (size_t k = x.index + 1; k < y.index; ++k) {
+        const Instruction &f = prog[k];
+        if (f.isFence() && a.isMemType(isa::fencePre(f.fence))
+            && b.isMemType(isa::fencePost(f.fence))) {
+            return true;
+        }
+        if ((f.isRegToReg() || f.op == Opcode::LI)
+            && f.dst != isa::REG_ZERO) {
+            const uint64_t bit = uint64_t(1) << f.dst;
+            flow = readsAny(f.readSet(), flow) ? flow | bit : flow & ~bit;
+        }
+    }
+    if (model == ModelKind::TSO) {
+        // Everything but the pure-store -> pure-load relaxation.
+        return !(a.isStore() && !a.isRmw() && b.isLoad() && !b.isRmw());
     }
 
-    /**
-     * Is the po-adjacent memory pair (i, j) of a branchless thread
-     * provably preserved program order under the model?  @p addrs
-     * holds each memory instruction's abstract address set.
-     */
-    bool
-    pairPreserved(const isa::Program &prog, const FlowInfo &flow,
-                  const std::map<size_t, ValSet> &addrs, size_t i,
-                  size_t j) const
-    {
-        const Instruction &a = prog[i];
-        const Instruction &b = prog[j];
-
-        // FenceOrd / the TSO fence rule: a FenceXY between the pair
-        // with matching endpoint types.
-        for (size_t k = i + 1; k < j; ++k) {
-            const Instruction &f = prog[k];
-            if (f.isFence() && a.isMemType(isa::fencePre(f.fence))
-                && b.isMemType(isa::fencePost(f.fence))) {
-                return true;
-            }
-        }
-        if (model == ModelKind::TSO) {
-            // Everything but the pure-store -> pure-load relaxation.
-            return !(a.isStore() && !a.isRmw() && b.isLoad()
-                     && !b.isRmw());
-        }
-
-        // GAM0 / GAM Definition 6 cases.
-        const ValSet &addrA = addrs.at(i);
-        const ValSet &addrB = addrs.at(j);
-        // SAMemSt: a store after an older same-address access.
-        if (b.isStore() && sameSingletonAddr(addrA, addrB))
-            return true;
-        // RegRAW: the pair's own address/data dependency.
-        if (a.isLoad()
-            && (flow.addrFlow[j].count(i) || flow.dataFlow[j].count(i)))
-            return true;
-        // AddrSt: a store after the address producers of any older
-        // memory access.
-        if (b.isStore() && a.isLoad()) {
-            for (const auto &[m, unused] : addrs) {
-                (void)unused;
-                if (m < j && flow.addrFlow[m].count(i))
-                    return true;
-            }
-        }
-        // SAStLd: a load after the address/data producers of the
-        // immediately preceding same-address store.
-        if (b.isLoad() && a.isLoad()) {
-            for (const auto &[s, saddr] : addrs) {
-                if (s <= i || s >= j || !prog[s].isStore())
-                    continue;
-                if (!sameSingletonAddr(saddr, addrB))
-                    continue;
-                if (!flow.addrFlow[s].count(i)
-                    && !flow.dataFlow[s].count(i)) {
-                    continue;
-                }
-                bool shielded = false;
-                for (const auto &[t, taddr] : addrs) {
-                    if (t > s && t < j && prog[t].isStore()
-                        && setsOverlap(taddr, saddr)) {
-                        shielded = true;
-                        break;
-                    }
-                }
-                if (!shielded)
-                    return true;
-            }
-        }
-        // SALdLd (GAM only): consecutive same-address loads with no
-        // same-address store between.
-        if (model == ModelKind::GAM && a.isLoad() && b.isLoad()
-            && sameSingletonAddr(addrA, addrB)) {
-            bool shielded = false;
-            for (const auto &[t, taddr] : addrs) {
-                if (t > i && t < j && prog[t].isStore()
-                    && setsOverlap(taddr, addrA)) {
-                    shielded = true;
-                    break;
-                }
-            }
-            if (!shielded)
-                return true;
-        }
-        return false;
-    }
-
-    /**
-     * True when po restricted to memory events is provably inside
-     * ppo+, making the model's ordering axiom coincide with SC's.
-     */
-    bool
-    delegates() const
-    {
-        const LitmusTest &test = va.test;
-        for (size_t tid = 0; tid < test.threads.size(); ++tid) {
-            const isa::Program &prog = test.threads[tid];
-            // Scan the whole program: a branch can jump over a HALT,
-            // so instructions after one may still execute.
-            bool branchy = false;
-            size_t memCount = 0;
-            for (size_t k = 0; k < prog.size(); ++k) {
-                branchy |= prog[k].isBranch();
-                memCount += prog[k].isMem();
-            }
-            if (branchy) {
-                // Path-sensitive ordering evidence is out of scope; a
-                // thread with at most one access has no pair to order.
-                if (memCount <= 1)
-                    continue;
-                return false;
-            }
-            // Branchless: execution is the static prefix up to the
-            // first HALT; anything past it never runs.
-            size_t limit = prog.size();
-            for (size_t k = 0; k < prog.size(); ++k) {
-                if (prog[k].op == Opcode::HALT) {
-                    limit = k;
-                    break;
-                }
-            }
-            std::map<size_t, ValSet> addrs;
-            std::vector<size_t> mems;
-            for (size_t k = 0; k < limit; ++k) {
-                if (!prog[k].isMem())
-                    continue;
-                const auto &st = va.before[tid][k];
-                if (!st)
-                    return false; // unreachable state: be conservative
-                addrs.emplace(k, va.addrSetOf(prog[k], *st));
-                mems.push_back(k);
-            }
-            const FlowInfo flow = computeFlow(prog, limit);
-            for (size_t t = 0; t + 1 < mems.size(); ++t) {
-                if (!pairPreserved(prog, flow, addrs, mems[t],
-                                   mems[t + 1])) {
-                    return false;
-                }
-            }
-        }
+    // GAM0 / GAM Definition 6 cases.  AddrSt and SAStLd order a pair
+    // through an access po-between its ends, and a po-adjacent pair
+    // has none, so neither applies here.
+    const bool sameAddr = x.addr && y.addr && *x.addr == *y.addr;
+    // SAMemSt: a store after an older same-address access.
+    if (b.isStore() && sameAddr)
         return true;
+    // RegRAW: the pair's own address/data dependency.
+    if (readsAny(b.addrReadSet(), flow) || readsAny(b.dataReadSet(), flow))
+        return true;
+    // SALdLd (GAM only): consecutive same-address loads, with no
+    // same-address store between (there is no access between).
+    return model == ModelKind::GAM && a.isLoad() && b.isLoad()
+        && sameAddr;
+}
+
+/**
+ * True when po restricted to memory events is provably inside ppo+,
+ * making the model's ordering axiom coincide with SC's.
+ * @p accesses holds each thread's reachable memory accesses.
+ */
+bool
+delegates(const LitmusTest &test,
+          const std::vector<std::vector<Access>> &accesses,
+          ModelKind model)
+{
+    for (size_t tid = 0; tid < test.threads.size(); ++tid) {
+        const isa::Program &prog = test.threads[tid];
+        // Scan the whole program: a branch can jump over a HALT, so
+        // instructions after one may still execute.
+        bool branchy = false;
+        size_t memCount = 0;
+        for (size_t k = 0; k < prog.size(); ++k) {
+            branchy |= prog[k].isBranch();
+            memCount += prog[k].isMem();
+        }
+        if (branchy) {
+            // Path-sensitive ordering evidence is out of scope; a
+            // thread with at most one access has no pair to order.
+            if (memCount <= 1)
+                continue;
+            return false;
+        }
+        // Branchless: execution is the static prefix up to the first
+        // HALT, exactly the accesses the final pass reached.
+        const std::vector<Access> &mems = accesses[tid];
+        for (size_t t = 0; t + 1 < mems.size(); ++t) {
+            if (!pairPreserved(prog, model, mems[t], mems[t + 1]))
+                return false;
+        }
     }
-};
+    return true;
+}
 
 } // anonymous namespace
 
@@ -593,28 +536,35 @@ prescreenVerdictName(PrescreenVerdict verdict)
 
 struct PrescreenAnalysis::Impl
 {
-    /** The value fixpoint; disengaged when it bailed (no claims). */
-    std::optional<ValueAnalysis> va;
+    explicit Impl(const LitmusTest &t) : test(t) {}
+
+    const LitmusTest &test;
+    /** False when the value fixpoint bailed (make no claims). */
+    bool analyzed = false;
     /** The model-independent verdict: Forbidden or Unknown. */
     PrescreenResult base;
+    /** ValueAnalysis::accesses of the final pass. */
+    std::vector<std::vector<Access>> accesses;
 };
 
 PrescreenAnalysis::PrescreenAnalysis(const LitmusTest &test)
-    : impl(std::make_unique<Impl>())
+    : impl(std::make_unique<Impl>(test))
 {
     if (test.threads.empty())
         return;
-    impl->va.emplace(test);
-    if (!impl->va->run()) {
-        impl->va.reset();
+    // The register files (~9.6 KB each) live only here: once the
+    // value-cover verdict is known, only the accesses are kept.
+    ValueAnalysis va(test);
+    if (!va.run())
         return;
-    }
+    impl->analyzed = true;
     if (!test.regCond.empty() || !test.memCond.empty()) {
-        if (auto why = valueCoverForbidden(*impl->va)) {
+        if (auto why = valueCoverForbidden(va)) {
             impl->base.verdict = PrescreenVerdict::Forbidden;
             impl->base.detail = *why;
         }
     }
+    impl->accesses = std::move(va.accesses);
 }
 
 PrescreenAnalysis::~PrescreenAnalysis() = default;
@@ -623,18 +573,16 @@ PrescreenResult
 PrescreenAnalysis::screen(ModelKind model) const
 {
     PrescreenResult result = impl->base;
-    if (!impl->va || result.verdict == PrescreenVerdict::Forbidden)
+    if (!impl->analyzed || result.verdict == PrescreenVerdict::Forbidden)
         return result;
 
-    if (model == ModelKind::TSO || model == ModelKind::GAM0
-        || model == ModelKind::GAM) {
-        DelegateChecker checker{*impl->va, model};
-        if (checker.delegates()) {
-            result.verdict = PrescreenVerdict::ScEquivalent;
-            result.detail = "every po-adjacent memory pair is "
-                            "preserved program order; outcomes equal "
-                            "SC's";
-        }
+    if ((model == ModelKind::TSO || model == ModelKind::GAM0
+         || model == ModelKind::GAM)
+        && delegates(impl->test, impl->accesses, model)) {
+        result.verdict = PrescreenVerdict::ScEquivalent;
+        result.detail = "every po-adjacent memory pair is "
+                        "preserved program order; outcomes equal "
+                        "SC's";
     }
     return result;
 }

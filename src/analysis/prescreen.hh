@@ -83,7 +83,10 @@ struct PrescreenResult
  * its Forbidden verdict.  screen(model) then only runs the (cheap)
  * per-model preserved-program-order walk.  The batched decide
  * pipeline keys one of these per test, turning N prescreen() fixpoint
- * runs into one.  Holds a reference to @p test: must not outlive it.
+ * runs into one.  The fixpoint's register files are dropped once the
+ * verdict is known; what stays is what screen() reads, each reachable
+ * memory access with its address when the fixpoint pins it to one
+ * value.  Holds a reference to @p test: must not outlive it.
  */
 class PrescreenAnalysis
 {
@@ -106,8 +109,8 @@ class PrescreenAnalysis
  * Statically pre-screen @p test under @p model.  Sound for every
  * engine deciding the builtin @p model with the InstOrder axiom
  * enforced; the caller is responsible for that gate (decide() applies
- * it).  Never enumerates candidates; cost is linear-ish in program
- * size.
+ * it).  Never enumerates candidates, and no abstract operation
+ * allocates; cost is linear-ish in program size.
  */
 PrescreenResult prescreen(const litmus::LitmusTest &test,
                           model::ModelKind model);

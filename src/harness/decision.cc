@@ -52,14 +52,44 @@ RunOptions::fingerprint() const
 
 // ------------------------------------------------------------- cache
 
+/** A cached decision: its outcome set lives in a SetShard. */
+struct DecisionCache::Resident
+{
+    /** The decision, with an empty outcome set. */
+    Decision decision;
+    std::shared_ptr<const litmus::OutcomeSet> outcomes;
+    /** litmus::outcomeSetHash(*outcomes), the set's table key. */
+    uint64_t hash = 0;
+};
+
 struct DecisionCache::Shard
 {
     mutable std::mutex mu;
-    std::unordered_map<uint64_t, Decision> map;
+    std::unordered_map<uint64_t, Resident> map;
+};
+
+/**
+ * One shard of the distinct outcome sets the residents share, each
+ * held once.  Equal sets hash alike, so sharding by set hash keeps
+ * the sharing whole while concurrent inserts rarely meet on one lock.
+ */
+struct DecisionCache::SetShard
+{
+    struct Entry
+    {
+        std::shared_ptr<const litmus::OutcomeSet> set;
+        /** Residents pointing at set; the entry goes at zero. */
+        uint64_t residents = 0;
+    };
+
+    mutable std::mutex mu;
+    /** Keyed by litmus::outcomeSetHash; equal hashes compare sets. */
+    std::unordered_multimap<uint64_t, Entry> byHash;
 };
 
 DecisionCache::DecisionCache(size_t max_entries)
     : shards(new Shard[ShardCount]),
+      sets(new SetShard[ShardCount]),
       shardCapacity(max_entries / ShardCount + 1)
 {
 }
@@ -75,18 +105,71 @@ DecisionCache::shardFor(uint64_t key)
     return shards[key >> 59];
 }
 
+DecisionCache::SetShard &
+DecisionCache::setShardFor(uint64_t hash)
+{
+    return sets[hash >> 59];
+}
+
+std::shared_ptr<const litmus::OutcomeSet>
+DecisionCache::acquireSet(uint64_t hash, const litmus::OutcomeSet &outcomes)
+{
+    SetShard &shard = setShardFor(hash);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto [it, end] = shard.byHash.equal_range(hash);
+    for (; it != end; ++it) {
+        if (*it->second.set == outcomes) {
+            ++it->second.residents;
+            return it->second.set;
+        }
+    }
+    return shard.byHash
+        .emplace(hash,
+                 SetShard::Entry{
+                     std::make_shared<const litmus::OutcomeSet>(outcomes),
+                     1})
+        ->second.set;
+}
+
+void
+DecisionCache::releaseSet(const Resident &resident)
+{
+    if (!resident.outcomes)
+        return;
+    SetShard &shard = setShardFor(resident.hash);
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto [it, end] = shard.byHash.equal_range(resident.hash);
+    for (; it != end; ++it) {
+        if (it->second.set == resident.outcomes) {
+            it->second.residents -= 1;
+            if (it->second.residents == 0)
+                shard.byHash.erase(it);
+            return;
+        }
+    }
+}
+
 std::optional<Decision>
 DecisionCache::lookup(uint64_t key)
 {
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-        misses.fetch_add(1, std::memory_order_relaxed);
-        return std::nullopt;
+    Decision hit;
+    std::shared_ptr<const litmus::OutcomeSet> outcomes;
+    {
+        Shard &shard = shardFor(key);
+        std::lock_guard<std::mutex> lock(shard.mu);
+        auto it = shard.map.find(key);
+        if (it == shard.map.end()) {
+            misses.fetch_add(1, std::memory_order_relaxed);
+            return std::nullopt;
+        }
+        hits.fetch_add(1, std::memory_order_relaxed);
+        hit = it->second.decision;
+        outcomes = it->second.outcomes;
     }
-    hits.fetch_add(1, std::memory_order_relaxed);
-    return it->second;
+    // `outcomes` keeps the set alive if an insert evicts the resident
+    // meanwhile.
+    hit.outcomes = *outcomes;
+    return hit;
 }
 
 void
@@ -98,16 +181,34 @@ DecisionCache::insert(uint64_t key, const Decision &decision)
         uncached.fetch_add(1, std::memory_order_relaxed);
         return;
     }
-    Shard &shard = shardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.map.size() >= shardCapacity
-        && !shard.map.count(key)) {
-        // Full: evict an arbitrary resident (hash order is as good a
-        // victim policy as any here) so campaigns stay bounded.
-        shard.map.erase(shard.map.begin());
-        evictions.fetch_add(1, std::memory_order_relaxed);
+    Resident fresh;
+    fresh.hash = litmus::outcomeSetHash(decision.outcomes);
+    fresh.outcomes = acquireSet(fresh.hash, decision.outcomes);
+    fresh.decision = decision;
+    fresh.decision.outcomes.clear();
+
+    // Residents this insert displaces, released once the shard lock
+    // is dropped (the set shards have their own locks).
+    Resident evicted;
+    Resident replaced;
+    {
+        Shard &shard = shardFor(key);
+        std::lock_guard<std::mutex> lock(shard.mu);
+        if (shard.map.size() >= shardCapacity
+            && !shard.map.count(key)) {
+            // Full: evict an arbitrary resident (hash order is as good
+            // a victim policy as any here) so campaigns stay bounded.
+            auto victim = shard.map.begin();
+            evicted = std::move(victim->second);
+            shard.map.erase(victim);
+            evictions.fetch_add(1, std::memory_order_relaxed);
+        }
+        Resident &slot = shard.map[key];
+        replaced = std::move(slot);
+        slot = std::move(fresh);
     }
-    shard.map.insert_or_assign(key, decision);
+    releaseSet(evicted);
+    releaseSet(replaced);
 }
 
 size_t
@@ -143,6 +244,10 @@ DecisionCache::stats() const
         s.shardMax = std::max(s.shardMax, n);
     }
     s.shardMean = double(s.residents) / double(ShardCount);
+    for (unsigned i = 0; i < ShardCount; ++i) {
+        std::lock_guard<std::mutex> lock(sets[i].mu);
+        s.outcomeSets += sets[i].byHash.size();
+    }
     return s;
 }
 
@@ -152,6 +257,10 @@ DecisionCache::clear()
     for (unsigned i = 0; i < ShardCount; ++i) {
         std::lock_guard<std::mutex> lock(shards[i].mu);
         shards[i].map.clear();
+    }
+    for (unsigned i = 0; i < ShardCount; ++i) {
+        std::lock_guard<std::mutex> lock(sets[i].mu);
+        sets[i].byHash.clear();
     }
     hits.store(0);
     misses.store(0);

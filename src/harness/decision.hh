@@ -247,6 +247,13 @@ struct DecisionCacheStats
      * fingerprint hash shows up here first).
      */
     double shardMean = 0.0;
+    /**
+     * Distinct outcome sets resident.  The cache holds each set once,
+     * shared by every resident whose decision enumerated an equal set
+     * (the engines agree on a model, and models often agree on a
+     * test), so outcomeSets <= residents.
+     */
+    uint64_t outcomeSets = 0;
 };
 
 /**
@@ -261,6 +268,13 @@ struct DecisionCacheStats
  * map.  Capacity is bounded: when a shard is full an arbitrary
  * resident entry is evicted first, so unbounded fuzz campaigns cannot
  * grow the cache without limit.
+ *
+ * Each distinct outcome set is stored once, in a table the cache owns
+ * keyed by litmus::outcomeSetHash (with a content check on equal
+ * hashes) and sharded by that hash like the residents are by key:
+ * residents share it, and it is freed once eviction, overwrite or
+ * clear() drops its last resident.  lookup() copies the set out after
+ * releasing the shard lock.
  *
  * Two threads deciding the same cold query race benignly: both
  * compute, both insert the same value, and both report a miss.
@@ -293,12 +307,22 @@ class DecisionCache
     void clear();
 
   private:
+    struct Resident;
     struct Shard;
+    struct SetShard;
     static constexpr unsigned ShardCount = 32;
 
     Shard &shardFor(uint64_t key);
+    SetShard &setShardFor(uint64_t hash);
+    /** The table's copy of @p outcomes (hashing to @p hash), counting
+     *  one more resident on it. */
+    std::shared_ptr<const litmus::OutcomeSet>
+    acquireSet(uint64_t hash, const litmus::OutcomeSet &outcomes);
+    /** Drop @p resident's count on its set, freeing it at zero. */
+    void releaseSet(const Resident &resident);
 
     std::unique_ptr<Shard[]> shards;
+    std::unique_ptr<SetShard[]> sets;
     size_t shardCapacity;
     /** Cache-wide counters; atomic so shards never share a stats lock. */
     std::atomic<uint64_t> hits{0};

@@ -5,6 +5,9 @@
  * correctness of the memoizing DecisionCache.
  */
 
+#include <atomic>
+#include <set>
+
 #include <gtest/gtest.h>
 
 #include "axiomatic/checker.hh"
@@ -364,6 +367,130 @@ TEST(DecisionCache, ConcurrentDecidesOnOneQueryAreRaceFree)
     EXPECT_EQ(stats.hits + stats.misses, N);
     EXPECT_GE(stats.misses, 1u);
     EXPECT_EQ(cache.size(), 1u);
+}
+
+/** A complete decision whose outcome set is {0:r1=v} for each v. */
+Decision
+decisionWithValues(std::initializer_list<isa::Value> values)
+{
+    Decision d;
+    d.complete = true;
+    for (isa::Value v : values) {
+        litmus::Outcome o;
+        o.regs.push_back({0, isa::Reg(1), v});
+        d.outcomes.insert(o);
+    }
+    return d;
+}
+
+TEST(DecisionCache, EqualOutcomeSetsAreStoredOnce)
+{
+    // One test under four models by three engines: the engines agree
+    // per model (the paper's equivalence), and SC and TSO agree on mp,
+    // so twelve residents share far fewer sets.
+    DecisionCache cache;
+    const auto &test = litmus::testByName("mp");
+    std::vector<std::pair<Query, Decision>> decided;
+    std::set<litmus::OutcomeSet> distinct;
+    for (ModelKind model : {ModelKind::SC, ModelKind::TSO,
+                            ModelKind::GAM0, ModelKind::GAM}) {
+        for (EngineSelect engine :
+             {EngineSelect::Axiomatic, EngineSelect::Cat,
+              EngineSelect::Operational}) {
+            Query q = queryFor(test, model, engine);
+            // Screened decisions are not cached under their own key.
+            q.options.prescreen = false;
+            const Decision d = decide(q, &cache);
+            distinct.insert(d.outcomes);
+            decided.emplace_back(q, d);
+        }
+    }
+    const auto stats = cache.stats();
+    EXPECT_EQ(stats.residents, 12u);
+    EXPECT_EQ(stats.outcomeSets, distinct.size());
+    EXPECT_LT(stats.outcomeSets, stats.residents);
+    for (const auto &[q, d] : decided) {
+        const auto hit = cache.lookup(queryKey(q, d.engine));
+        ASSERT_TRUE(hit.has_value());
+        EXPECT_EQ(hit->outcomes, d.outcomes);
+        EXPECT_EQ(hit->allowed, d.allowed);
+        EXPECT_EQ(hit->engine, d.engine);
+        EXPECT_EQ(hit->statesVisited, d.statesVisited);
+    }
+
+    cache.clear();
+    EXPECT_EQ(cache.stats().outcomeSets, 0u);
+    EXPECT_FALSE(cache.lookup(queryKey(decided[0].first,
+                                       decided[0].second.engine)));
+}
+
+TEST(DecisionCache, EvictionAndOverwriteReleaseOutcomeSets)
+{
+    // 32 shards of capacity 2: keys below 2^59 all route to shard 0,
+    // so 100 distinct sets leave two residents and two sets.
+    DecisionCache cache(/*max_entries=*/32);
+    for (isa::Value v = 0; v < 100; ++v)
+        cache.insert(uint64_t(v), decisionWithValues({v}));
+    auto stats = cache.stats();
+    EXPECT_EQ(stats.residents, 2u);
+    EXPECT_EQ(stats.evictions, 98u);
+    EXPECT_EQ(stats.outcomeSets, 2u);
+
+    // Re-inserting a key releases the set it displaced.
+    cache.clear();
+    cache.insert(7, decisionWithValues({1, 2}));
+    cache.insert(8, decisionWithValues({1, 2}));
+    EXPECT_EQ(cache.stats().outcomeSets, 1u);
+    cache.insert(7, decisionWithValues({3}));
+    EXPECT_EQ(cache.stats().outcomeSets, 2u);
+    cache.insert(8, decisionWithValues({3}));
+    stats = cache.stats();
+    EXPECT_EQ(stats.residents, 2u);
+    EXPECT_EQ(stats.outcomeSets, 1u);
+    EXPECT_EQ(cache.lookup(7)->outcomes, decisionWithValues({3}).outcomes);
+}
+
+TEST(DecisionCache, ConcurrentInsertsShareSetsConsistently)
+{
+    // Eight threads insert and look up 256 keys whose decisions carry
+    // one of three outcome sets; then again through a cache small
+    // enough to evict all the while.
+    const Decision contents[] = {decisionWithValues({0}),
+                                 decisionWithValues({0, 1}),
+                                 decisionWithValues({1, 2, 3})};
+    constexpr size_t Keys = 256;
+    constexpr size_t Tasks = 4096;
+    auto keyOf = [](size_t k) { return mix64(k); };
+    for (size_t capacity : {size_t(1) << 20, size_t(64)}) {
+        DecisionCache cache(capacity);
+        std::atomic<size_t> wrong{0};
+        ThreadPool pool(8);
+        pool.parallelFor(Tasks, [&](size_t i) {
+            const size_t k = i % Keys;
+            cache.insert(keyOf(k), contents[k % 3]);
+            const size_t probe = (i * 7) % Keys;
+            if (const auto hit = cache.lookup(keyOf(probe)))
+                wrong += hit->outcomes != contents[probe % 3].outcomes;
+        });
+        EXPECT_EQ(wrong.load(), 0u);
+
+        // Quiescent: the table holds exactly the residents' sets.
+        std::set<litmus::OutcomeSet> resident;
+        for (size_t k = 0; k < Keys; ++k) {
+            if (const auto hit = cache.lookup(keyOf(k))) {
+                EXPECT_EQ(hit->outcomes, contents[k % 3].outcomes);
+                resident.insert(hit->outcomes);
+            }
+        }
+        const auto stats = cache.stats();
+        EXPECT_EQ(stats.outcomeSets, resident.size());
+        if (capacity > Keys) {
+            EXPECT_EQ(stats.residents, Keys);
+            EXPECT_EQ(stats.outcomeSets, 3u);
+        }
+        cache.clear();
+        EXPECT_EQ(cache.stats().outcomeSets, 0u);
+    }
 }
 
 TEST(DecisionParity, TruncatedVerdictsRenderAsInconclusive)

@@ -8,12 +8,11 @@
  * exhaustively on the built-in corpus (every test x every model x both
  * enumeration engines) and statistically on a fixed-seed generator
  * sweep, with fresh caches on both sides so no memoized result can
- * paper over a divergence.  They also pin that the pre-screen actually
- * fires on the built-in corpus -- a pre-screen that never triggers
- * would pass every soundness check vacuously.
+ * paper over a divergence.  They also pin exactly how often each
+ * short-circuit fires on both sweeps: a pre-screen that never triggers
+ * would pass every soundness check vacuously, and a rewrite that stays
+ * sound but screens less would silently give up its savings.
  */
-
-#include <cstdio>
 
 #include <gtest/gtest.h>
 
@@ -74,10 +73,25 @@ checkOne(const gam::litmus::LitmusTest &test, ModelKind model,
     return on;
 }
 
+/** How many decisions each short-circuit answered. */
+struct ScreenCounts
+{
+    size_t decisions = 0;
+    size_t valueCover = 0;
+    size_t scDelegate = 0;
+
+    void
+    count(const Decision &d)
+    {
+        ++decisions;
+        valueCover += d.prescreened == PrescreenKind::ValueCover;
+        scDelegate += d.prescreened == PrescreenKind::ScDelegate;
+    }
+};
+
 TEST(Prescreen, SoundOnBuiltinCorpusBothEngines)
 {
-    size_t hits = 0;
-    size_t decisions = 0;
+    ScreenCounts counts;
     for (const EngineSelect engine :
          {EngineSelect::Axiomatic, EngineSelect::Cat}) {
         DecisionCache on_cache;
@@ -89,18 +103,15 @@ TEST(Prescreen, SoundOnBuiltinCorpusBothEngines)
                                                       : Engine::Cat;
                 if (!gam::model::supportsEngine(model, resolved))
                     continue;
-                const Decision d = checkOne(test, model, engine,
-                                            &on_cache, &off_cache);
-                ++decisions;
-                hits += d.prescreened != PrescreenKind::None;
+                counts.count(checkOne(test, model, engine, &on_cache,
+                                      &off_cache));
             }
         }
     }
-    // The pre-screen must do real work on the shipped corpus; a zero
-    // hit count means the soundness sweep proved nothing.
-    EXPECT_GT(hits, 0u);
-    std::printf("[ prescreen ] builtin corpus: %zu/%zu decisions "
-                "short-circuited\n", hits, decisions);
+    // 102 of 232 decisions short-circuited.
+    EXPECT_EQ(counts.decisions, 232u);
+    EXPECT_EQ(counts.valueCover, 8u);
+    EXPECT_EQ(counts.scDelegate, 94u);
 }
 
 TEST(Prescreen, SoundOnGeneratedTests)
@@ -109,24 +120,22 @@ TEST(Prescreen, SoundOnGeneratedTests)
     constexpr uint64_t kTests = 500;
     DecisionCache on_cache;
     DecisionCache off_cache;
-    size_t hits = 0;
-    size_t decisions = 0;
+    ScreenCounts counts;
     for (uint64_t i = 0; i < kTests; ++i) {
         const gam::litmus::LitmusTest test =
             gam::litmus::generateTest(kSeed, i);
         ASSERT_FALSE(test.check().has_value()) << test.name;
         for (ModelKind model : kModels) {
-            const Decision d =
-                checkOne(test, model, EngineSelect::Axiomatic,
-                         &on_cache, &off_cache);
-            ++decisions;
-            hits += d.prescreened != PrescreenKind::None;
+            counts.count(checkOne(test, model, EngineSelect::Axiomatic,
+                                  &on_cache, &off_cache));
         }
     }
-    std::printf("[ prescreen ] %llu generated tests: %zu/%zu decisions "
-                "short-circuited\n",
-                static_cast<unsigned long long>(kTests), hits,
-                decisions);
+    // 837 of 2000 decisions short-circuited, all by SC delegation: a
+    // generated condition only asks for values the test's stores or
+    // its initial memory hold, so no value cover can fire.
+    EXPECT_EQ(counts.decisions, 2000u);
+    EXPECT_EQ(counts.valueCover, 0u);
+    EXPECT_EQ(counts.scDelegate, 837u);
 }
 
 // The analysis layer's own verdicts, independent of decide():

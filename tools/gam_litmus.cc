@@ -493,6 +493,10 @@ cmdRun(int argc, char **argv)
                     after.shardMean > 0.0
                         ? double(after.shardMax) / after.shardMean
                         : 0.0);
+        std::printf("cache outcome sets: %llu distinct shared by %llu "
+                    "residents\n",
+                    (unsigned long long)after.outcomeSets,
+                    (unsigned long long)after.residents);
         size_t value_cover = 0;
         size_t sc_delegate = 0;
         for (const auto &v : verdicts) {
