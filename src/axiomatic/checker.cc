@@ -6,7 +6,6 @@
 #include <map>
 #include <set>
 
-#include "base/hashing.hh"
 #include "base/logging.hh"
 #include "cat/rel.hh"
 #include "isa/semantics.hh"
@@ -51,38 +50,18 @@ class BuiltinAxiomFilter final : public IncrementalFilter
     beginRf(const CandidateExecution &cand) override
     {
         n = cand.events.size();
-        reach = cat::Rel(n);
+        reach.reset(n);
         snapshots.clear();
-        nodeOfStore.clear();
-        for (size_t v = 0; v < n; ++v)
-            if (cand.events[v].isStore)
-                nodeOfStore[cand.events[v].sid] = int(v);
 
         // ppo projected onto memory events (InstOrder axiom).
         if (enforceInstOrder) {
             for (size_t tid = 0; tid < cand.traces.size(); ++tid) {
-                const model::Trace &trace = *cand.traces[tid];
-                // Events carry their rf; rebuild the per-trace rf map
-                // ppo computation expects (ARM's SALdLdARM reads it).
-                model::RfMap rfTrace(trace.size(), InitStore);
-                std::map<int, int> nodeAt; // traceIdx -> event index
-                for (size_t v = 0; v < n; ++v) {
-                    const CandidateEvent &ev = cand.events[v];
-                    if (ev.tid != int(tid))
+                for (auto [i, j] : ppoPairs(cand, tid)) {
+                    const int u = cand.tables.eventAt(int(tid), int(i));
+                    const int v = cand.tables.eventAt(int(tid), int(j));
+                    if (u < 0 || v < 0)
                         continue;
-                    nodeAt[ev.traceIdx] = int(v);
-                    if (ev.isLoad)
-                        rfTrace[size_t(ev.traceIdx)] = ev.rf;
-                }
-                const std::vector<std::pair<size_t, size_t>> &ppo =
-                    cachedPpoPairs(trace, tid, rfTrace);
-                for (auto [i, j] : ppo) {
-                    auto it1 = nodeAt.find(int(i));
-                    auto it2 = nodeAt.find(int(j));
-                    if (it1 == nodeAt.end() || it2 == nodeAt.end())
-                        continue;
-                    if (!addEdge(size_t(it1->second),
-                                 size_t(it2->second)))
+                    if (!addEdge(size_t(u), size_t(v)))
                         return false;
                 }
             }
@@ -108,9 +87,7 @@ class BuiltinAxiomFilter final : public IncrementalFilter
                         return false;
                 }
             } else {
-                auto sit = nodeOfStore.find(ld.rf);
-                GAM_ASSERT(sit != nodeOfStore.end(), "rf store missing");
-                const size_t s = size_t(sit->second);
+                const size_t s = rfSource(cand, ld);
                 if (!poBefore(cand, s, l) && !addEdge(s, l))
                     return false;
             }
@@ -140,11 +117,9 @@ class BuiltinAxiomFilter final : public IncrementalFilter
             if (ev.rf == InitStore) {
                 if (p.size() != 1)
                     return false; // something precedes the write
-            } else {
-                auto sit = nodeOfStore.find(ev.rf);
-                GAM_ASSERT(sit != nodeOfStore.end(), "rf store missing");
-                if (p.size() < 2 || p[p.size() - 2] != sit->second)
-                    return false; // read and write not co-adjacent
+            } else if (p.size() < 2
+                       || size_t(p[p.size() - 2]) != rfSource(cand, ev)) {
+                return false; // read and write not co-adjacent
             }
         }
 
@@ -156,13 +131,11 @@ class BuiltinAxiomFilter final : public IncrementalFilter
             if (!ld.isLoad || ld.addr != addr || l == v
                 || ld.rf == InitStore) // handled in beginRf
                 continue;
-            auto sit = nodeOfStore.find(ld.rf);
-            GAM_ASSERT(sit != nodeOfStore.end(), "rf store missing");
-            if (sit->second == eventIdx)
+            const int src = int(rfSource(cand, ld));
+            if (src == eventIdx)
                 continue; // stores after the source arrive later
             const bool source_placed_before =
-                std::find(p.begin(), p.end() - 1, sit->second)
-                != p.end() - 1;
+                std::find(p.begin(), p.end() - 1, src) != p.end() - 1;
             if (!source_placed_before)
                 continue;
             if (poBefore(cand, v, l))
@@ -195,51 +168,45 @@ class BuiltinAxiomFilter final : public IncrementalFilter
             && cand.events[a].traceIdx < cand.events[b].traceIdx;
     }
 
+    /** Event index of the store load @p ld reads (not InitStore). */
+    static size_t
+    rfSource(const CandidateExecution &cand, const CandidateEvent &ld)
+    {
+        const int s = cand.tables.eventOfStore(ld.rf);
+        GAM_ASSERT(s >= 0, "rf store missing");
+        return size_t(s);
+    }
+
     /**
-     * preservedProgramOrder() edges through the shared shape cache
-     * (when the filter was given one): ppo depends on the executed
-     * instruction sequence, the resolved addresses and the thread's
-     * own read-from sources -- never on data values (model/ppo.cc
-     * reads neither TraceInstr::value nor rmwStored) -- so the key
-     * hashes exactly those.  The cache stores the materialized pair
-     * list (the only form beginRf() consumes), so a hit also skips
-     * Relation::pairs().  Without a cache, compute directly: the
-     * un-batched pipeline's cost model is unchanged.
+     * preservedProgramOrder() edges of thread @p tid, through the
+     * shared shape cache when the filter was given one: the walk keyed
+     * the thread once for all lanes (CandidateTables::shapeKey), and
+     * the key carries the rf sources only where the model's ppo reads
+     * them.  The cache stores the materialized pair list, so a hit
+     * also skips Relation::pairs().  Without a cache (the inline
+     * decide() path), compute directly.
      */
     const std::vector<std::pair<size_t, size_t>> &
-    cachedPpoPairs(const model::Trace &trace, size_t tid,
-                   const model::RfMap &rfTrace)
+    ppoPairs(const CandidateExecution &cand, size_t tid)
     {
+        const model::Trace &trace = *cand.traces[tid];
+        const model::RfMap *rf = cand.tables.rfTraces[tid];
         if (!ppoShapes) {
             ppoScratch =
-                model::preservedProgramOrder(trace, model, &rfTrace)
-                    .pairs();
+                model::preservedProgramOrder(trace, model, rf).pairs();
             return ppoScratch;
         }
-        StateHasher h;
-        h.add(uint64_t(model));
-        h.add(uint64_t(tid));
-        for (const model::TraceInstr &ti : trace) {
-            h.add(uint64_t(ti.instr.op));
-            h.add(uint64_t(ti.instr.dst));
-            h.add(uint64_t(ti.instr.src1));
-            h.add(uint64_t(ti.instr.src2));
-            h.add(uint64_t(ti.instr.imm));
-            h.add(uint64_t(ti.instr.fence));
-            h.add(ti.isMem() ? uint64_t(ti.addr) + 1 : 0);
-        }
-        h.separator();
-        for (model::StoreId s : rfTrace)
-            h.add(uint64_t(uint32_t(s)));
-        const uint64_t key = h.digest();
-        auto it = ppoShapes->find(key);
-        if (it == ppoShapes->end()) {
-            it = ppoShapes
-                     ->emplace(key, model::preservedProgramOrder(
-                                        trace, model, &rfTrace)
-                                        .pairs())
-                     .first;
-        }
+        GAM_ASSERT(tid < cand.tables.shapeKey.size(),
+                   "ppo cache without shape keys");
+        ++ppoShapes->lookups;
+        const PpoKey key{model == model::ModelKind::ARM
+                             ? cand.tables.rfShapeKey[tid]
+                             : cand.tables.shapeKey[tid],
+                         model};
+        auto [it, fresh] = ppoShapes->shapes.try_emplace(key);
+        if (fresh)
+            it->second =
+                model::preservedProgramOrder(trace, model, rf).pairs();
         return it->second;
     }
 
@@ -269,14 +236,13 @@ class BuiltinAxiomFilter final : public IncrementalFilter
     const model::ModelKind model;
     const bool enforceInstOrder;
     PpoCache *ppoShapes;
-    /** Holds the uncached ppo edges so cachedPpoPairs() can return a
+    /** Holds the uncached ppo edges so ppoPairs() can return a
      *  reference on both paths; valid until the next call. */
     std::vector<std::pair<size_t, size_t>> ppoScratch;
 
     size_t n = 0;
     cat::Rel reach;
     std::vector<cat::Rel> snapshots;
-    std::map<StoreId, int> nodeOfStore;
 };
 
 } // anonymous namespace
@@ -384,13 +350,15 @@ Checker::isAllowed()
 
 void
 Checker::checkCandidate(
+    const CandidateBuilder &builder,
     const std::vector<CandidateBuilder::ThreadExec> &exec,
     litmus::OutcomeSet &outcomes, const CandidateFilter *accept,
     uint64_t rfEpoch)
 {
     // ---- Collect memory events and per-thread ppo. ----
     std::vector<CandidateEvent> events;
-    collectCandidateEvents(exec, events);
+    CandidateTables tables;
+    collectCandidateEvents(builder, exec, events, tables);
     std::map<std::pair<int, int>, int> nodeOf; // (tid, traceIdx) -> node
     for (size_t v = 0; v < events.size(); ++v)
         nodeOf[{events[v].tid, events[v].traceIdx}] = int(v);
@@ -454,7 +422,7 @@ Checker::checkCandidate(
 
         if (accept) {
             const CandidateExecution candidate{events, perm, traces,
-                                               rfEpoch};
+                                               tables, rfEpoch};
             if ((*accept)(candidate))
                 record();
             return;
@@ -593,15 +561,16 @@ Checker::enumerateLegacyImpl(const CandidateFilter *accept)
                    builder.storeSites().end());
 
     std::vector<size_t> odo(nloads, 0);
+    std::vector<CandidateBuilder::ThreadExec> exec;
+    CandidateBuilder::Scratch scratch;
     for (;;) {
         for (size_t i = 0; i < nloads; ++i)
             rf[i] = choices[odo[i]];
 
         ++_stats.rfCandidates;
-        std::vector<CandidateBuilder::ThreadExec> exec;
-        if (builder.computeExecution(rf, exec)) {
+        if (builder.computeExecution(rf, exec, scratch)) {
             ++_stats.valueConsistent;
-            checkCandidate(exec, outcomes, accept,
+            checkCandidate(builder, exec, outcomes, accept,
                            _stats.valueConsistent);
         } else {
             ++_stats.valueCycles;

@@ -45,10 +45,12 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "axiomatic/enumerate.hh"
+#include "base/hashing.hh"
 #include "litmus/outcome.hh"
 #include "litmus/test.hh"
 #include "model/kind.hh"
@@ -59,21 +61,50 @@ namespace gam::axiomatic
 {
 
 /**
- * Memoized model::preservedProgramOrder() results -- materialized as
- * their edge lists, which is the only form beginRf() consumes --
- * keyed by a 64-bit hash of (model, thread, executed instruction
- * sequence, resolved addresses, the thread's own read-from sources):
- * every input ppo depends on; data values never reach it
- * (model/ppo.cc).  Across the rf candidates of one enumeration, and
- * across the units of one campaign chunk, the same few thread shapes
- * recur thousands of times, and recomputing their transitive closures
- * (and re-materializing their pair lists) dominates the built-in
- * filter's beginRf().  Owned by the caller (the batched decide
- * pipeline keeps one per batch), single-threaded, unbounded --
- * bounded in practice by the distinct shapes of the batch.
+ * What one model's preservedProgramOrder() reads of one thread: the
+ * thread's CandidateTables::shapeKey, or its rfShapeKey under ARM
+ * (only SALdLdARM reads read-from sources), paired with the model.
  */
-using PpoCache =
-    std::map<uint64_t, std::vector<std::pair<size_t, size_t>>>;
+struct PpoKey
+{
+    uint64_t shape = 0;
+    model::ModelKind model = model::ModelKind::SC;
+
+    bool operator==(const PpoKey &) const = default;
+};
+
+struct PpoKeyHash
+{
+    size_t
+    operator()(const PpoKey &k) const
+    {
+        return size_t(hashCombine(k.shape, uint64_t(k.model)));
+    }
+};
+
+/**
+ * Memoized model::preservedProgramOrder() results, materialized as
+ * their edge lists over trace indices (the only form the built-in
+ * filter consumes), keyed by exactly what each model's ppo reads
+ * (PpoKey).  Across the rf candidates of one enumeration, and across
+ * the tests of one campaign chunk, the same few thread shapes recur
+ * thousands of times; recomputing their transitive closures would
+ * dominate the filter's beginRf().  The fused walk computes each
+ * candidate's keys once for all lanes (CandidateEnumerator::runMulti),
+ * so only its lanes may use a cache.  Owned by the caller -- the
+ * batched decide pipeline keeps one per batch -- single-threaded, and
+ * unbounded: bounded in practice by the distinct shapes of the batch.
+ * Every key ever looked up stays, so shapes.size() is also the number
+ * of ppo computations.
+ */
+struct PpoCache
+{
+    std::unordered_map<PpoKey, std::vector<std::pair<size_t, size_t>>,
+                       PpoKeyHash>
+        shapes;
+    /** Lookups served or computed (plain counter: single-threaded). */
+    uint64_t lookups = 0;
+};
 
 /** Axiomatic enumeration for one litmus test under one model. */
 class Checker
@@ -152,7 +183,8 @@ class Checker
      * Check one (rf, co) candidate family -- built-in axioms or
      * @p accept -- and record accepted outcomes (legacy path).
      */
-    void checkCandidate(const std::vector<CandidateBuilder::ThreadExec> &exec,
+    void checkCandidate(const CandidateBuilder &builder,
+                        const std::vector<CandidateBuilder::ThreadExec> &exec,
                         litmus::OutcomeSet &outcomes,
                         const CandidateFilter *accept, uint64_t rfEpoch);
 
@@ -171,8 +203,10 @@ class Checker
  * would produce; @p stats, when given, receives each model's
  * solo-equivalent counters.  @p ppoShapes, when given, memoizes
  * preservedProgramOrder() across the pass (and across passes sharing
- * the cache -- the batched decide pipeline keeps one per batch).  The
- * pass is serial: Options::searchThreads is ignored.
+ * the cache -- the batched decide pipeline keeps one per batch),
+ * looked up by the thread shape keys the walk computes once per rf
+ * candidate for all lanes.  The pass is serial:
+ * Options::searchThreads is ignored.
  */
 std::vector<litmus::OutcomeSet>
 enumerateModels(CandidateEnumerator &enumerator,

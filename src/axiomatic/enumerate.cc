@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <set>
 
+#include "base/hashing.hh"
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "isa/semantics.hh"
@@ -60,15 +61,6 @@ withConditionSeeds(const litmus::LitmusTest &test, Options options)
 namespace
 {
 
-/** Per static site: resolved address / data where known. */
-struct SiteVals
-{
-    bool executed = false;
-    std::optional<Value> addr;  // memory instructions
-    std::optional<Value> data;  // store data or load(ed) value
-    std::optional<Value> data2; // RMWs: the value written to memory
-};
-
 /** a * b, saturating at UINT64_MAX (subtree-size accounting). */
 uint64_t
 satMul(uint64_t a, uint64_t b)
@@ -103,6 +95,7 @@ CandidateBuilder::CandidateBuilder(const litmus::LitmusTest &test,
                                    Options options)
     : _test(test), _options(std::move(options))
 {
+    _siteBase.push_back(0);
     for (size_t tid = 0; tid < test.threads.size(); ++tid) {
         const auto &prog = test.threads[tid];
         GAM_ASSERT(prog.size() < 1024, "thread too long for StoreId");
@@ -114,13 +107,24 @@ CandidateBuilder::CandidateBuilder(const litmus::LitmusTest &test,
             if (instr.isBranch() && instr.imm <= static_cast<int64_t>(idx))
                 fatal("axiomatic checker requires forward branches "
                       "(thread %zu instr %zu)", tid, idx);
+            _loadOrdinal.push_back(
+                instr.isLoad() ? static_cast<int>(_loadSites.size()) : -1);
             if (instr.isLoad())
                 _loadSites.emplace_back(static_cast<int>(tid),
                                         static_cast<int>(idx));
             if (instr.isStore())
                 _storeSites.push_back(storeId(static_cast<int>(tid),
                                               static_cast<int>(idx)));
+            StateHasher h;
+            h.add(uint64_t(instr.op));
+            h.add(uint64_t(instr.dst));
+            h.add(uint64_t(instr.src1));
+            h.add(uint64_t(instr.src2));
+            h.add(uint64_t(instr.imm));
+            h.add(uint64_t(instr.fence));
+            _siteHash.push_back(h.digest());
         }
+        _siteBase.push_back(_siteBase.back() + prog.size());
     }
     computeStaticFeasibility();
 }
@@ -224,119 +228,99 @@ CandidateBuilder::computeStaticFeasibility()
 
 bool
 CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
-                                   std::vector<ThreadExec> &out) const
+                                   std::vector<ThreadExec> &out,
+                                   Scratch &scratch) const
 {
+    using Site = Scratch::Site;
     const size_t nthreads = _test.threads.size();
+    const size_t nloads = _loadSites.size();
     const std::vector<Value> &seeds = _options.seedValues;
 
-    // rf lookup: (tid, idx) -> ordinal in loadSites.
-    auto load_ordinal = [&](int tid, int idx) -> int {
-        for (size_t i = 0; i < _loadSites.size(); ++i)
-            if (_loadSites[i].first == tid
-                && _loadSites[i].second == idx)
-                return static_cast<int>(i);
-        panic("load site (%d, %d) not found", tid, idx);
+    // Site tables, keyed by siteBase[tid] + static idx.
+    std::vector<Site> &sites = scratch.sites;
+    sites.assign(_siteBase.back(), Site{});
+    auto site = [&](int tid, int idx) -> Site & {
+        return sites[_siteBase[size_t(tid)] + size_t(idx)];
     };
-
-    // Site tables, keyed by (tid, static idx).
-    std::vector<std::vector<SiteVals>> sites(nthreads);
-    for (size_t tid = 0; tid < nthreads; ++tid)
-        sites[tid].resize(_test.threads[tid].size());
+    // rf source of the load at (tid, idx).
+    auto rf_of = [&](size_t tid, size_t idx) {
+        return rf[size_t(_loadOrdinal[_siteBase[tid] + idx])];
+    };
 
     // The value a store site supplies to readers: an RMW supplies what
     // it wrote, not what it loaded.
     auto supplied_value = [&](StoreId src) -> std::optional<Value> {
         auto [stid, sidx] = storeIdParts(src);
-        const SiteVals &sv = sites[size_t(stid)][size_t(sidx)];
+        const Site &sv = site(stid, sidx);
         return _test.threads[size_t(stid)][size_t(sidx)].isRmw()
             ? sv.data2 : sv.data;
     };
 
-    // Seed overrides for value-cycle recovery: load site -> value.
-    std::map<std::pair<int, int>, Value> seedOverride;
+    // Seed overrides for value-cycle recovery, per load ordinal.
+    std::vector<std::optional<Value>> &seeded = scratch.seeded;
+    seeded.assign(nloads, std::nullopt);
 
-    auto run_fixpoint = [&]() -> bool {
+    // The value a load at (tid, idx) reads from @p src, given its
+    // address so far.
+    auto loaded_value = [&](size_t tid, size_t idx, StoreId src,
+                            const Site &sv) -> std::optional<Value> {
+        const auto &seed =
+            seeded[size_t(_loadOrdinal[_siteBase[tid] + idx])];
+        if (seed)
+            return seed;
+        if (src == InitStore) {
+            if (sv.addr)
+                return initialMemValue(_test.initialMem, *sv.addr);
+            return std::nullopt;
+        }
+        return supplied_value(src);
+    };
+
+    auto run_fixpoint = [&]() {
         // Iterate thread executions until site values stabilise.
-        size_t total_instrs = 0;
-        for (const auto &prog : _test.threads)
-            total_instrs += prog.size();
-        for (size_t round = 0; round <= total_instrs + 1; ++round) {
+        for (size_t round = 0; round <= _siteBase.back() + 1; ++round) {
             bool changed = false;
             for (size_t tid = 0; tid < nthreads; ++tid) {
                 const auto &prog = _test.threads[tid];
-                std::array<std::optional<Value>, isa::NUM_REGS> regs;
-                regs.fill(Value{0});
-                std::vector<SiteVals> next(prog.size());
-
-                auto get = [&](isa::Reg r) { return regs[size_t(r)]; };
-                auto set = [&](isa::Reg r, std::optional<Value> v) {
-                    if (r != isa::REG_ZERO)
-                        regs[size_t(r)] = v;
-                };
+                RegFile &regs = scratch.regs;
+                regs.reset();
+                std::vector<Site> &next = scratch.next;
+                next.assign(prog.size(), Site{});
 
                 size_t idx = 0;
                 while (idx < prog.size()) {
                     const Instruction &in = prog[idx];
-                    SiteVals &sv = next[idx];
+                    Site &sv = next[idx];
                     sv.executed = true;
                     if (in.isRegToReg()) {
-                        auto a = get(in.src1), b = get(in.src2);
+                        auto a = regs.get(in.src1), b = regs.get(in.src2);
                         if (a && b)
-                            set(in.dst, isa::evalRegToReg(in, *a, *b));
+                            regs.set(in.dst, isa::evalRegToReg(in, *a, *b));
                         else
-                            set(in.dst, std::nullopt);
+                            regs.set(in.dst, std::nullopt);
                     } else if (in.isRmw()) {
-                        auto base = get(in.src1);
-                        if (base)
+                        if (auto base = regs.get(in.src1))
                             sv.addr = isa::effectiveAddr(in, *base);
-                        StoreId src =
-                            rf[load_ordinal(int(tid), int(idx))];
-                        std::optional<Value> old;
-                        auto seeded = seedOverride.find({int(tid),
-                                                         int(idx)});
-                        if (seeded != seedOverride.end()) {
-                            old = seeded->second;
-                        } else if (src == InitStore) {
-                            if (sv.addr)
-                                old = initialMemValue(_test.initialMem,
-                                                      *sv.addr);
-                        } else {
-                            old = supplied_value(src);
-                        }
+                        const std::optional<Value> old =
+                            loaded_value(tid, idx, rf_of(tid, idx), sv);
                         sv.data = old; // the loaded value
-                        auto operand = get(in.src2);
+                        auto operand = regs.get(in.src2);
                         if (old && operand) {
                             sv.data2 =
                                 isa::evalRmwStored(in, *old, *operand);
                         }
-                        set(in.dst, old);
+                        regs.set(in.dst, old);
                     } else if (in.isLoad()) {
-                        auto base = get(in.src1);
-                        if (base)
+                        if (auto base = regs.get(in.src1))
                             sv.addr = isa::effectiveAddr(in, *base);
-                        StoreId src =
-                            rf[load_ordinal(int(tid), int(idx))];
-                        std::optional<Value> v;
-                        auto seeded = seedOverride.find({int(tid),
-                                                         int(idx)});
-                        if (seeded != seedOverride.end()) {
-                            v = seeded->second;
-                        } else if (src == InitStore) {
-                            if (sv.addr)
-                                v = initialMemValue(_test.initialMem,
-                                                    *sv.addr);
-                        } else {
-                            v = supplied_value(src);
-                        }
-                        sv.data = v;
-                        set(in.dst, v);
+                        sv.data = loaded_value(tid, idx, rf_of(tid, idx), sv);
+                        regs.set(in.dst, sv.data);
                     } else if (in.isStore()) {
-                        auto base = get(in.src1);
-                        if (base)
+                        if (auto base = regs.get(in.src1))
                             sv.addr = isa::effectiveAddr(in, *base);
-                        sv.data = get(in.src2);
+                        sv.data = regs.get(in.src2);
                     } else if (in.isBranch()) {
-                        auto a = get(in.src1), b = get(in.src2);
+                        auto a = regs.get(in.src1), b = regs.get(in.src2);
                         if (in.op != isa::Opcode::JMP && !(a && b)) {
                             // Direction unknown: stop here this round.
                             sv.executed = true;
@@ -353,60 +337,61 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
                     ++idx;
                 }
 
+                // Pointer arithmetic: an empty last thread starts one
+                // past the end.
+                Site *cur = sites.data() + _siteBase[tid];
                 for (size_t i = 0; i < prog.size(); ++i) {
-                    if (next[i].executed != sites[tid][i].executed
-                        || next[i].addr != sites[tid][i].addr
-                        || next[i].data != sites[tid][i].data
-                        || next[i].data2 != sites[tid][i].data2) {
+                    if (next[i].executed != cur[i].executed
+                        || next[i].addr != cur[i].addr
+                        || next[i].data != cur[i].data
+                        || next[i].data2 != cur[i].data2) {
                         changed = true;
                     }
+                    cur[i] = next[i];
                 }
-                sites[tid] = std::move(next);
             }
             if (!changed)
-                return true;
+                return;
         }
-        return true; // stabilised by instruction-count bound
+        // Stabilised by the instruction-count bound.
     };
 
     run_fixpoint();
 
-    // Identify executed loads whose value is still undetermined.
-    auto undetermined_loads = [&]() {
-        std::vector<std::pair<int, int>> blocked;
-        for (auto [tid, idx] : _loadSites) {
-            const SiteVals &sv = sites[size_t(tid)][size_t(idx)];
-            if (sv.executed && !sv.data)
-                blocked.emplace_back(tid, idx);
-        }
-        return blocked;
+    // Is load ordinal @p i executed with its value still undetermined?
+    auto undetermined = [&](size_t i) {
+        const Site &sv = site(_loadSites[i].first, _loadSites[i].second);
+        return sv.executed && !sv.data;
     };
+    bool anyUndetermined = false;
+    for (size_t i = 0; i < nloads; ++i)
+        anyUndetermined = anyUndetermined || undetermined(i);
 
-    if (!undetermined_loads().empty() && !seeds.empty()) {
-        // Try each seed value for the whole undetermined set; keep the
-        // first consistent assignment.
+    if (anyUndetermined && !seeds.empty()) {
+        // Try each seed value for the whole undetermined set (as the
+        // last fixpoint left it); keep the first consistent assignment.
         for (Value seed : seeds) {
-            seedOverride.clear();
-            for (auto [tid, idx] : undetermined_loads())
-                seedOverride[{tid, idx}] = seed;
+            for (size_t i = 0; i < nloads; ++i)
+                seeded[i] = undetermined(i) ? std::optional(seed)
+                                            : std::nullopt;
             run_fixpoint();
             // Consistency: every seeded load's rf source must actually
             // supply the seeded value.
             bool ok = true;
-            for (auto [tid, idx] : _loadSites) {
-                const SiteVals &sv = sites[size_t(tid)][size_t(idx)];
+            for (size_t i = 0; i < nloads; ++i) {
+                const Site &sv =
+                    site(_loadSites[i].first, _loadSites[i].second);
                 if (!sv.executed)
                     continue;
-                StoreId src = rf[load_ordinal(tid, idx)];
                 if (!sv.addr || !sv.data) {
                     ok = false;
                     break;
                 }
                 std::optional<Value> expect;
-                if (src == InitStore) {
+                if (rf[i] == InitStore) {
                     expect = initialMemValue(_test.initialMem, *sv.addr);
                 } else {
-                    expect = supplied_value(src);
+                    expect = supplied_value(rf[i]);
                 }
                 if (!expect || *expect != *sv.data) {
                     ok = false;
@@ -415,17 +400,20 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
             }
             if (ok)
                 break;
-            seedOverride.clear();
+            seeded.assign(nloads, std::nullopt);
         }
     }
 
-    // Final validation and trace construction.
-    out.clear();
+    // Final validation and trace construction, into out's buffers.
     out.resize(nthreads);
     for (size_t tid = 0; tid < nthreads; ++tid) {
         const auto &prog = _test.threads[tid];
         ThreadExec &te = out[tid];
-        te.regs.fill(Value{0});
+        te.complete = false;
+        te.executedIdx.clear();
+        te.trace.clear();
+        te.rfTrace.clear();
+        te.regs.reset();
 
         size_t idx = 0;
         bool complete = false;
@@ -435,7 +423,7 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
                 break;
             }
             const Instruction &in = prog[idx];
-            const SiteVals &sv = sites[tid][idx];
+            const Site &sv = site(int(tid), int(idx));
             if (!sv.executed)
                 break;
 
@@ -445,13 +433,11 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
             size_t next_idx = idx + 1;
 
             if (in.isRegToReg()) {
-                auto a = te.regs[size_t(in.src1)];
-                auto b = te.regs[size_t(in.src2)];
+                auto a = te.regs.get(in.src1);
+                auto b = te.regs.get(in.src2);
                 if (!(a && b))
                     return false;
-                if (in.dst != isa::REG_ZERO)
-                    te.regs[size_t(in.dst)] =
-                        isa::evalRegToReg(in, *a, *b);
+                te.regs.set(in.dst, isa::evalRegToReg(in, *a, *b));
             } else if (in.isMem()) {
                 if (!sv.addr || !sv.data)
                     return false; // undetermined value cycle remains
@@ -464,13 +450,12 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
                 if (in.isRmw())
                     ti.rmwStored = *sv.data2;
                 if (in.isLoad()) {
-                    rf_src = rf[load_ordinal(int(tid), int(idx))];
-                    if (in.dst != isa::REG_ZERO)
-                        te.regs[size_t(in.dst)] = *sv.data;
+                    rf_src = rf_of(tid, idx);
+                    te.regs.set(in.dst, *sv.data);
                 }
             } else if (in.isBranch()) {
-                auto a = te.regs[size_t(in.src1)];
-                auto b = te.regs[size_t(in.src2)];
+                auto a = te.regs.get(in.src1);
+                auto b = te.regs.get(in.src2);
                 if (in.op != isa::Opcode::JMP && !(a && b))
                     return false;
                 if (isa::evalBranchTaken(in, a ? *a : 0, b ? *b : 0))
@@ -495,9 +480,8 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
 
     // rf validity: executed loads read executed same-address stores;
     // unexecuted loads must use the canonical InitStore choice.
-    for (size_t i = 0; i < _loadSites.size(); ++i) {
-        auto [tid, idx] = _loadSites[i];
-        const SiteVals &sv = sites[size_t(tid)][size_t(idx)];
+    for (size_t i = 0; i < nloads; ++i) {
+        const Site &sv = site(_loadSites[i].first, _loadSites[i].second);
         if (!sv.executed) {
             if (rf[i] != InitStore)
                 return false; // canonical duplicate
@@ -511,7 +495,7 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
             continue;
         }
         auto [stid, sidx] = storeIdParts(rf[i]);
-        const SiteVals &ss = sites[size_t(stid)][size_t(sidx)];
+        const Site &ss = site(stid, sidx);
         if (!ss.executed || !ss.addr || *ss.addr != *sv.addr)
             return false;
         auto supplied = supplied_value(rf[i]);
@@ -523,20 +507,25 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
 
 // -------------------------------------------------- CandidateEnumerator
 
-/** Everything one worker carries through one rf candidate's search. */
-struct CandidateEnumerator::SearchCtx
+/**
+ * One walk's current rf candidate and everything derived from it --
+ * the state both the solo search and the fused multi-filter walk
+ * carry.  Buffers are reused across the candidates of the walk.
+ */
+struct CandidateEnumerator::CandidateState
 {
-    IncrementalFilter &filter;
-    litmus::OutcomeSet &outcomes;
-    CheckerStats &stats;
+    explicit CandidateState(const litmus::LitmusTest &t) : test(t) {}
+
     const litmus::LitmusTest &test;
 
     std::vector<CandidateBuilder::ThreadExec> exec{};
+    CandidateBuilder::Scratch scratch{};
     uint64_t rfEpoch = 0;
 
     // Derived per rf candidate.
     std::vector<CandidateEvent> events{};
     std::vector<const model::Trace *> traces{};
+    CandidateTables tables{};
     std::vector<Addr> addrs{};                       ///< search order
     std::map<Addr, std::vector<int>> storesByAddr{}; ///< full store sets
     std::map<Addr, std::vector<int>> coOrder{};      ///< growing prefixes
@@ -546,6 +535,27 @@ struct CandidateEnumerator::SearchCtx
     /** Unplaced stores per address (parallel to addrs). */
     std::vector<std::vector<int>> remaining{};
     uint64_t placedTotal = 0;
+
+    /** The candidate as filters see it (coherence prefixes when
+     *  !complete). */
+    CandidateExecution
+    view(bool complete) const
+    {
+        return {events, coOrder, traces, tables, rfEpoch, complete};
+    }
+};
+
+/** Everything one worker carries through one rf candidate's search. */
+struct CandidateEnumerator::SearchCtx : CandidateState
+{
+    SearchCtx(const litmus::LitmusTest &t, IncrementalFilter &f,
+              litmus::OutcomeSet &o, CheckerStats &s)
+        : CandidateState(t), filter(f), outcomes(o), stats(s)
+    {}
+
+    IncrementalFilter &filter;
+    litmus::OutcomeSet &outcomes;
+    CheckerStats &stats;
 };
 
 CandidateEnumerator::CandidateEnumerator(const litmus::LitmusTest &test,
@@ -556,16 +566,28 @@ CandidateEnumerator::CandidateEnumerator(const litmus::LitmusTest &test,
 
 void
 collectCandidateEvents(
+    const CandidateBuilder &builder,
     const std::vector<CandidateBuilder::ThreadExec> &exec,
-    std::vector<CandidateEvent> &out)
+    std::vector<CandidateEvent> &events, CandidateTables &tables)
 {
-    out.clear();
+    const std::vector<size_t> &siteBase = builder.siteBase();
+    events.clear();
+    tables.siteBase = &siteBase;
+    tables.storeEvent.assign(siteBase.back(), -1);
+    tables.traceBase.assign(1, 0);
+    tables.traceEvent.clear();
+    tables.rfTraces.clear();
     for (size_t tid = 0; tid < exec.size(); ++tid) {
         const auto &te = exec[tid];
+        tables.rfTraces.push_back(&te.rfTrace);
         for (size_t k = 0; k < te.trace.size(); ++k) {
             const auto &ti = te.trace[k];
-            if (!ti.isMem())
+            if (!ti.isMem()) {
+                tables.traceEvent.push_back(-1);
                 continue;
+            }
+            const int v = int(events.size());
+            tables.traceEvent.push_back(v);
             CandidateEvent ev;
             ev.tid = int(tid);
             ev.traceIdx = int(k);
@@ -576,8 +598,12 @@ collectCandidateEvents(
             ev.sid = ti.isStore()
                 ? storeId(int(tid), te.executedIdx[k]) : InitStore;
             ev.rf = ti.isLoad() ? te.rfTrace[k] : InitStore;
-            out.push_back(ev);
+            if (ev.isStore)
+                tables.storeEvent[siteBase[tid]
+                                  + size_t(te.executedIdx[k])] = v;
+            events.push_back(ev);
         }
+        tables.traceBase.push_back(tables.traceEvent.size());
     }
 }
 
@@ -591,7 +617,7 @@ recordCandidateOutcome(
 {
     litmus::Outcome outcome;
     for (auto [tid, reg] : test.observedRegs) {
-        auto v = exec[size_t(tid)].regs[size_t(reg)];
+        auto v = exec[size_t(tid)].regs.get(reg);
         GAM_ASSERT(v.has_value(), "unresolved observed register");
         outcome.regs.push_back({tid, reg, *v});
     }
@@ -607,39 +633,44 @@ recordCandidateOutcome(
 }
 
 void
-CandidateEnumerator::searchCoherence(SearchCtx &ctx) const
+CandidateEnumerator::prepareCandidate(CandidateState &st) const
 {
-    // ---- Collect memory events (thread-major, trace order). ----
-    ctx.traces.clear();
-    ctx.addrs.clear();
-    ctx.storesByAddr.clear();
-    ctx.coOrder.clear();
-    ctx.placedTotal = 0;
+    st.traces.clear();
+    st.addrs.clear();
+    st.storesByAddr.clear();
+    st.coOrder.clear();
+    st.placedTotal = 0;
 
-    collectCandidateEvents(ctx.exec, ctx.events);
-    for (const auto &te : ctx.exec)
-        ctx.traces.push_back(&te.trace);
+    collectCandidateEvents(_builder, st.exec, st.events, st.tables);
+    for (const auto &te : st.exec)
+        st.traces.push_back(&te.trace);
 
-    for (size_t v = 0; v < ctx.events.size(); ++v)
-        if (ctx.events[v].isStore)
-            ctx.storesByAddr[ctx.events[v].addr].push_back(int(v));
-    for (auto &[a, stores] : ctx.storesByAddr) {
-        ctx.addrs.push_back(a);
-        ctx.coOrder[a]; // empty prefix
+    for (size_t v = 0; v < st.events.size(); ++v)
+        if (st.events[v].isStore)
+            st.storesByAddr[st.events[v].addr].push_back(int(v));
+    for (auto &[a, stores] : st.storesByAddr) {
+        st.addrs.push_back(a);
+        st.coOrder[a]; // empty prefix
         (void)stores;
     }
 
-    ctx.suffixLeaves.assign(ctx.addrs.size() + 1, 1);
-    for (size_t i = ctx.addrs.size(); i-- > 0;) {
-        ctx.suffixLeaves[i] = satMul(
-            ctx.suffixLeaves[i + 1],
-            satFactorial(ctx.storesByAddr[ctx.addrs[i]].size()));
+    st.suffixLeaves.assign(st.addrs.size() + 1, 1);
+    for (size_t i = st.addrs.size(); i-- > 0;) {
+        st.suffixLeaves[i] = satMul(
+            st.suffixLeaves[i + 1],
+            satFactorial(st.storesByAddr[st.addrs[i]].size()));
     }
 
-    const CandidateExecution partial{ctx.events, ctx.coOrder,
-                                     ctx.traces, ctx.rfEpoch,
-                                     /*complete=*/false};
+    st.remaining.resize(st.addrs.size());
+    for (size_t i = 0; i < st.addrs.size(); ++i)
+        st.remaining[i] = st.storesByAddr[st.addrs[i]];
+}
 
+void
+CandidateEnumerator::searchCoherence(SearchCtx &ctx) const
+{
+    prepareCandidate(ctx);
+    const CandidateExecution partial = ctx.view(/*complete=*/false);
     if (!ctx.filter.beginRf(partial)) {
         ++ctx.stats.rfPruned;
         ctx.stats.subtreesSkipped =
@@ -650,9 +681,6 @@ CandidateEnumerator::searchCoherence(SearchCtx &ctx) const
     // ---- Depth-first coherence construction with backtracking:
     // extend one address's order a store at a time, let the filter
     // veto the subtree, move to the next address when exhausted. ----
-    ctx.remaining.resize(ctx.addrs.size());
-    for (size_t i = 0; i < ctx.addrs.size(); ++i)
-        ctx.remaining[i] = ctx.storesByAddr[ctx.addrs[i]];
     descendCoherence(ctx, 0, partial);
 }
 
@@ -670,10 +698,7 @@ CandidateEnumerator::descendCoherence(
 {
     if (ai == ctx.addrs.size()) {
         ++ctx.stats.coCandidates;
-        const CandidateExecution complete{ctx.events, ctx.coOrder,
-                                          ctx.traces, ctx.rfEpoch,
-                                          /*complete=*/true};
-        if (ctx.filter.accept(complete))
+        if (ctx.filter.accept(ctx.view(/*complete=*/true)))
             recordOutcome(ctx);
         return;
     }
@@ -728,10 +753,7 @@ CandidateEnumerator::searchRfRange(size_t prefixLoads,
     // One context for the whole range: searchCoherence() clears the
     // per-candidate pieces, so the buffers are reused across the
     // millions of rf maps a campaign iterates.
-    SearchCtx ctx{.filter = filter,
-                  .outcomes = outcomes,
-                  .stats = stats,
-                  .test = _builder.test()};
+    SearchCtx ctx(_builder.test(), filter, outcomes, stats);
     GAM_TRACE_SCOPE("enum.search");
     for (;;) {
         for (size_t i = 0; i < nloads; ++i)
@@ -739,7 +761,7 @@ CandidateEnumerator::searchRfRange(size_t prefixLoads,
 
         ++stats.rfCandidates;
         ++ctx.rfEpoch;
-        if (_builder.computeExecution(rf, ctx.exec)) {
+        if (_builder.computeExecution(rf, ctx.exec, ctx.scratch)) {
             ++stats.valueConsistent;
             // The coherence-growth phase of this rf epoch: one span
             // per value-consistent rf map (tracing-disabled cost is a
@@ -859,30 +881,63 @@ CandidateEnumerator::run(const FilterFactory &factory)
 // sequence its solo pruned search would have produced, which is what
 // makes per-lane outcomes and counters identical to N run() calls.
 
-/** Everything one runMulti() pass carries through the walk. */
-struct CandidateEnumerator::MultiCtx
+namespace
 {
+
+/**
+ * Fill @p tables' ppo shape keys (CandidateTables::shapeKey and
+ * rfShapeKey) for the execution @p exec: everything ppo reads of each
+ * thread -- which instructions ran (by content, not position) and
+ * where each memory access went -- then, for ARM, which store each
+ * load read.  Only the fused walk calls this, once per rf candidate
+ * for all its lanes.
+ */
+void
+computeShapeKeys(const CandidateBuilder &builder,
+                 const std::vector<CandidateBuilder::ThreadExec> &exec,
+                 CandidateTables &tables)
+{
+    const std::vector<size_t> &siteBase = builder.siteBase();
+    tables.shapeKey.clear();
+    tables.rfShapeKey.clear();
+    for (size_t tid = 0; tid < exec.size(); ++tid) {
+        const auto &te = exec[tid];
+        StateHasher shape;
+        for (size_t k = 0; k < te.trace.size(); ++k) {
+            const auto &ti = te.trace[k];
+            shape.add(builder.siteHash()[siteBase[tid]
+                                         + size_t(te.executedIdx[k])]);
+            shape.add(ti.isMem() ? uint64_t(ti.addr) + 1 : 0);
+        }
+        tables.shapeKey.push_back(shape.digest());
+        StateHasher withRf(tables.shapeKey.back());
+        for (size_t k = 0; k < te.trace.size(); ++k)
+            if (te.trace[k].isLoad())
+                withRf.add(uint64_t(uint32_t(te.rfTrace[k])));
+        tables.rfShapeKey.push_back(withRf.digest());
+    }
+}
+
+} // anonymous namespace
+
+/** Everything one runMulti() pass carries through the walk. */
+struct CandidateEnumerator::MultiCtx : CandidateState
+{
+    MultiCtx(const litmus::LitmusTest &t,
+             std::vector<IncrementalFilter *> f,
+             std::vector<litmus::OutcomeSet> &o,
+             std::vector<CheckerStats> &l)
+        : CandidateState(t), filters(std::move(f)), outcomes(o),
+          lanes(l), dormantAt(filters.size(), -1)
+    {}
+
     std::vector<IncrementalFilter *> filters;
-    std::vector<litmus::OutcomeSet> *outcomes;
-    std::vector<CheckerStats> *lanes;
+    std::vector<litmus::OutcomeSet> &outcomes;
+    std::vector<CheckerStats> &lanes;
     /** Shared-walk counters (rf stream, fixpoint, leaves reached). */
     CheckerStats walk{};
     /** Dormancy depth per filter; -1 = live (see above). */
     std::vector<int64_t> dormantAt;
-    const litmus::LitmusTest &test;
-
-    std::vector<CandidateBuilder::ThreadExec> exec{};
-    uint64_t rfEpoch = 0;
-
-    // Derived per rf candidate (buffers reused across the stream).
-    std::vector<CandidateEvent> events{};
-    std::vector<const model::Trace *> traces{};
-    std::vector<Addr> addrs{};
-    std::map<Addr, std::vector<int>> storesByAddr{};
-    std::map<Addr, std::vector<int>> coOrder{};
-    std::vector<uint64_t> suffixLeaves{};
-    std::vector<std::vector<int>> remaining{};
-    uint64_t placedTotal = 0;
 };
 
 void
@@ -892,19 +947,16 @@ CandidateEnumerator::descendCoherenceMulti(
     const size_t nlanes = ctx.filters.size();
     if (ai == ctx.addrs.size()) {
         ++ctx.walk.coCandidates;
-        const CandidateExecution complete{ctx.events, ctx.coOrder,
-                                          ctx.traces, ctx.rfEpoch,
-                                          /*complete=*/true};
+        const CandidateExecution complete = ctx.view(/*complete=*/true);
         for (size_t i = 0; i < nlanes; ++i) {
             if (ctx.dormantAt[i] >= 0)
                 continue;
-            CheckerStats &lane = (*ctx.lanes)[i];
+            CheckerStats &lane = ctx.lanes[i];
             ++lane.coCandidates;
             if (ctx.filters[i]->accept(complete)) {
                 ++lane.accepted;
                 recordCandidateOutcome(ctx.test, ctx.exec, ctx.events,
-                                       ctx.coOrder,
-                                       (*ctx.outcomes)[i]);
+                                       ctx.coOrder, ctx.outcomes[i]);
             }
         }
         return;
@@ -932,7 +984,7 @@ CandidateEnumerator::descendCoherenceMulti(
             // This lane's subtree accounting is exactly the solo
             // run's; the walk itself descends only for the others.
             ctx.dormantAt[i] = int64_t(ctx.placedTotal);
-            CheckerStats &lane = (*ctx.lanes)[i];
+            CheckerStats &lane = ctx.lanes[i];
             ++lane.partialsPruned;
             lane.subtreesSkipped = satAdd(
                 lane.subtreesSkipped,
@@ -963,35 +1015,9 @@ CandidateEnumerator::descendCoherenceMulti(
 void
 CandidateEnumerator::searchCoherenceMulti(MultiCtx &ctx) const
 {
-    ctx.traces.clear();
-    ctx.addrs.clear();
-    ctx.storesByAddr.clear();
-    ctx.coOrder.clear();
-    ctx.placedTotal = 0;
-
-    collectCandidateEvents(ctx.exec, ctx.events);
-    for (const auto &te : ctx.exec)
-        ctx.traces.push_back(&te.trace);
-
-    for (size_t v = 0; v < ctx.events.size(); ++v)
-        if (ctx.events[v].isStore)
-            ctx.storesByAddr[ctx.events[v].addr].push_back(int(v));
-    for (auto &[a, stores] : ctx.storesByAddr) {
-        ctx.addrs.push_back(a);
-        ctx.coOrder[a]; // empty prefix
-        (void)stores;
-    }
-
-    ctx.suffixLeaves.assign(ctx.addrs.size() + 1, 1);
-    for (size_t i = ctx.addrs.size(); i-- > 0;) {
-        ctx.suffixLeaves[i] = satMul(
-            ctx.suffixLeaves[i + 1],
-            satFactorial(ctx.storesByAddr[ctx.addrs[i]].size()));
-    }
-
-    const CandidateExecution partial{ctx.events, ctx.coOrder,
-                                     ctx.traces, ctx.rfEpoch,
-                                     /*complete=*/false};
+    prepareCandidate(ctx);
+    computeShapeKeys(_builder, ctx.exec, ctx.tables);
+    const CandidateExecution partial = ctx.view(/*complete=*/false);
     size_t live = 0;
     for (size_t i = 0; i < ctx.filters.size(); ++i) {
         if (ctx.filters[i]->beginRf(partial)) {
@@ -999,19 +1025,14 @@ CandidateEnumerator::searchCoherenceMulti(MultiCtx &ctx) const
             ++live;
         } else {
             ctx.dormantAt[i] = 0; // out for this whole rf candidate
-            CheckerStats &lane = (*ctx.lanes)[i];
+            CheckerStats &lane = ctx.lanes[i];
             ++lane.rfPruned;
             lane.subtreesSkipped =
                 satAdd(lane.subtreesSkipped, ctx.suffixLeaves[0]);
         }
     }
-    if (live == 0)
-        return;
-
-    ctx.remaining.resize(ctx.addrs.size());
-    for (size_t i = 0; i < ctx.addrs.size(); ++i)
-        ctx.remaining[i] = ctx.storesByAddr[ctx.addrs[i]];
-    descendCoherenceMulti(ctx, 0, partial);
+    if (live > 0)
+        descendCoherenceMulti(ctx, 0, partial);
 }
 
 void
@@ -1029,7 +1050,7 @@ CandidateEnumerator::searchRfRangeMulti(MultiCtx &ctx) const
 
         ++ctx.walk.rfCandidates;
         ++ctx.rfEpoch;
-        if (_builder.computeExecution(rf, ctx.exec)) {
+        if (_builder.computeExecution(rf, ctx.exec, ctx.scratch)) {
             ++ctx.walk.valueConsistent;
             obs::TraceSpan coSpan("enum.co_search");
             searchCoherenceMulti(ctx);
@@ -1074,12 +1095,7 @@ CandidateEnumerator::runMulti(const std::vector<FilterFactory> &factories,
     }
 
     std::vector<CheckerStats> lanes(factories.size());
-    MultiCtx ctx{
-        .filters = std::move(filters),
-        .outcomes = &outcomes,
-        .lanes = &lanes,
-        .dormantAt = std::vector<int64_t>(factories.size(), -1),
-        .test = _builder.test()};
+    MultiCtx ctx(_builder.test(), std::move(filters), outcomes, lanes);
     searchRfRangeMulti(ctx);
 
     // Each lane's counters are exactly what a solo serial run() with

@@ -120,6 +120,20 @@ struct CheckerStats
     void merge(const CheckerStats &other);
 };
 
+/** Encode (tid, static index) as a StoreId. */
+constexpr model::StoreId
+storeId(int tid, int idx)
+{
+    return static_cast<model::StoreId>(tid * 1024 + idx);
+}
+
+/** Decode a StoreId. */
+constexpr std::pair<int, int>
+storeIdParts(model::StoreId id)
+{
+    return {id / 1024, id % 1024};
+}
+
 /**
  * One memory event of a candidate execution: an executed load/store
  * with resolved address, in committed trace order per thread.  RMWs
@@ -135,6 +149,63 @@ struct CandidateEvent
     isa::Value value;    ///< value the event supplies to memory/readers
     model::StoreId sid;  ///< store side: own id (InitStore otherwise)
     model::StoreId rf;   ///< load side: read-from source (or InitStore)
+};
+
+/**
+ * Lookup tables derived once per read-from candidate, next to its
+ * event list (collectCandidateEvents()), and shared read-only by every
+ * filter lane that judges the candidate -- so no lane rebuilds its own
+ * store or trace-position index.  Storage is reused across the
+ * candidates of one walk.
+ */
+struct CandidateTables
+{
+    /** Event index of the executed store @p sid; -1 when it did not
+     *  execute. */
+    int
+    eventOfStore(model::StoreId sid) const
+    {
+        const auto [tid, idx] = storeIdParts(sid);
+        return storeEvent[(*siteBase)[size_t(tid)] + size_t(idx)];
+    }
+
+    /** Event index of entry @p traceIdx of thread @p tid's trace; -1
+     *  for a non-memory entry. */
+    int
+    eventAt(int tid, int traceIdx) const
+    {
+        return traceEvent[traceBase[size_t(tid)] + size_t(traceIdx)];
+    }
+
+    /** Per thread: its read-from map in the form
+     *  model::preservedProgramOrder() takes. */
+    std::vector<const model::RfMap *> rfTraces;
+
+    /**
+     * Per thread: a digest of everything a model's ppo reads of the
+     * thread -- the executed instruction sequence and the resolved
+     * addresses, never data values (model/ppo.cc) -- and the same
+     * digest extended with the thread's read-from sources, which only
+     * ARM's SALdLdARM reads (as StoreIds).  The plain digest does not
+     * depend on the thread's position or on the test, so equal shapes
+     * anywhere in a batch share it.  Filled only by the fused
+     * multi-filter walk (CandidateEnumerator::runMulti), whose
+     * built-in lanes share a PpoCache (axiomatic/checker.hh); empty
+     * on the solo search and the legacy pipeline.
+     */
+    std::vector<uint64_t> shapeKey;
+    std::vector<uint64_t> rfShapeKey;
+
+    /** First flat index of each thread's static sites: the builder's
+     *  CandidateBuilder::siteBase(), not a copy. */
+    const std::vector<size_t> *siteBase = nullptr;
+    /** First flat index of each thread's trace entries (one entry per
+     *  thread, plus the total). */
+    std::vector<size_t> traceBase;
+    /** Event index per static site (stores only; -1 elsewhere). */
+    std::vector<int> storeEvent;
+    /** Event index per trace entry (-1 for non-memory entries). */
+    std::vector<int> traceEvent;
 };
 
 /**
@@ -162,11 +233,15 @@ struct CandidateExecution
     const std::map<isa::Addr, std::vector<int>> &coOrder;
     /** Committed per-thread traces (fences/branches included). */
     const std::vector<const model::Trace *> &traces;
+    /** Store and trace-position indexes over events, plus the ppo
+     *  shape keys (see CandidateTables); fixed within an epoch. */
+    const CandidateTables &tables;
     /**
-     * Increments once per read-from candidate.  events, traces and
-     * every event's rf are reused across the coherence orders sharing
-     * an epoch -- only coOrder changes -- so callers may cache
-     * trace-derived data (program order, dependencies) keyed on it.
+     * Increments once per read-from candidate.  events, traces,
+     * tables and every event's rf are reused across the coherence
+     * orders sharing an epoch -- only coOrder changes -- so callers
+     * may cache trace-derived data (program order, dependencies) keyed
+     * on it.
      */
     uint64_t rfEpoch;
     /** False while coOrder still holds prefixes (see above). */
@@ -255,6 +330,52 @@ using FilterFactory =
 class CandidateBuilder
 {
   public:
+    /**
+     * A register file of known or unknown values in which every
+     * register starts known and 0.  Two masks make reset() O(1).
+     */
+    class RegFile
+    {
+      public:
+        void
+        reset()
+        {
+            written = 0;
+            unknown = 0;
+        }
+
+        std::optional<isa::Value>
+        get(isa::Reg r) const
+        {
+            const uint64_t bit = uint64_t(1) << r;
+            if (unknown & bit)
+                return std::nullopt;
+            return (written & bit) ? vals[size_t(r)] : isa::Value{0};
+        }
+
+        /** Writes to REG_ZERO are dropped. */
+        void
+        set(isa::Reg r, std::optional<isa::Value> v)
+        {
+            if (r == isa::REG_ZERO)
+                return;
+            const uint64_t bit = uint64_t(1) << r;
+            if (v) {
+                vals[size_t(r)] = *v;
+                written |= bit;
+                unknown &= ~bit;
+            } else {
+                unknown |= bit;
+            }
+        }
+
+      private:
+        static_assert(isa::NUM_REGS <= 64, "register masks are 64-bit");
+        std::array<isa::Value, isa::NUM_REGS> vals{};
+        uint64_t written = 0;
+        uint64_t unknown = 0;
+    };
+
     /** Per-thread symbolic execution state for one rf candidate. */
     struct ThreadExec
     {
@@ -267,7 +388,32 @@ class CandidateBuilder
         /** rf per trace entry (loads only; InitStore elsewhere). */
         model::RfMap rfTrace;
         /** Final register values (all known when complete). */
-        std::array<std::optional<isa::Value>, isa::NUM_REGS> regs;
+        RegFile regs;
+    };
+
+    /**
+     * computeExecution()'s working storage, owned by the caller: one
+     * per search worker or fused walk, reused across its rf
+     * candidates, so the fixpoint allocates nothing once warm while
+     * workers still share one const builder.
+     */
+    struct Scratch
+    {
+        /** Per static site: resolved address / data where known. */
+        struct Site
+        {
+            bool executed = false;
+            std::optional<isa::Value> addr;  ///< memory instructions
+            std::optional<isa::Value> data;  ///< store data / loaded value
+            std::optional<isa::Value> data2; ///< RMWs: value written
+        };
+        /** Every static site, thread-major (siteBase() numbering). */
+        std::vector<Site> sites;
+        /** One thread's sites in the fixpoint round under way. */
+        std::vector<Site> next;
+        /** Seeded value per load ordinal (value-cycle recovery). */
+        std::vector<std::optional<isa::Value>> seeded;
+        RegFile regs;
     };
 
     CandidateBuilder(const litmus::LitmusTest &test, Options options);
@@ -306,11 +452,21 @@ class CandidateBuilder
      * Execute all threads to a value fixpoint under @p rf; false when
      * the map is value-inconsistent (wrong supplied value, unexecuted
      * source, unaligned address from a bogus guess, or an undetermined
-     * value cycle no seed resolves).  Thread-safe: workers share one
-     * builder.
+     * value cycle no seed resolves).  @p out keeps its buffers across
+     * calls and is meaningful only after a true return.  Thread-safe:
+     * workers share one builder, each with its own @p scratch.
      */
     bool computeExecution(const std::vector<model::StoreId> &rf,
-                          std::vector<ThreadExec> &out) const;
+                          std::vector<ThreadExec> &out,
+                          Scratch &scratch) const;
+
+    /** First flat index of each thread's static sites (one entry per
+     *  thread, plus the total). */
+    const std::vector<size_t> &siteBase() const { return _siteBase; }
+
+    /** Content digest of each static instruction (siteBase()
+     *  numbering): the per-instruction part of a ppo shape key. */
+    const std::vector<uint64_t> &siteHash() const { return _siteHash; }
 
     const litmus::LitmusTest &test() const { return _test; }
     const Options &options() const { return _options; }
@@ -324,6 +480,10 @@ class CandidateBuilder
     std::vector<model::StoreId> _storeSites;
     std::vector<std::vector<model::StoreId>> _rfChoices;
     uint64_t _rfStaticSkipped = 0;
+    std::vector<size_t> _siteBase;
+    std::vector<uint64_t> _siteHash;
+    /** Ordinal in loadSites() per static site; -1 for non-loads. */
+    std::vector<int> _loadOrdinal;
 };
 
 /**
@@ -365,9 +525,11 @@ class CandidateEnumerator
      * filters that accepted), and rejoins at the next sibling.  The
      * returned outcome sets are therefore identical to N run() calls,
      * and @p laneStats (when given) receives each filter's
-     * solo-equivalent counters.  The pass is serial --
-     * Options::searchThreads is ignored -- which is the campaign's
-     * configuration (its parallelism lives across units).
+     * solo-equivalent counters.  Every candidate's CandidateTables
+     * also carry the ppo shape keys, computed once for all lanes.  The
+     * pass is serial -- Options::searchThreads is ignored -- which is
+     * the campaign's configuration (its parallelism lives across
+     * units).
      */
     std::vector<litmus::OutcomeSet>
     runMulti(const std::vector<FilterFactory> &factories,
@@ -379,8 +541,16 @@ class CandidateEnumerator
     const CandidateBuilder &builder() const { return _builder; }
 
   private:
+    struct CandidateState;
     struct SearchCtx;
     struct MultiCtx;
+
+    /**
+     * Derive @p st's per-candidate state -- events, tables, coherence
+     * search order, subtree sizes -- from its freshly computed
+     * execution, reusing the buffers of the previous candidate.
+     */
+    void prepareCandidate(CandidateState &st) const;
 
     /** Enumerate the rf maps extending @p prefix; one worker's share. */
     void searchRfRange(size_t prefixLoads, uint64_t prefixIndex,
@@ -417,15 +587,17 @@ class CandidateEnumerator
 isa::Value initialMemValue(const isa::MemImage &mem, isa::Addr addr);
 
 /**
- * Collect the memory events of one computed execution into @p out
- * (cleared first), thread-major in trace order -- the event list both
- * the pruned search and the legacy pipeline hand to their filters.
- * One definition so candidate *production* can never drift between
- * the path under test and its differential reference.
+ * Collect the memory events of one execution computed by @p builder
+ * into @p events (cleared first), thread-major in trace order, and
+ * index them into @p tables (all but the ppo shape keys) -- the
+ * candidate both the pruned search and the legacy pipeline hand to
+ * their filters.  One definition so candidate *production* can never
+ * drift between the path under test and its differential reference.
  */
 void collectCandidateEvents(
+    const CandidateBuilder &builder,
     const std::vector<CandidateBuilder::ThreadExec> &exec,
-    std::vector<CandidateEvent> &out);
+    std::vector<CandidateEvent> &events, CandidateTables &tables);
 
 /**
  * Record one accepted candidate's outcome (observed registers from
@@ -439,20 +611,6 @@ void recordCandidateOutcome(
     const std::vector<CandidateEvent> &events,
     const std::map<isa::Addr, std::vector<int>> &coOrder,
     litmus::OutcomeSet &outcomes);
-
-/** Encode (tid, static index) as a StoreId. */
-constexpr model::StoreId
-storeId(int tid, int idx)
-{
-    return static_cast<model::StoreId>(tid * 1024 + idx);
-}
-
-/** Decode a StoreId. */
-constexpr std::pair<int, int>
-storeIdParts(model::StoreId id)
-{
-    return {id / 1024, id % 1024};
-}
 
 } // namespace gam::axiomatic
 

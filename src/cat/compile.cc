@@ -725,21 +725,18 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
 
         // Candidate-to-view event translation and per-address tables.
         viewOfCand.assign(cand.events.size(), -1);
-        std::map<model::StoreId, int> candOfSid;
         loadsByAddr.clear();
         storesByAddr.clear();
         for (size_t c = 0; c < cand.events.size(); ++c) {
             viewOfCand[c] = builder.viewEventOfCand(c);
-            if (cand.events[c].isStore)
-                candOfSid[cand.events[c].sid] = int(c);
-        }
-        for (size_t c = 0; c < cand.events.size(); ++c) {
             const auto &ev = cand.events[c];
             if (ev.isStore)
                 storesByAddr[ev.addr].push_back(viewOfCand[c]);
             if (ev.isLoad) {
                 const int src = ev.rf == model::InitStore
-                    ? -1 : candOfSid.at(ev.rf);
+                    ? -1 : cand.tables.eventOfStore(ev.rf);
+                GAM_ASSERT(ev.rf == model::InitStore || src >= 0,
+                           "rf store missing");
                 loadsByAddr[ev.addr].push_back(
                     {viewOfCand[c], src});
             }

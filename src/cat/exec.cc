@@ -29,22 +29,18 @@ ExecBuilder::rebuildTraceLevel(const CandidateExecution &cand)
 {
     // ---- Event discovery: memory events (in candidate order) plus
     // fences, thread-major in trace order. ----
-    struct EventInfo
-    {
-        int tid;
-        int traceIdx;
-        const model::TraceInstr *ti;
-        int candIdx; ///< memory events: index into cand.events
-    };
-    std::vector<EventInfo> events;
+    events.clear();
     eventOfCand.assign(cand.events.size(), -1);
-    eventOfStore.clear();
+    eventAt.assign(cand.tables.traceBase.back(), -1);
 
     size_t cand_idx = 0;
     for (size_t tid = 0; tid < cand.traces.size(); ++tid) {
         const model::Trace &trace = *cand.traces[tid];
         for (size_t k = 0; k < trace.size(); ++k) {
             const model::TraceInstr &ti = trace[k];
+            if (ti.isMem() || ti.instr.isFence())
+                eventAt[cand.tables.traceBase[tid] + k] =
+                    int(events.size());
             if (ti.isMem()) {
                 GAM_ASSERT(cand_idx < cand.events.size()
                                && cand.events[cand_idx].tid == int(tid)
@@ -52,11 +48,10 @@ ExecBuilder::rebuildTraceLevel(const CandidateExecution &cand)
                                       == int(k),
                            "candidate events out of sync with traces");
                 eventOfCand[cand_idx] = int(events.size());
-                events.push_back({int(tid), int(k), &ti,
-                                  int(cand_idx)});
+                events.push_back({int(tid), int(k), &ti});
                 ++cand_idx;
             } else if (ti.instr.isFence()) {
-                events.push_back({int(tid), int(k), &ti, -1});
+                events.push_back({int(tid), int(k), &ti});
             }
         }
     }
@@ -65,24 +60,15 @@ ExecBuilder::rebuildTraceLevel(const CandidateExecution &cand)
 
     const size_t n = events.size();
     v.n = n;
-    v.R = EventSet(n);
-    v.W = EventSet(n);
-    v.M = EventSet(n);
-    v.F = EventSet(n);
-    v.RMW = EventSet(n);
-    v.FLL = EventSet(n);
-    v.FLS = EventSet(n);
-    v.FSL = EventSet(n);
-    v.FSS = EventSet(n);
-    v.po = Rel(n);
-    v.rf = Rel(n);
-    v.loc = Rel(n);
-    v.ext = Rel(n);
-    v.int_ = Rel(n);
-    v.addr = Rel(n);
-    v.data = Rel(n);
-    v.ctrl = Rel(n);
-    v.id = Rel::identity(n);
+    // Reset in place: the view's storage is reused across epochs.
+    for (EventSet *set : {&v.R, &v.W, &v.M, &v.F, &v.RMW, &v.FLL, &v.FLS,
+                          &v.FSL, &v.FSS})
+        set->reset(n);
+    for (Rel *rel : {&v.po, &v.rf, &v.loc, &v.ext, &v.int_, &v.addr,
+                     &v.data, &v.ctrl, &v.id})
+        rel->reset(n);
+    for (size_t e = 0; e < n; ++e)
+        v.id.set(e, e);
 
     // ---- Base sets. ----
     for (size_t e = 0; e < n; ++e) {
@@ -129,16 +115,12 @@ ExecBuilder::rebuildTraceLevel(const CandidateExecution &cand)
     // ---- rf (reads of the initial memory carry no edge). ----
     for (size_t c = 0; c < cand.events.size(); ++c) {
         const auto &ev = cand.events[c];
-        if (ev.isStore)
-            eventOfStore[ev.sid] = eventOfCand[c];
-    }
-    for (size_t c = 0; c < cand.events.size(); ++c) {
-        const auto &ev = cand.events[c];
         if (!ev.isLoad || ev.rf == model::InitStore)
             continue;
-        auto src = eventOfStore.find(ev.rf);
-        GAM_ASSERT(src != eventOfStore.end(), "rf store missing");
-        v.rf.set(size_t(src->second), size_t(eventOfCand[c]));
+        const int src = cand.tables.eventOfStore(ev.rf);
+        GAM_ASSERT(src >= 0, "rf store missing");
+        v.rf.set(size_t(eventOfCand[size_t(src)]),
+                 size_t(eventOfCand[c]));
     }
 
     // ---- addr / data / ctrl by per-thread register dataflow. ----
@@ -147,49 +129,45 @@ ExecBuilder::rebuildTraceLevel(const CandidateExecution &cand)
     // flow: the dependency chains through it event-to-event instead).
     for (size_t tid = 0; tid < cand.traces.size(); ++tid) {
         const model::Trace &trace = *cand.traces[tid];
-        std::array<EventSet, isa::NUM_REGS> flow;
-        flow.fill(EventSet(n));
-        EventSet ctrlSrc(n); // loads feeding any prior branch condition
+        for (EventSet &f : flow)
+            f.reset(n);
+        ctrlSrc.reset(n); // loads feeding any prior branch condition
+        // Pointer arithmetic, not &eventAt[...]: an empty last thread
+        // starts one past the end.
+        const int *here = eventAt.data() + cand.tables.traceBase[tid];
 
-        // Our event index per trace entry of this thread.
-        std::map<int, size_t> eventAt;
-        for (size_t e = 0; e < n; ++e)
-            if (events[e].tid == int(tid))
-                eventAt[events[e].traceIdx] = e;
-
-        auto readFlow = [&](const std::vector<isa::Reg> &regs) {
-            EventSet s(n);
+        // readFlow = the union of flow[r] over @p regs.
+        auto readFlowOf =
+            [&](const std::vector<isa::Reg> &regs) -> const EventSet & {
+            readFlow.reset(n);
             for (isa::Reg r : regs)
-                s = s | flow[size_t(r)];
-            return s;
+                readFlow |= flow[size_t(r)];
+            return readFlow;
         };
 
         for (size_t k = 0; k < trace.size(); ++k) {
             const Instruction &in = trace[k].instr;
-            const auto here = eventAt.find(int(k));
-            if (here != eventAt.end()) {
+            if (here[k] >= 0) {
                 // Every event after a conditional branch is
                 // control-dependent on the loads feeding it.
-                v.ctrl.addColumn(ctrlSrc, here->second);
+                v.ctrl.addColumn(ctrlSrc, size_t(here[k]));
             }
             if (in.isMem()) {
-                const size_t e = here->second;
-                readFlow(in.addrReadSet())
+                const size_t e = size_t(here[k]);
+                readFlowOf(in.addrReadSet())
                     .forEach([&](size_t src) { v.addr.set(src, e); });
-                readFlow(in.dataReadSet())
+                readFlowOf(in.dataReadSet())
                     .forEach([&](size_t src) { v.data.set(src, e); });
-                if (in.isLoad()) {
+                if (in.isLoad() && in.dst != isa::REG_ZERO) {
                     // The loaded value originates here.
-                    EventSet self(n);
-                    self.set(e);
-                    if (in.dst != isa::REG_ZERO)
-                        flow[size_t(in.dst)] = self;
+                    flow[size_t(in.dst)].reset(n);
+                    flow[size_t(in.dst)].set(e);
                 }
             } else if (in.isCondBranch()) {
-                ctrlSrc = ctrlSrc | readFlow(in.readSet());
+                ctrlSrc |= readFlowOf(in.readSet());
             } else if (in.isRegToReg() || in.op == isa::Opcode::LI) {
                 if (in.dst != isa::REG_ZERO)
-                    flow[size_t(in.dst)] = readFlow(in.readSet());
+                    flow[size_t(in.dst)] = readFlowOf(in.readSet());
             }
             // Fences, NOP, HALT, JMP: read no registers.
         }
@@ -200,8 +178,8 @@ void
 ExecBuilder::rebuildCoherence(const CandidateExecution &cand)
 {
     const size_t n = v.n;
-    v.co = Rel(n);
-    v.fr = Rel(n);
+    v.co.reset(n);
+    v.fr.reset(n);
 
     // co: all ordered pairs of each per-address total order.
     for (const auto &[a, order] : cand.coOrder) {

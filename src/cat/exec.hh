@@ -36,7 +36,7 @@
 #ifndef GAM_CAT_EXEC_HH
 #define GAM_CAT_EXEC_HH
 
-#include <map>
+#include <array>
 #include <vector>
 
 #include "axiomatic/checker.hh"
@@ -81,24 +81,30 @@ class ExecBuilder
             ? eventOfCand[candIdx] : -1;
     }
 
-    /** View event index of the store @p sid, or -1 if unknown. */
-    int viewEventOfStore(model::StoreId sid) const
-    {
-        auto it = eventOfStore.find(sid);
-        return it != eventOfStore.end() ? it->second : -1;
-    }
-
   private:
     void rebuildTraceLevel(const axiomatic::CandidateExecution &cand);
     void rebuildCoherence(const axiomatic::CandidateExecution &cand);
 
+    /** One view event: a memory access or a fence. */
+    struct EventInfo
+    {
+        int tid;
+        int traceIdx;
+        const model::TraceInstr *ti;
+    };
+
     ExecView v;
     uint64_t epoch = ~uint64_t(0);
     bool any = false;
+    /** rebuildTraceLevel()'s working storage, reused across epochs. */
+    std::vector<EventInfo> events;
+    std::array<EventSet, isa::NUM_REGS> flow;
+    EventSet ctrlSrc, readFlow;
     /** Candidate (memory) event index -> our event index. */
     std::vector<int> eventOfCand;
-    /** Store id -> our event index (rf/fr source lookup). */
-    std::map<model::StoreId, int> eventOfStore;
+    /** Our event index per trace entry, flattened like
+     *  CandidateTables::traceBase; -1 for non-events. */
+    std::vector<int> eventAt;
 };
 
 } // namespace gam::cat

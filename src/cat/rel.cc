@@ -47,6 +47,15 @@ EventSet::operator|(const EventSet &o) const
     return r;
 }
 
+EventSet &
+EventSet::operator|=(const EventSet &o)
+{
+    GAM_ASSERT(n_ == o.n_, "EventSet universe mismatch");
+    for (size_t i = 0; i < w_.size(); ++i)
+        w_[i] |= o.w_[i];
+    return *this;
+}
+
 EventSet
 EventSet::operator&(const EventSet &o) const
 {

@@ -33,6 +33,15 @@ class EventSet
 
     size_t universe() const { return n_; }
 
+    /** Become the empty set over @p n events, keeping the storage
+     *  when it is large enough. */
+    void
+    reset(size_t n)
+    {
+        n_ = n;
+        w_.assign((n + 63) / 64, 0);
+    }
+
     bool
     test(size_t i) const
     {
@@ -52,6 +61,8 @@ class EventSet
     size_t count() const;
 
     EventSet operator|(const EventSet &o) const;
+    /** In-place union (no allocation). */
+    EventSet &operator|=(const EventSet &o);
     EventSet operator&(const EventSet &o) const;
     /** Set difference (this \ o). */
     EventSet minus(const EventSet &o) const;
@@ -97,6 +108,16 @@ class Rel
     static Rel product(const EventSet &a, const EventSet &b);
 
     size_t universe() const { return n_; }
+
+    /** Become the empty relation over @p n events, keeping the
+     *  storage when it is large enough. */
+    void
+    reset(size_t n)
+    {
+        n_ = n;
+        wpr_ = (n + 63) / 64;
+        w_.assign(n * wpr_, 0);
+    }
 
     bool
     test(size_t i, size_t j) const

@@ -398,10 +398,13 @@ struct BatchContext
              std::unique_ptr<axiomatic::CandidateEnumerator>>
         arenas;
     /**
-     * Memoized ppo closures shared by every built-in filter lane of
-     * every fused enumeration in the batch (axiomatic::PpoCache): the
-     * same few (model, thread shape, rf) triples recur across rf
-     * candidates and across the batch's tests.
+     * Memoized ppo edge lists shared by every built-in filter lane of
+     * every fused enumeration in the batch (axiomatic::PpoCache),
+     * keyed per model on the thread shape the walk computed once per
+     * rf candidate -- plus its rf sources under ARM only: the same few
+     * shapes recur across rf candidates and across the batch's tests.
+     * Its lookup tally and size become decide.batch.ppo_lookups /
+     * ppo_computed when the batch ends.
      */
     axiomatic::PpoCache ppoShapes;
     /**
@@ -628,7 +631,10 @@ decideMetrics()
  * count the fused enumeration passes and the axiomatic engine runs
  * they absorbed (fused_queries / fused_groups is the fan-in the
  * multi-filter walk buys -- the dominant batch amortization, which is
- * also why arena_reuse is normally 0 now: one fused pass per arena).
+ * also why arena_reuse is normally 0 now: one fused pass per arena);
+ * ppo_lookups / ppo_computed count the built-in lanes' ppo requests
+ * and the ones the batch's shape cache could not serve.  All are
+ * tallied in the batch and added once per call.
  */
 struct BatchMetrics
 {
@@ -645,6 +651,10 @@ struct BatchMetrics
         obs::metrics().counter("decide.batch.fused_groups");
     obs::Counter &fusedQueries =
         obs::metrics().counter("decide.batch.fused_queries");
+    obs::Counter &ppoLookups =
+        obs::metrics().counter("decide.batch.ppo_lookups");
+    obs::Counter &ppoComputed =
+        obs::metrics().counter("decide.batch.ppo_computed");
 };
 
 BatchMetrics &
@@ -1104,6 +1114,8 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
     bm.groups.inc(groups);
     bm.planReuse.inc(batch.planReuse);
     bm.arenaReuse.inc(batch.arenaReuse);
+    bm.ppoLookups.inc(batch.ppoShapes.lookups);
+    bm.ppoComputed.inc(batch.ppoShapes.shapes.size());
     return out;
 }
 

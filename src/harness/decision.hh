@@ -410,8 +410,9 @@ Decision decide(const Query &query,
  *    value fixpoint and the coherence walk run once, with one filter
  *    lane per model.  SC-delegated queries join the pass's SC lane.
  *    The fused pass is serial (RunOptions::threads is ignored for
- *    these queries) and one preservedProgramOrder() memo is shared
- *    across the whole batch;
+ *    these queries), sets up each rf candidate once for all lanes,
+ *    and one preservedProgramOrder() memo (axiomatic::PpoCache) is
+ *    shared across the whole batch;
  *  - each distinct cat model is compiled once per batch and the plan
  *    shared by every query in its group (CatEngine::usePlan);
  *  - each distinct test gets one CandidateBuilder arena
@@ -427,8 +428,9 @@ Decision decide(const Query &query,
  * so each lands on an engine terminal counter; verdicts and persisted
  * records are unaffected.  The per-request decide.* metrics otherwise
  * fire as usual; decide.batch.* counts the batch calls, grouped
- * queries, fused passes and their fan-in, and how often a plan or
- * builder arena was served from the batch instead of rebuilt.
+ * queries, fused passes and their fan-in, how often a plan or
+ * builder arena was served from the batch instead of rebuilt, and the
+ * ppo memo's lookups and computations.
  */
 std::vector<Decision>
 decideBatch(const std::vector<Query> &queries,

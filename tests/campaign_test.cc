@@ -23,6 +23,7 @@
 #include "harness/decision.hh"
 #include "litmus/generator.hh"
 #include "litmus/suite.hh"
+#include "obs/registry.hh"
 
 namespace gam::campaign
 {
@@ -870,6 +871,43 @@ TEST(CampaignStore, TestIndexServesRecordsInKeyOrder)
     EXPECT_EQ(records[1].key, 20u);
     EXPECT_EQ(records[2].key, 30u);
     EXPECT_TRUE(store.recordsForTest(fp + 1).empty());
+}
+
+TEST(CampaignDriver, PinsTheFusedWalkWorkAtLengthFour)
+{
+    // The fused axiomatic walk's exact work over the Full-quotient
+    // length-<=4 universe (392 tests x SC/TSO/GAM0/GAM).  Every count
+    // is a function of the universe and of the fixed chunking of units
+    // into batches, not of which worker ran which chunk, so it must
+    // not move with the worker count -- nor with any change that keeps
+    // candidate production and pruning the same.
+    for (unsigned workers : {1u, 3u}) {
+        ScratchFile store_file("gam_campaign_fused_work.bin");
+        DecisionStore store(store_file.str());
+        CampaignOptions opt;
+        opt.enumerate.maxLen = 4;
+        opt.enumerate.canonical = CanonicalForm::Full;
+        opt.threads = workers;
+        const CampaignResult res = runCampaign(opt, &store);
+        const obs::MetricSnapshot &m = res.metrics;
+        EXPECT_EQ(res.units, 392u) << workers;
+        EXPECT_EQ(res.decisions, 392u * 4) << workers;
+        EXPECT_EQ(m.counter("enum.runs"), 392u) << workers;
+        EXPECT_EQ(m.counter("enum.rf_candidates"), 15292u) << workers;
+        EXPECT_EQ(m.counter("enum.co_candidates"), 2492u) << workers;
+        EXPECT_EQ(m.counter("enum.partials_pruned"), 17114u)
+            << workers;
+        EXPECT_EQ(m.counter("enum.value_consistent"), 14310u)
+            << workers;
+        EXPECT_EQ(m.counter("enum.accepted"), 4278u) << workers;
+        EXPECT_EQ(m.counter("decide.prescreen.sc_delegate"), 756u)
+            << workers;
+        // Each batch's ppo shape cache, tallied once per batch.
+        EXPECT_EQ(m.counter("decide.batch.ppo_lookups"), 60989u)
+            << workers;
+        EXPECT_EQ(m.counter("decide.batch.ppo_computed"), 794u)
+            << workers;
+    }
 }
 
 TEST(CampaignDriver, DisagreePinsGamAgainstGam0)

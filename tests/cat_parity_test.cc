@@ -12,6 +12,7 @@
 #include <map>
 #include <sstream>
 
+#include "axiomatic/checker.hh"
 #include "cat/engine.hh"
 #include "cat/parser.hh"
 #include "harness/decision.hh"
@@ -203,6 +204,33 @@ TEST(CatParity, AxiomBeforeLetIsSafeAcrossEpochReuse)
         const Decision d_canonical = decide(q, nullptr);
         EXPECT_EQ(d_odd.outcomes, d_canonical.outcomes) << name;
         EXPECT_EQ(d_odd.allowed, d_canonical.allowed) << name;
+    }
+}
+
+TEST(CatParity, AnEmptyLastThreadChangesNoOutcome)
+{
+    // An empty thread has no trace entries, so its first flat trace
+    // position is the end of the per-candidate tables; the parser
+    // accepts such a thread.  It must add nothing to any outcome set.
+    const litmus::LitmusTest &mp = litmus::testByName("mp");
+    litmus::LitmusTest test = mp;
+    test.name = "mp+empty";
+    test.threads.emplace_back();
+    for (ModelKind model : catModels) {
+        const cat::CatModel *m =
+            cat::findBuiltinCatModel(model::modelName(model));
+        ASSERT_NE(m, nullptr);
+        const litmus::OutcomeSet expected =
+            axiomatic::Checker(mp, model).enumerate();
+        EXPECT_EQ(axiomatic::Checker(test, model).enumerate(), expected)
+            << model::modelName(model);
+        for (cat::CatEngine::Mode mode :
+             {cat::CatEngine::Mode::Compiled,
+              cat::CatEngine::Mode::Interpreted}) {
+            cat::CatEngine engine(test, *m, {}, mode);
+            EXPECT_EQ(engine.enumerate(), expected)
+                << model::modelName(model);
+        }
     }
 }
 

@@ -228,6 +228,41 @@ TEST(DecideBatch, ReusesPlansAndFusesArenasWithinABatch)
     EXPECT_EQ(delta.counter("decide.batch.arena_reuse"), 0u);
 }
 
+TEST(DecideBatch, MatchesDecideOnCorrUnderArmWithoutThePrescreen)
+{
+    // With the prescreen off, corr (Fig. 14a) reaches the fused walk
+    // under ARM, GAM and SC at once: one ppo shape cache serves all
+    // three lanes, and only ARM's keys carry the reader's rf sources.
+    // The verdicts and outcome sets must still be decide()'s.
+    const auto &corr = litmus::testByName("corr");
+    std::vector<Query> queries;
+    for (ModelKind model : {ModelKind::ARM, ModelKind::GAM, ModelKind::SC}) {
+        queries.push_back(
+            queryFor(corr, model, EngineSelect::Axiomatic));
+        queries.back().options.prescreen = false;
+    }
+
+    const obs::MetricSnapshot before = obs::metrics().snapshot();
+    const std::vector<Decision> batched = decideBatch(queries, nullptr);
+    const obs::MetricSnapshot delta =
+        obs::metrics().snapshot().delta(before);
+    ASSERT_EQ(batched.size(), queries.size());
+    for (size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(batched[i].prescreened, PrescreenKind::None) << i;
+        expectSameDecision(batched[i], decide(queries[i], nullptr),
+                           queries[i], i);
+    }
+    EXPECT_FALSE(batched[0].allowed); // different stores: ordered
+
+    // One fused group; each lane asks once per thread for each of
+    // the four value-consistent rf candidates.  ARM computes the
+    // writer once and the reader once per rf assignment; GAM and SC
+    // once per thread.
+    EXPECT_EQ(delta.counter("decide.batch.fused_groups"), 1u);
+    EXPECT_EQ(delta.counter("decide.batch.ppo_lookups"), 3u * 4 * 2);
+    EXPECT_EQ(delta.counter("decide.batch.ppo_computed"), 5u + 2 + 2);
+}
+
 TEST(DecideBatch, EmptyBatchIsANoOp)
 {
     DecisionCache cache(1 << 8);

@@ -354,5 +354,53 @@ TEST(Enumerate, DecisionCarriesEnumerationCounters)
     EXPECT_EQ(op.enumStats.coCandidates, 0u);
 }
 
+TEST(Enumerate, PpoCacheKeysGamOnThreadShapesAlone)
+{
+    // mp's threads execute the same instructions at the same addresses
+    // under every rf candidate, and GAM's ppo reads nothing else: the
+    // shared cache keeps one entry per distinct thread shape (mp's two
+    // threads differ), however many candidates the walk visits.
+    const LitmusTest &test = litmus::testByName("mp");
+    CandidateEnumerator enumerator(test, {});
+    PpoCache cache;
+    std::vector<CheckerStats> stats;
+    const std::vector<litmus::OutcomeSet> sets = enumerateModels(
+        enumerator, {ModelKind::GAM}, true, &stats, &cache);
+    ASSERT_EQ(sets.size(), 1u);
+    EXPECT_EQ(sets[0], Checker(test, ModelKind::GAM).enumerate());
+    EXPECT_GT(stats[0].valueConsistent, 2u);
+    EXPECT_EQ(cache.shapes.size(), 2u);
+    // Every value-consistent candidate asks once per thread.
+    EXPECT_EQ(cache.lookups,
+              stats[0].valueConsistent * test.threads.size());
+}
+
+TEST(Enumerate, PpoCacheKeysArmOnReadFromSourcesToo)
+{
+    // corr (Fig. 14a): SALdLdARM orders the reader's two same-address
+    // loads only when they read different stores, so under ARM that
+    // thread keeps one entry per rf assignment (plus one for the
+    // writer, which reads nothing), while GAM, in the same walk and
+    // the same cache, keeps one per thread.
+    const LitmusTest &test = litmus::testByName("corr");
+    CandidateEnumerator enumerator(test, {});
+    PpoCache cache;
+    std::vector<CheckerStats> stats;
+    const std::vector<litmus::OutcomeSet> sets = enumerateModels(
+        enumerator, {ModelKind::ARM, ModelKind::GAM}, true, &stats,
+        &cache);
+    ASSERT_EQ(sets.size(), 2u);
+    EXPECT_EQ(sets[0], Checker(test, ModelKind::ARM).enumerate());
+    EXPECT_EQ(sets[1], Checker(test, ModelKind::GAM).enumerate());
+    // Both loads read the initial value or the one store: four
+    // assignments, all value-consistent.
+    EXPECT_EQ(stats[0].valueConsistent, 4u);
+    size_t arm = 0, gam = 0;
+    for (const auto &[key, pairs] : cache.shapes)
+        ++(key.model == ModelKind::ARM ? arm : gam);
+    EXPECT_EQ(arm, stats[0].valueConsistent + 1);
+    EXPECT_EQ(gam, 2u);
+}
+
 } // namespace
 } // namespace gam::axiomatic
