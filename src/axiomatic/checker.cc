@@ -274,42 +274,8 @@ Checker::enumerate()
 {
     GAM_TRACE_SCOPE("axiomatic.enumerate");
     CandidateEnumerator enumerator(test, options);
-    litmus::OutcomeSet outcomes = enumerator.run([&] {
-        return std::make_unique<BuiltinAxiomFilter>(
-            model, options.enforceInstOrder);
-    });
-    _stats = enumerator.stats();
-    return outcomes;
-}
-
-litmus::OutcomeSet
-Checker::enumerateOn(CandidateEnumerator &enumerator)
-{
-    GAM_TRACE_SCOPE("axiomatic.enumerate");
-    litmus::OutcomeSet outcomes = enumerator.run([&] {
-        return std::make_unique<BuiltinAxiomFilter>(
-            model, options.enforceInstOrder);
-    });
-    _stats = enumerator.stats();
-    return outcomes;
-}
-
-litmus::OutcomeSet
-Checker::enumerateFiltered(const CandidateFilter &accept)
-{
-    GAM_ASSERT(accept != nullptr, "enumerateFiltered: null filter");
-    CandidateEnumerator enumerator(test, options);
-    litmus::OutcomeSet outcomes = enumerator.runAll(accept);
-    _stats = enumerator.stats();
-    return outcomes;
-}
-
-litmus::OutcomeSet
-Checker::enumerateIncremental(const FilterFactory &factory)
-{
-    GAM_ASSERT(factory != nullptr, "enumerateIncremental: null factory");
-    CandidateEnumerator enumerator(test, options);
-    litmus::OutcomeSet outcomes = enumerator.run(factory);
+    BuiltinAxiomFilter filter(model, options.enforceInstOrder);
+    litmus::OutcomeSet outcomes = std::move(enumerator.run({&filter})[0]);
     _stats = enumerator.stats();
     return outcomes;
 }
@@ -572,8 +538,6 @@ Checker::enumerateLegacyImpl(const CandidateFilter *accept)
             ++_stats.valueConsistent;
             checkCandidate(builder, exec, outcomes, accept,
                            _stats.valueConsistent);
-        } else {
-            ++_stats.valueCycles;
         }
 
         // Advance the odometer.
@@ -590,7 +554,7 @@ Checker::enumerateLegacyImpl(const CandidateFilter *accept)
     return outcomes;
 }
 
-// --------------------------------------------- fused multi-model pass
+// ------------------------------------------------ fused multi-model walk
 
 std::vector<litmus::OutcomeSet>
 enumerateModels(CandidateEnumerator &enumerator,
@@ -599,15 +563,14 @@ enumerateModels(CandidateEnumerator &enumerator,
                 std::vector<CheckerStats> *stats, PpoCache *ppoShapes)
 {
     GAM_TRACE_SCOPE("axiomatic.enumerate_multi");
-    std::vector<FilterFactory> factories;
-    factories.reserve(models.size());
+    std::vector<BuiltinAxiomFilter> filters;
+    std::vector<IncrementalFilter *> lanes;
+    filters.reserve(models.size());
     for (model::ModelKind m : models) {
-        factories.push_back([m, enforceInstOrder, ppoShapes] {
-            return std::make_unique<BuiltinAxiomFilter>(
-                m, enforceInstOrder, ppoShapes);
-        });
+        filters.emplace_back(m, enforceInstOrder, ppoShapes);
+        lanes.push_back(&filters.back());
     }
-    return enumerator.runMulti(factories, stats);
+    return enumerator.run(lanes, stats);
 }
 
 } // namespace gam::axiomatic

@@ -89,10 +89,10 @@ struct PpoKeyHash
  * (PpoKey).  Across the rf candidates of one enumeration, and across
  * the tests of one campaign chunk, the same few thread shapes recur
  * thousands of times; recomputing their transitive closures would
- * dominate the filter's beginRf().  The fused walk computes each
- * candidate's keys once for all lanes (CandidateEnumerator::runMulti),
- * so only its lanes may use a cache.  Owned by the caller -- the
- * batched decide pipeline keeps one per batch -- single-threaded, and
+ * dominate the filter's beginRf().  The walk computes each
+ * candidate's keys once for all lanes (CandidateEnumerator::run).
+ * Owned by the caller -- the batched decide pipeline keeps one per
+ * batch; Checker::enumerate() uses none -- single-threaded, and
  * unbounded: bounded in practice by the distinct shapes of the batch.
  * Every key ever looked up stays, so shapes.size() is also the number
  * of ppo computations.
@@ -115,43 +115,10 @@ class Checker
 
     /**
      * All outcomes the axioms accept, via the incremental pruned
-     * search (the hand-coded axioms as an IncrementalFilter).
+     * search: a walk with one lane, the hand-coded axioms as an
+     * IncrementalFilter.
      */
     litmus::OutcomeSet enumerate();
-
-    /**
-     * Enumerate with @p accept deciding candidate legality instead of
-     * the built-in InstOrder/LoadValue/atomicity axioms.  Everything
-     * else -- value-consistent read-from maps, per-address coherence
-     * permutations, outcome recording -- is shared with enumerate(),
-     * which is what makes engines layered on this (src/cat/) directly
-     * comparable with the hand-coded checker.  A thin compatibility
-     * wrapper over the enumeration core: @p accept sees the full
-     * unpruned candidate stream, serially.  The `model` passed to the
-     * constructor is ignored on this path: the filter embodies the
-     * model.
-     */
-    litmus::OutcomeSet enumerateFiltered(const CandidateFilter &accept);
-
-    /**
-     * enumerate(), but over a caller-owned enumerator instead of a
-     * fresh one.  The batched decide pipeline (harness::decideBatch)
-     * builds one CandidateEnumerator per test and drives it once per
-     * model, amortizing the CandidateBuilder arena -- static rf
-     * feasibility, load/store site tables -- across every model in
-     * the batch.  @p enumerator must have been constructed from this
-     * checker's test with equivalent Options; each call resets the
-     * enumerator's stats, so stats() reflects this run only.
-     */
-    litmus::OutcomeSet enumerateOn(CandidateEnumerator &enumerator);
-
-    /**
-     * Drive the incremental pruned search with a custom filter (one
-     * per worker from @p factory); the engine entry point for models
-     * that can judge partial candidates (cat::CatEngine).  The
-     * constructor's `model` is ignored: the filter embodies the model.
-     */
-    litmus::OutcomeSet enumerateIncremental(const FilterFactory &factory);
 
     /**
      * The pre-incremental pipeline, unchanged: materialize every
@@ -195,18 +162,17 @@ class Checker
 };
 
 /**
- * Decide several models of one test over ONE shared enumeration pass
- * (CandidateEnumerator::runMulti): the rf-candidate stream, the value
- * fixpoint and the coherence walk are model-independent, so N models
- * cost one walk plus N built-in filters instead of N walks.  Verdicts
- * and outcome sets are exactly what N Checker::enumerate() calls
- * would produce; @p stats, when given, receives each model's
- * solo-equivalent counters.  @p ppoShapes, when given, memoizes
- * preservedProgramOrder() across the pass (and across passes sharing
- * the cache -- the batched decide pipeline keeps one per batch),
- * looked up by the thread shape keys the walk computes once per rf
- * candidate for all lanes.  The pass is serial:
- * Options::searchThreads is ignored.
+ * Decide several models of one test over ONE walk
+ * (CandidateEnumerator::run) with one built-in filter lane per model:
+ * the rf-candidate stream, the value fixpoint and the coherence walk
+ * are model-independent, so N models cost one walk plus N filters
+ * instead of N walks.  Verdicts, outcome sets and -- in @p stats,
+ * when given -- each model's counters are exactly what N
+ * Checker::enumerate() calls would produce.  @p ppoShapes, when
+ * given, memoizes preservedProgramOrder() across the walk (and across
+ * walks sharing the cache -- the batched decide pipeline keeps one
+ * per batch), looked up by the thread shape keys the walk computes
+ * once per rf candidate for all lanes.
  */
 std::vector<litmus::OutcomeSet>
 enumerateModels(CandidateEnumerator &enumerator,

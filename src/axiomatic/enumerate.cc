@@ -6,7 +6,6 @@
 
 #include "base/hashing.hh"
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
 #include "isa/semantics.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
@@ -35,7 +34,6 @@ CheckerStats::merge(const CheckerStats &other)
     valueConsistent += other.valueConsistent;
     coCandidates += other.coCandidates;
     accepted += other.accepted;
-    valueCycles += other.valueCycles;
     rfStaticSkipped += other.rfStaticSkipped;
     rfPruned += other.rfPruned;
     partialsPruned += other.partialsPruned;
@@ -508,9 +506,8 @@ CandidateBuilder::computeExecution(const std::vector<StoreId> &rf,
 // -------------------------------------------------- CandidateEnumerator
 
 /**
- * One walk's current rf candidate and everything derived from it --
- * the state both the solo search and the fused multi-filter walk
- * carry.  Buffers are reused across the candidates of the walk.
+ * The walk's current rf candidate and everything derived from it.
+ * Buffers are reused across the candidates of the walk.
  */
 struct CandidateEnumerator::CandidateState
 {
@@ -543,19 +540,6 @@ struct CandidateEnumerator::CandidateState
     {
         return {events, coOrder, traces, tables, rfEpoch, complete};
     }
-};
-
-/** Everything one worker carries through one rf candidate's search. */
-struct CandidateEnumerator::SearchCtx : CandidateState
-{
-    SearchCtx(const litmus::LitmusTest &t, IncrementalFilter &f,
-              litmus::OutcomeSet &o, CheckerStats &s)
-        : CandidateState(t), filter(f), outcomes(o), stats(s)
-    {}
-
-    IncrementalFilter &filter;
-    litmus::OutcomeSet &outcomes;
-    CheckerStats &stats;
 };
 
 CandidateEnumerator::CandidateEnumerator(const litmus::LitmusTest &test,
@@ -666,124 +650,16 @@ CandidateEnumerator::prepareCandidate(CandidateState &st) const
         st.remaining[i] = st.storesByAddr[st.addrs[i]];
 }
 
-void
-CandidateEnumerator::searchCoherence(SearchCtx &ctx) const
-{
-    prepareCandidate(ctx);
-    const CandidateExecution partial = ctx.view(/*complete=*/false);
-    if (!ctx.filter.beginRf(partial)) {
-        ++ctx.stats.rfPruned;
-        ctx.stats.subtreesSkipped =
-            satAdd(ctx.stats.subtreesSkipped, ctx.suffixLeaves[0]);
-        return;
-    }
-
-    // ---- Depth-first coherence construction with backtracking:
-    // extend one address's order a store at a time, let the filter
-    // veto the subtree, move to the next address when exhausted. ----
-    descendCoherence(ctx, 0, partial);
-}
-
-void
-CandidateEnumerator::recordOutcome(SearchCtx &ctx) const
-{
-    ++ctx.stats.accepted;
-    recordCandidateOutcome(ctx.test, ctx.exec, ctx.events, ctx.coOrder,
-                           ctx.outcomes);
-}
-
-void
-CandidateEnumerator::descendCoherence(
-    SearchCtx &ctx, size_t ai, const CandidateExecution &partial) const
-{
-    if (ai == ctx.addrs.size()) {
-        ++ctx.stats.coCandidates;
-        if (ctx.filter.accept(ctx.view(/*complete=*/true)))
-            recordOutcome(ctx);
-        return;
-    }
-    const Addr a = ctx.addrs[ai];
-    auto &rem = ctx.remaining[ai];
-    if (rem.empty()) {
-        descendCoherence(ctx, ai + 1, partial);
-        return;
-    }
-    auto &placed = ctx.coOrder[a];
-    for (size_t k = 0; k < rem.size(); ++k) {
-        const int v = rem[k];
-        rem.erase(rem.begin() + std::ptrdiff_t(k));
-        placed.push_back(v);
-        ++ctx.placedTotal;
-        if (ctx.filter.pushStore(partial, a, v)) {
-            descendCoherence(ctx, ai, partial);
-        } else {
-            ++ctx.stats.partialsPruned;
-            ctx.stats.subtreesSkipped = satAdd(
-                ctx.stats.subtreesSkipped,
-                satMul(satFactorial(rem.size()),
-                       ctx.suffixLeaves[ai + 1]));
-            ctx.stats.maxBacktrackDepth = std::max(
-                ctx.stats.maxBacktrackDepth, ctx.placedTotal);
-        }
-        ctx.filter.popStore(partial, a, v);
-        --ctx.placedTotal;
-        placed.pop_back();
-        rem.insert(rem.begin() + std::ptrdiff_t(k), v);
-    }
-}
-
-void
-CandidateEnumerator::searchRfRange(size_t prefixLoads,
-                                   uint64_t prefixIndex,
-                                   IncrementalFilter &filter,
-                                   litmus::OutcomeSet &outcomes,
-                                   CheckerStats &stats) const
-{
-    const auto &choices = _builder.rfChoices();
-    const size_t nloads = choices.size();
-
-    std::vector<size_t> odo(nloads, 0);
-    uint64_t rem = prefixIndex;
-    for (size_t i = 0; i < prefixLoads; ++i) {
-        odo[i] = size_t(rem % choices[i].size());
-        rem /= choices[i].size();
-    }
-
-    std::vector<StoreId> rf(nloads, InitStore);
-    // One context for the whole range: searchCoherence() clears the
-    // per-candidate pieces, so the buffers are reused across the
-    // millions of rf maps a campaign iterates.
-    SearchCtx ctx(_builder.test(), filter, outcomes, stats);
-    GAM_TRACE_SCOPE("enum.search");
-    for (;;) {
-        for (size_t i = 0; i < nloads; ++i)
-            rf[i] = choices[i][odo[i]];
-
-        ++stats.rfCandidates;
-        ++ctx.rfEpoch;
-        if (_builder.computeExecution(rf, ctx.exec, ctx.scratch)) {
-            ++stats.valueConsistent;
-            // The coherence-growth phase of this rf epoch: one span
-            // per value-consistent rf map (tracing-disabled cost is a
-            // relaxed load, far below the search work it brackets).
-            obs::TraceSpan coSpan("enum.co_search");
-            searchCoherence(ctx);
-        } else {
-            ++stats.valueCycles;
-        }
-
-        // Advance the odometer over the non-prefix loads.
-        size_t pos = prefixLoads;
-        while (pos < nloads) {
-            if (++odo[pos] < choices[pos].size())
-                break;
-            odo[pos] = 0;
-            ++pos;
-        }
-        if (pos == nloads)
-            break;
-    }
-}
+// ---------------------------------------------------------- the walk
+//
+// One walk, N filter lanes.  Each lane keeps a dormancy depth: -1
+// while live, the placedTotal of the push it vetoed otherwise (0 for a
+// beginRf veto, which never revives mid-candidate).  A dormant lane
+// sees no callbacks until the walk unwinds to its veto depth, where it
+// receives the matching popStore and rejoins -- exactly the callback
+// sequence a walk with that filter alone would have produced, which is
+// what makes each lane's outcomes and counters independent of the
+// others.
 
 namespace
 {
@@ -816,81 +692,12 @@ reportEnumMetrics(const CheckerStats &s)
     m.runs.inc();
 }
 
-} // anonymous namespace
-
-litmus::OutcomeSet
-CandidateEnumerator::run(const FilterFactory &factory)
-{
-    GAM_TRACE_SCOPE("enum.run");
-    _stats = CheckerStats{};
-    _stats.rfStaticSkipped = _builder.rfStaticSkipped();
-
-    const auto &choices = _builder.rfChoices();
-    unsigned threads = _builder.options().searchThreads;
-    if (threads == 0)
-        threads = ThreadPool::defaultThreadCount();
-
-    // Split the search over leading read-from assignments: enough
-    // top-level prefixes to keep the pool busy, but no more (every
-    // prefix pays its own value-fixpoint runs).
-    size_t prefixLoads = 0;
-    uint64_t combos = 1;
-    if (threads > 1) {
-        while (prefixLoads < choices.size()
-               && combos < uint64_t(threads) * 4) {
-            combos = satMul(combos, choices[prefixLoads].size());
-            ++prefixLoads;
-        }
-    }
-
-    litmus::OutcomeSet outcomes;
-    if (combos <= 1 || threads <= 1) {
-        auto filter = factory();
-        GAM_ASSERT(filter != nullptr, "null incremental filter");
-        searchRfRange(0, 0, *filter, outcomes, _stats);
-        reportEnumMetrics(_stats);
-        return outcomes;
-    }
-
-    std::vector<litmus::OutcomeSet> sets(combos);
-    std::vector<CheckerStats> stats(combos);
-    ThreadPool pool(threads);
-    pool.parallelFor(size_t(combos), [&](size_t i) {
-        auto filter = factory();
-        GAM_ASSERT(filter != nullptr, "null incremental filter");
-        searchRfRange(prefixLoads, i, *filter, sets[i], stats[i]);
-    });
-    // Deterministic merge in prefix order (outcome sets are unordered,
-    // but the counters must not depend on scheduling either).
-    for (uint64_t i = 0; i < combos; ++i) {
-        for (const auto &o : sets[i])
-            outcomes.insert(o);
-        _stats.merge(stats[i]);
-    }
-    reportEnumMetrics(_stats);
-    return outcomes;
-}
-
-// ------------------------------------------------ multi-filter search
-//
-// One walk, N filters.  Each filter keeps a dormancy depth: -1 while
-// live, the placedTotal of the push it vetoed otherwise (0 for a
-// beginRf veto, which never revives mid-candidate).  A dormant filter
-// sees no callbacks until the walk unwinds to its veto depth, where it
-// receives the matching popStore and rejoins -- exactly the callback
-// sequence its solo pruned search would have produced, which is what
-// makes per-lane outcomes and counters identical to N run() calls.
-
-namespace
-{
-
 /**
  * Fill @p tables' ppo shape keys (CandidateTables::shapeKey and
  * rfShapeKey) for the execution @p exec: everything ppo reads of each
  * thread -- which instructions ran (by content, not position) and
  * where each memory access went -- then, for ARM, which store each
- * load read.  Only the fused walk calls this, once per rf candidate
- * for all its lanes.
+ * load read.  Called once per rf candidate for all lanes.
  */
 void
 computeShapeKeys(const CandidateBuilder &builder,
@@ -920,29 +727,27 @@ computeShapeKeys(const CandidateBuilder &builder,
 
 } // anonymous namespace
 
-/** Everything one runMulti() pass carries through the walk. */
-struct CandidateEnumerator::MultiCtx : CandidateState
+/** Everything one run() carries through the walk. */
+struct CandidateEnumerator::WalkCtx : CandidateState
 {
-    MultiCtx(const litmus::LitmusTest &t,
-             std::vector<IncrementalFilter *> f,
-             std::vector<litmus::OutcomeSet> &o,
-             std::vector<CheckerStats> &l)
-        : CandidateState(t), filters(std::move(f)), outcomes(o),
-          lanes(l), dormantAt(filters.size(), -1)
+    WalkCtx(const litmus::LitmusTest &t,
+            const std::vector<IncrementalFilter *> &f)
+        : CandidateState(t), filters(f), outcomes(f.size()),
+          lanes(f.size()), dormantAt(f.size(), -1)
     {}
 
-    std::vector<IncrementalFilter *> filters;
-    std::vector<litmus::OutcomeSet> &outcomes;
-    std::vector<CheckerStats> &lanes;
+    const std::vector<IncrementalFilter *> &filters;
+    std::vector<litmus::OutcomeSet> outcomes;
+    std::vector<CheckerStats> lanes;
     /** Shared-walk counters (rf stream, fixpoint, leaves reached). */
     CheckerStats walk{};
-    /** Dormancy depth per filter; -1 = live (see above). */
+    /** Dormancy depth per lane; -1 = live (see above). */
     std::vector<int64_t> dormantAt;
 };
 
 void
-CandidateEnumerator::descendCoherenceMulti(
-    MultiCtx &ctx, size_t ai, const CandidateExecution &partial) const
+CandidateEnumerator::descendCoherence(
+    WalkCtx &ctx, size_t ai, const CandidateExecution &partial) const
 {
     const size_t nlanes = ctx.filters.size();
     if (ai == ctx.addrs.size()) {
@@ -964,7 +769,7 @@ CandidateEnumerator::descendCoherenceMulti(
     const Addr a = ctx.addrs[ai];
     auto &rem = ctx.remaining[ai];
     if (rem.empty()) {
-        descendCoherenceMulti(ctx, ai + 1, partial);
+        descendCoherence(ctx, ai + 1, partial);
         return;
     }
     auto &placed = ctx.coOrder[a];
@@ -981,8 +786,8 @@ CandidateEnumerator::descendCoherenceMulti(
                 ++live;
                 continue;
             }
-            // This lane's subtree accounting is exactly the solo
-            // run's; the walk itself descends only for the others.
+            // The lane skips the whole subtree under this push; the
+            // walk itself descends only for the others.
             ctx.dormantAt[i] = int64_t(ctx.placedTotal);
             CheckerStats &lane = ctx.lanes[i];
             ++lane.partialsPruned;
@@ -994,7 +799,7 @@ CandidateEnumerator::descendCoherenceMulti(
                 std::max(lane.maxBacktrackDepth, ctx.placedTotal);
         }
         if (live > 0)
-            descendCoherenceMulti(ctx, ai, partial);
+            descendCoherence(ctx, ai, partial);
         for (size_t i = 0; i < nlanes; ++i) {
             if (ctx.dormantAt[i] < 0) {
                 ctx.filters[i]->popStore(partial, a, v);
@@ -1013,7 +818,7 @@ CandidateEnumerator::descendCoherenceMulti(
 }
 
 void
-CandidateEnumerator::searchCoherenceMulti(MultiCtx &ctx) const
+CandidateEnumerator::searchCoherence(WalkCtx &ctx) const
 {
     prepareCandidate(ctx);
     computeShapeKeys(_builder, ctx.exec, ctx.tables);
@@ -1032,11 +837,11 @@ CandidateEnumerator::searchCoherenceMulti(MultiCtx &ctx) const
         }
     }
     if (live > 0)
-        descendCoherenceMulti(ctx, 0, partial);
+        descendCoherence(ctx, 0, partial);
 }
 
 void
-CandidateEnumerator::searchRfRangeMulti(MultiCtx &ctx) const
+CandidateEnumerator::searchRf(WalkCtx &ctx) const
 {
     const auto &choices = _builder.rfChoices();
     const size_t nloads = choices.size();
@@ -1052,10 +857,11 @@ CandidateEnumerator::searchRfRangeMulti(MultiCtx &ctx) const
         ++ctx.rfEpoch;
         if (_builder.computeExecution(rf, ctx.exec, ctx.scratch)) {
             ++ctx.walk.valueConsistent;
+            // The coherence-growth phase of this rf epoch: one span
+            // per value-consistent rf map (tracing-disabled cost is a
+            // relaxed load, far below the search work it brackets).
             obs::TraceSpan coSpan("enum.co_search");
-            searchCoherenceMulti(ctx);
-        } else {
-            ++ctx.walk.valueCycles;
+            searchCoherence(ctx);
         }
 
         size_t pos = 0;
@@ -1071,50 +877,42 @@ CandidateEnumerator::searchRfRangeMulti(MultiCtx &ctx) const
 }
 
 std::vector<litmus::OutcomeSet>
-CandidateEnumerator::runMulti(const std::vector<FilterFactory> &factories,
-                              std::vector<CheckerStats> *laneStats)
+CandidateEnumerator::run(const std::vector<IncrementalFilter *> &filters,
+                         std::vector<CheckerStats> *laneStats)
 {
     GAM_TRACE_SCOPE("enum.run");
     _stats = CheckerStats{};
     _stats.rfStaticSkipped = _builder.rfStaticSkipped();
 
-    std::vector<litmus::OutcomeSet> outcomes(factories.size());
-    if (factories.empty()) {
+    if (filters.empty()) {
         if (laneStats)
             laneStats->clear();
-        return outcomes;
+        return {};
     }
+    for (const IncrementalFilter *f : filters)
+        GAM_ASSERT(f != nullptr, "null incremental filter");
 
-    std::vector<std::unique_ptr<IncrementalFilter>> owned;
-    std::vector<IncrementalFilter *> filters;
-    for (const FilterFactory &f : factories) {
-        GAM_ASSERT(f != nullptr, "runMulti: null factory");
-        owned.push_back(f());
-        GAM_ASSERT(owned.back() != nullptr, "null incremental filter");
-        filters.push_back(owned.back().get());
-    }
+    // One context for the whole run: searchCoherence() clears the
+    // per-candidate pieces, so the buffers are reused across the
+    // millions of rf maps a campaign iterates.
+    WalkCtx ctx(_builder.test(), filters);
+    searchRf(ctx);
 
-    std::vector<CheckerStats> lanes(factories.size());
-    MultiCtx ctx(_builder.test(), std::move(filters), outcomes, lanes);
-    searchRfRangeMulti(ctx);
-
-    // Each lane's counters are exactly what a solo serial run() with
-    // its filter would report: the walk counters are common to every
-    // lane by construction, the pruning counters were kept per lane.
-    for (CheckerStats &lane : lanes) {
+    // Each lane's counters are exactly what a walk with its filter
+    // alone would report: the walk counters are common to every lane
+    // by construction, the pruning counters were kept per lane.
+    for (CheckerStats &lane : ctx.lanes) {
         lane.rfCandidates = ctx.walk.rfCandidates;
         lane.valueConsistent = ctx.walk.valueConsistent;
-        lane.valueCycles = ctx.walk.valueCycles;
         lane.rfStaticSkipped = _stats.rfStaticSkipped;
     }
 
-    // stats() describes the pass itself: the one shared walk, plus
+    // stats() describes the run itself: the one shared walk, plus
     // every lane's pruning and acceptance totals.
     _stats.rfCandidates = ctx.walk.rfCandidates;
     _stats.valueConsistent = ctx.walk.valueConsistent;
-    _stats.valueCycles = ctx.walk.valueCycles;
     _stats.coCandidates = ctx.walk.coCandidates;
-    for (const CheckerStats &lane : lanes) {
+    for (const CheckerStats &lane : ctx.lanes) {
         _stats.rfPruned += lane.rfPruned;
         _stats.partialsPruned += lane.partialsPruned;
         _stats.subtreesSkipped =
@@ -1126,46 +924,8 @@ CandidateEnumerator::runMulti(const std::vector<FilterFactory> &factories,
     reportEnumMetrics(_stats);
 
     if (laneStats)
-        *laneStats = std::move(lanes);
-    return outcomes;
-}
-
-namespace
-{
-
-/** Adapts a plain CandidateFilter: no pruning, exact leaves. */
-class AllCandidates final : public IncrementalFilter
-{
-  public:
-    explicit AllCandidates(const CandidateFilter &accept)
-        : _accept(accept)
-    {}
-
-    bool
-    accept(const CandidateExecution &candidate) override
-    {
-        return _accept(candidate);
-    }
-
-  private:
-    const CandidateFilter &_accept;
-};
-
-} // anonymous namespace
-
-litmus::OutcomeSet
-CandidateEnumerator::runAll(const CandidateFilter &accept)
-{
-    GAM_ASSERT(accept != nullptr, "runAll: null filter");
-    // A plain filter is stateful across calls (epoch caching), so the
-    // unpruned stream is always walked serially by one adapter.
-    _stats = CheckerStats{};
-    _stats.rfStaticSkipped = _builder.rfStaticSkipped();
-    litmus::OutcomeSet outcomes;
-    AllCandidates filter(accept);
-    searchRfRange(0, 0, filter, outcomes, _stats);
-    reportEnumMetrics(_stats);
-    return outcomes;
+        *laneStats = std::move(ctx.lanes);
+    return std::move(ctx.outcomes);
 }
 
 } // namespace gam::axiomatic

@@ -14,14 +14,15 @@
  *    source sets that let the search skip read-from maps whose
  *    addresses can never match.
  *
- *  - CandidateEnumerator drives the search.  The default, incremental
- *    mode follows herd-style tools (Alglave et al., Herding Cats):
- *    coherence orders grow one store at a time, the model's ordering
- *    constraints are maintained online, and the search backtracks the
- *    moment a partial candidate can no longer be completed legally --
- *    pruning whole factorial subtrees instead of materializing them.
- *    Top-level read-from prefixes are searched in parallel on the
- *    shared ThreadPool.
+ *  - CandidateEnumerator drives the one search, after herd-style tools
+ *    (Alglave et al., Herding Cats): coherence orders grow one store
+ *    at a time, the model's ordering constraints are maintained
+ *    online, and the search backtracks the moment a partial candidate
+ *    can no longer be completed legally -- pruning whole factorial
+ *    subtrees instead of materializing them.  One serial walk judges
+ *    one filter lane per model: a single engine run is a walk with
+ *    one lane, the batched decide pipeline fuses a test's models into
+ *    one walk.
  *
  *  - IncrementalFilter is how a model plugs into the pruned search:
  *    monotone "can any completion still pass?" callbacks at each
@@ -42,7 +43,6 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -74,15 +74,6 @@ struct Options
      * are discarded, which is sound for every supported model.
      */
     std::vector<isa::Value> seedValues;
-
-    /**
-     * Worker threads for the incremental search (1 = serial, 0 =
-     * hardware concurrency).  The search is split over top-level
-     * read-from prefixes; the merged outcome set and counters are
-     * deterministic regardless of the worker count, so this knob never
-     * affects a decision.
-     */
-    unsigned searchThreads = 1;
 };
 
 /**
@@ -102,7 +93,6 @@ struct CheckerStats
     uint64_t valueConsistent = 0;   ///< ... passing the value fixpoint
     uint64_t coCandidates = 0;      ///< complete (rf, co) candidates checked
     uint64_t accepted = 0;          ///< ... that were legal
-    uint64_t valueCycles = 0;       ///< rf maps with undetermined values
 
     // Incremental-search counters (zero on the legacy path).
     /** rf maps skipped outright by static address feasibility. */
@@ -116,7 +106,7 @@ struct CheckerStats
     /** Deepest store placement a backtrack retreated from. */
     uint64_t maxBacktrackDepth = 0;
 
-    /** this += other (maxBacktrackDepth by max); parallel merge. */
+    /** this += other (maxBacktrackDepth by max): totals over runs. */
     void merge(const CheckerStats &other);
 };
 
@@ -188,10 +178,11 @@ struct CandidateTables
      * digest extended with the thread's read-from sources, which only
      * ARM's SALdLdARM reads (as StoreIds).  The plain digest does not
      * depend on the thread's position or on the test, so equal shapes
-     * anywhere in a batch share it.  Filled only by the fused
-     * multi-filter walk (CandidateEnumerator::runMulti), whose
-     * built-in lanes share a PpoCache (axiomatic/checker.hh); empty
-     * on the solo search and the legacy pipeline.
+     * anywhere in a batch share it.  The walk
+     * (CandidateEnumerator::run) fills both for every candidate, once
+     * for all its lanes; built-in lanes given a PpoCache
+     * (axiomatic/checker.hh) look ppo up by them.  Empty on the legacy
+     * pipeline.
      */
     std::vector<uint64_t> shapeKey;
     std::vector<uint64_t> rfShapeKey;
@@ -310,15 +301,6 @@ class IncrementalFilter
 };
 
 /**
- * Makes one filter per search worker.  Filters are stateful (they
- * track the current partial candidate), so parallel workers cannot
- * share one; each factory product only ever sees callbacks from a
- * single worker, in nesting order.
- */
-using FilterFactory =
-    std::function<std::unique_ptr<IncrementalFilter>()>;
-
-/**
  * Builds candidate executions for one litmus test: the value fixpoint
  * turning a read-from map into committed traces, and the static
  * feasibility analysis bounding each load's possible sources.
@@ -393,9 +375,8 @@ class CandidateBuilder
 
     /**
      * computeExecution()'s working storage, owned by the caller: one
-     * per search worker or fused walk, reused across its rf
-     * candidates, so the fixpoint allocates nothing once warm while
-     * workers still share one const builder.
+     * per walk, reused across its rf candidates, so the fixpoint
+     * allocates nothing once warm and the builder stays const.
      */
     struct Scratch
     {
@@ -453,8 +434,7 @@ class CandidateBuilder
      * the map is value-inconsistent (wrong supplied value, unexecuted
      * source, unaligned address from a bogus guess, or an undetermined
      * value cycle no seed resolves).  @p out keeps its buffers across
-     * calls and is meaningful only after a true return.  Thread-safe:
-     * workers share one builder, each with its own @p scratch.
+     * calls and is meaningful only after a true return.
      */
     bool computeExecution(const std::vector<model::StoreId> &rf,
                           std::vector<ThreadExec> &out,
@@ -469,7 +449,6 @@ class CandidateBuilder
     const std::vector<uint64_t> &siteHash() const { return _siteHash; }
 
     const litmus::LitmusTest &test() const { return _test; }
-    const Options &options() const { return _options; }
 
   private:
     void computeStaticFeasibility();
@@ -487,11 +466,11 @@ class CandidateBuilder
 };
 
 /**
- * The shared enumeration driver.  run() is the incremental pruned
- * search every engine uses by default; runAll() replays the full
- * unpruned candidate stream (all value-consistent read-from maps times
- * all coherence permutations) through a plain CandidateFilter -- the
- * compatibility surface behind Checker::enumerateFiltered().
+ * The enumeration walk: the incremental pruned search every engine
+ * decides through.  The rf-candidate stream, the value fixpoint and
+ * the coherence DFS are filter-independent, so one walk judges any
+ * number of filters -- one lane per model -- at the cost of one walk
+ * plus one filter evaluation per lane.
  */
 class CandidateEnumerator
 {
@@ -499,51 +478,35 @@ class CandidateEnumerator
     CandidateEnumerator(const litmus::LitmusTest &test, Options options);
 
     /**
-     * Incremental pruned search: one filter per worker from
-     * @p factory, outcomes of accepted complete candidates merged
-     * deterministically.
-     */
-    litmus::OutcomeSet run(const FilterFactory &factory);
-
-    /**
-     * The full candidate stream with no pruning: @p accept sees every
-     * value-consistent (rf, co) combination, exactly like the
-     * pre-incremental pipeline.
-     */
-    litmus::OutcomeSet runAll(const CandidateFilter &accept);
-
-    /**
-     * Decide N filters over ONE shared walk.  The rf-candidate stream,
-     * the value fixpoint and the coherence DFS are filter-independent,
-     * so N models cost one walk plus N filter evaluations instead of N
-     * walks -- the core amortization of the batched decide pipeline.
+     * Walk the test's candidates once, judged by @p filters; returns
+     * one outcome set per filter, in order.  A single engine run is a
+     * walk with one lane; the batched decide pipeline fuses a test's
+     * models into one walk.
      *
-     * Each filter receives exactly the callback sequence a solo serial
-     * run() with it would have produced: a filter that vetoes a
-     * pushStore still gets the matching popStore, then sees nothing
-     * from the vetoed subtree (the walk continues there only for the
-     * filters that accepted), and rejoins at the next sibling.  The
-     * returned outcome sets are therefore identical to N run() calls,
-     * and @p laneStats (when given) receives each filter's
-     * solo-equivalent counters.  Every candidate's CandidateTables
-     * also carry the ppo shape keys, computed once for all lanes.  The
-     * pass is serial -- Options::searchThreads is ignored -- which is
-     * the campaign's configuration (its parallelism lives across
-     * units).
+     * Each filter receives exactly the callback sequence a walk with
+     * it alone would have produced: a filter that vetoes a pushStore
+     * still gets the matching popStore, then sees nothing from the
+     * vetoed subtree (the walk continues there only for the filters
+     * that accepted), and rejoins at the next sibling.  Each lane's
+     * outcome set and counters -- in @p laneStats, when given -- are
+     * therefore independent of the other lanes.  Every candidate's
+     * CandidateTables carry the ppo shape keys, computed once for all
+     * lanes.  The walk is serial: callers parallelize across tests.
      */
     std::vector<litmus::OutcomeSet>
-    runMulti(const std::vector<FilterFactory> &factories,
-             std::vector<CheckerStats> *laneStats = nullptr);
+    run(const std::vector<IncrementalFilter *> &filters,
+        std::vector<CheckerStats> *laneStats = nullptr);
 
-    /** Counters of the last run. */
+    /**
+     * Counters of the last run: the shared walk's, plus every lane's
+     * pruning and acceptance totals (so a one-lane run's are its
+     * lane's).
+     */
     const CheckerStats &stats() const { return _stats; }
-
-    const CandidateBuilder &builder() const { return _builder; }
 
   private:
     struct CandidateState;
-    struct SearchCtx;
-    struct MultiCtx;
+    struct WalkCtx;
 
     /**
      * Derive @p st's per-candidate state -- events, tables, coherence
@@ -552,27 +515,15 @@ class CandidateEnumerator
      */
     void prepareCandidate(CandidateState &st) const;
 
-    /** Enumerate the rf maps extending @p prefix; one worker's share. */
-    void searchRfRange(size_t prefixLoads, uint64_t prefixIndex,
-                       IncrementalFilter &filter,
-                       litmus::OutcomeSet &outcomes,
-                       CheckerStats &stats) const;
+    /** Enumerate every feasible rf map, in odometer order. */
+    void searchRf(WalkCtx &ctx) const;
 
     /** Coherence search for one value-consistent rf candidate. */
-    void searchCoherence(SearchCtx &ctx) const;
+    void searchCoherence(WalkCtx &ctx) const;
 
     /** Recursive coherence extension over ctx.addrs[ai..]. */
-    void descendCoherence(SearchCtx &ctx, size_t ai,
+    void descendCoherence(WalkCtx &ctx, size_t ai,
                           const CandidateExecution &partial) const;
-
-    /** The multi-filter mirrors of the three functions above. */
-    void searchRfRangeMulti(MultiCtx &ctx) const;
-    void searchCoherenceMulti(MultiCtx &ctx) const;
-    void descendCoherenceMulti(MultiCtx &ctx, size_t ai,
-                               const CandidateExecution &partial) const;
-
-    /** Record one accepted complete candidate's outcome. */
-    void recordOutcome(SearchCtx &ctx) const;
 
     CandidateBuilder _builder;
     CheckerStats _stats;
@@ -581,8 +532,8 @@ class CandidateEnumerator
 /**
  * Alignment-tolerant initial-memory read (bogus rf guesses may compute
  * unaligned addresses; those candidates are discarded before any
- * outcome is recorded).  Shared by the enumerator's outcome recording
- * and the legacy checker path.
+ * outcome is recorded).  Shared by the walk's outcome recording and
+ * the legacy checker path.
  */
 isa::Value initialMemValue(const isa::MemImage &mem, isa::Addr addr);
 
@@ -590,9 +541,9 @@ isa::Value initialMemValue(const isa::MemImage &mem, isa::Addr addr);
  * Collect the memory events of one execution computed by @p builder
  * into @p events (cleared first), thread-major in trace order, and
  * index them into @p tables (all but the ppo shape keys) -- the
- * candidate both the pruned search and the legacy pipeline hand to
- * their filters.  One definition so candidate *production* can never
- * drift between the path under test and its differential reference.
+ * candidate both the walk and the legacy pipeline hand to their
+ * filters.  One definition so candidate *production* can never drift
+ * between the path under test and its differential reference.
  */
 void collectCandidateEvents(
     const CandidateBuilder &builder,

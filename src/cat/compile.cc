@@ -683,7 +683,7 @@ relOf(const Value &v)
 /**
  * The generated filter: fixed relation slots, per-epoch constants,
  * incrementally-closed fused axioms and per-edge guards.  One
- * instance per search worker; the plan is shared and immutable.
+ * instance per enumeration walk; the plan is shared and immutable.
  */
 class CompiledFilter final : public axiomatic::IncrementalFilter
 {

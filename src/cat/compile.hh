@@ -46,8 +46,8 @@
  * accept() is O(1), which is what closes the interpreter gap to the
  * hand-coded checker.
  *
- * The plan is shared: one compile per model, one filter per search
- * worker (filters own all mutable state, the plan is const).
+ * The plan is shared: one compile per model, one filter per
+ * enumeration walk (filters own all mutable state, the plan is const).
  * CompiledPlan::describe() renders the whole analysis for
  * `gam-litmus model show --plan`.
  */
@@ -158,8 +158,8 @@ std::shared_ptr<const CompiledPlan>
 compileCatModel(const CatModel &model);
 
 /**
- * An incremental filter executing @p plan; one per search worker (the
- * filter owns all mutable state, the plan is shared and const).
+ * An incremental filter executing @p plan; one per enumeration walk
+ * (the filter owns all mutable state, the plan is shared and const).
  */
 std::unique_ptr<axiomatic::IncrementalFilter>
 makeCompiledFilter(std::shared_ptr<const CompiledPlan> plan);

@@ -101,22 +101,17 @@ litmus::OutcomeSet
 CatEngine::enumerate()
 {
     GAM_TRACE_SCOPE("cat.enumerate");
-    // The ModelKind argument is unused on the filtered path: the cat
-    // model embodies the axioms.
-    axiomatic::Checker checker(test, model::ModelKind::GAM, options);
-    litmus::OutcomeSet outcomes;
+    std::unique_ptr<axiomatic::IncrementalFilter> filter;
     if (mode == Mode::Compiled) {
-        // One plan, one filter per worker (filters own all state).
         plan();
-        const std::shared_ptr<const CompiledPlan> shared = _plan;
-        outcomes = checker.enumerateIncremental(
-            [shared] { return makeCompiledFilter(shared); });
+        filter = makeCompiledFilter(_plan);
     } else {
-        outcomes = checker.enumerateIncremental([this] {
-            return std::make_unique<CatIncrementalFilter>(model);
-        });
+        filter = std::make_unique<CatIncrementalFilter>(model);
     }
-    _stats = checker.stats();
+    axiomatic::CandidateEnumerator enumerator(test, options);
+    litmus::OutcomeSet outcomes =
+        std::move(enumerator.run({filter.get()})[0]);
+    _stats = enumerator.stats();
     return outcomes;
 }
 

@@ -5,12 +5,12 @@
  *
  * A CatEngine pairs one litmus test with one parsed CatModel and
  * enumerates the outcomes the model's axioms accept.  Candidate
- * executions come from the axiomatic checker's enumeration
- * (axiomatic::Checker::enumerateFiltered), so the cat engine and the
- * hand-coded checker see byte-identical candidate streams -- any
- * verdict difference is a difference between the model file and the
- * hand-coded axioms, which is exactly what differential validation
- * wants to measure.
+ * executions come from the enumeration walk the axiomatic checker
+ * uses too (axiomatic::CandidateEnumerator, with the model as its one
+ * filter lane), so the cat engine and the hand-coded checker see
+ * byte-identical candidate streams -- any verdict difference is a
+ * difference between the model file and the hand-coded axioms, which
+ * is exactly what differential validation wants to measure.
  *
  * The models shipped in .cat files under models/ are also embedded into the
  * library at build time (the registry below), so Engine::Cat works
@@ -113,7 +113,7 @@ class CatEngine
     const CatModel &model;
     axiomatic::Options options;
     Mode mode;
-    /** Compiled once on first use, shared by every worker's filter. */
+    /** Compiled on first use or adopted via usePlan(); immutable. */
     std::shared_ptr<const CompiledPlan> _plan;
     axiomatic::CheckerStats _stats;
 };

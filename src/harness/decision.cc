@@ -363,14 +363,13 @@ anyConditionMatch(const litmus::LitmusTest &test,
     return false;
 }
 
-/** The arena / fused-group signature of a set of checker options:
- *  everything a CandidateBuilder's static tables depend on. */
+/** The fused-group signature of a set of checker options: everything
+ *  a CandidateBuilder's static tables depend on. */
 uint64_t
 axOptionsKey(const axiomatic::Options &opts)
 {
     StateHasher h;
     h.add(opts.enforceInstOrder ? 1 : 0);
-    h.add(uint64_t(opts.searchThreads));
     h.separator();
     for (isa::Value v : opts.seedValues)
         h.add(uint64_t(v));
@@ -382,8 +381,7 @@ axOptionsKey(const axiomatic::Options &opts)
  * no locking): the amortizable fixed costs of the decide pipeline.
  * Every entry is keyed so that sharing can never change a result --
  * test fingerprints by test identity, compiled plans by model content
- * hash, candidate arenas by (test, seeded-options) identity, ppo
- * results by everything preservedProgramOrder() reads.
+ * hash, ppo results by everything preservedProgramOrder() reads.
  */
 struct BatchContext
 {
@@ -393,10 +391,6 @@ struct BatchContext
     std::unordered_map<uint64_t,
                        std::shared_ptr<const cat::CompiledPlan>>
         plans;
-    /** CandidateBuilder arena per (test, options signature). */
-    std::map<std::pair<const litmus::LitmusTest *, uint64_t>,
-             std::unique_ptr<axiomatic::CandidateEnumerator>>
-        arenas;
     /**
      * Memoized ppo edge lists shared by every built-in filter lane of
      * every fused enumeration in the batch (axiomatic::PpoCache),
@@ -415,9 +409,8 @@ struct BatchContext
     std::unordered_map<const litmus::LitmusTest *,
                        std::unique_ptr<analysis::PrescreenAnalysis>>
         prescreens;
-    /** Plans / arenas served from the batch instead of rebuilt. */
+    /** Plans served from the batch instead of recompiled. */
     uint64_t planReuse = 0;
-    uint64_t arenaReuse = 0;
 
     uint64_t
     testFp(const litmus::LitmusTest &test)
@@ -449,21 +442,6 @@ struct BatchContext
         }
         return *it->second;
     }
-
-    axiomatic::CandidateEnumerator &
-    arenaFor(const litmus::LitmusTest &test,
-             const axiomatic::Options &opts)
-    {
-        auto [it, fresh] =
-            arenas.try_emplace({&test, axOptionsKey(opts)}, nullptr);
-        if (fresh) {
-            it->second = std::make_unique<
-                axiomatic::CandidateEnumerator>(test, opts);
-        } else {
-            ++arenaReuse;
-        }
-        return *it->second;
-    }
 };
 
 /** The per-query seeded checker options runAxiomatic()/runCat()
@@ -474,26 +452,16 @@ struct BatchContext
 axiomatic::Options
 seededOptions(const Query &query)
 {
-    axiomatic::Options opts = axiomatic::withConditionSeeds(
-        *query.test, query.options.axiomatic);
-    opts.searchThreads = query.options.threads;
-    return opts;
+    return axiomatic::withConditionSeeds(*query.test,
+                                         query.options.axiomatic);
 }
 
 void
-runAxiomatic(const Query &query, Decision &d, BatchContext *batch)
+runAxiomatic(const Query &query, Decision &d)
 {
-    const axiomatic::Options opts = seededOptions(query);
-    axiomatic::Checker checker(*query.test, query.model, opts);
-    if (batch) {
-        // One CandidateBuilder arena per test, shared across every
-        // model in the batch: static rf feasibility and the site
-        // tables depend only on (test, options).
-        d.outcomes =
-            checker.enumerateOn(batch->arenaFor(*query.test, opts));
-    } else {
-        d.outcomes = checker.enumerate();
-    }
+    axiomatic::Checker checker(*query.test, query.model,
+                               seededOptions(query));
+    d.outcomes = checker.enumerate();
     d.allowed = anyConditionMatch(*query.test, d.outcomes);
     d.statesVisited = checker.stats().coCandidates;
     d.enumStats = checker.stats();
@@ -625,14 +593,12 @@ decideMetrics()
 
 /**
  * decideBatch()'s own registry metrics.  batch.queries counts queries
- * routed through a batch; plan_reuse / arena_reuse count how often a
- * compiled cat plan or a CandidateBuilder arena was served from the
- * batch context instead of rebuilt; fused_groups / fused_queries
- * count the fused enumeration passes and the axiomatic engine runs
- * they absorbed (fused_queries / fused_groups is the fan-in the
- * multi-filter walk buys -- the dominant batch amortization, which is
- * also why arena_reuse is normally 0 now: one fused pass per arena);
- * ppo_lookups / ppo_computed count the built-in lanes' ppo requests
+ * routed through a batch; plan_reuse counts how often a compiled cat
+ * plan was served from the batch context instead of recompiled;
+ * fused_groups / fused_queries count the fused enumeration walks and
+ * the axiomatic engine runs they absorbed (fused_queries /
+ * fused_groups is the fan-in the multi-lane walk buys -- the dominant
+ * batch amortization); ppo_lookups / ppo_computed count the built-in lanes' ppo requests
  * and the ones the batch's shape cache could not serve.  All are
  * tallied in the batch and added once per call.
  */
@@ -645,8 +611,6 @@ struct BatchMetrics
         obs::metrics().counter("decide.batch.groups");
     obs::Counter &planReuse =
         obs::metrics().counter("decide.batch.plan_reuse");
-    obs::Counter &arenaReuse =
-        obs::metrics().counter("decide.batch.arena_reuse");
     obs::Counter &fusedGroups =
         obs::metrics().counter("decide.batch.fused_groups");
     obs::Counter &fusedQueries =
@@ -886,7 +850,7 @@ decideQuery(const Query &query, DecisionCache *cache,
         obs::TraceSpan engineSpan("decide.engine");
         switch (engine) {
           case Engine::Axiomatic:
-            runAxiomatic(query, d, batch);
+            runAxiomatic(query, d);
             break;
           case Engine::Operational:
             runOperational(query, d);
@@ -1017,15 +981,14 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
     for (FusedGroup &g : fused) {
         bm.fusedGroups.inc();
         bm.fusedQueries.inc(g.members.size());
-        axiomatic::CandidateEnumerator &arena =
-            batch.arenaFor(*g.test, g.opts);
+        axiomatic::CandidateEnumerator enumerator(*g.test, g.opts);
         std::vector<axiomatic::CheckerStats> laneStats;
         std::vector<litmus::OutcomeSet> sets;
         {
             obs::TraceSpan engineSpan("decide.engine");
             sets = axiomatic::enumerateModels(
-                arena, g.lanes, g.opts.enforceInstOrder, &laneStats,
-                &batch.ppoShapes);
+                enumerator, g.lanes, g.opts.enforceInstOrder,
+                &laneStats, &batch.ppoShapes);
         }
         auto laneDecision = [&](const FusedGroup &grp, size_t lane) {
             Decision d;
@@ -1113,7 +1076,6 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
 
     bm.groups.inc(groups);
     bm.planReuse.inc(batch.planReuse);
-    bm.arenaReuse.inc(batch.arenaReuse);
     bm.ppoLookups.inc(batch.ppoShapes.lookups);
     bm.ppoComputed.inc(batch.ppoShapes.shapes.size());
     return out;

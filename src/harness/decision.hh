@@ -91,12 +91,10 @@ std::string prescreenKindName(PrescreenKind kind);
 struct RunOptions
 {
     /**
-     * Worker threads (1 = serial, 0 = hardware concurrency): the
-     * operational explorer's frontier workers, and the enumeration
-     * engines' parallel search over top-level read-from prefixes
-     * (axiomatic::Options::searchThreads).  Does not affect the
-     * decision: both parallel merges are deterministic, and truncated
-     * runs are never cached.
+     * The operational explorer's frontier workers (1 = serial, 0 =
+     * hardware concurrency).  The enumerating engines always walk
+     * serially.  Does not affect the decision: the explorer's merge is
+     * deterministic, and truncated runs are never cached.
      */
     unsigned threads = 1;
     /**
@@ -409,15 +407,13 @@ Decision decide(const Query &query,
  *    (axiomatic::enumerateModels) -- the rf-candidate stream, the
  *    value fixpoint and the coherence walk run once, with one filter
  *    lane per model.  SC-delegated queries join the pass's SC lane.
- *    The fused pass is serial (RunOptions::threads is ignored for
- *    these queries), sets up each rf candidate once for all lanes,
+ *    The fused pass sets up each rf candidate once for all lanes,
  *    and one preservedProgramOrder() memo (axiomatic::PpoCache) is
  *    shared across the whole batch;
  *  - each distinct cat model is compiled once per batch and the plan
  *    shared by every query in its group (CatEngine::usePlan);
- *  - each distinct test gets one CandidateBuilder arena
- *    and one litmus::fingerprint() hash, reused by every key
- *    computation.
+ *  - each distinct test gets one litmus::fingerprint() hash, reused
+ *    by every key computation.
  *
  * Results are returned in input order, and every query decides
  * exactly as the equivalent decide() call would -- same verdict, same
@@ -428,9 +424,9 @@ Decision decide(const Query &query,
  * so each lands on an engine terminal counter; verdicts and persisted
  * records are unaffected.  The per-request decide.* metrics otherwise
  * fire as usual; decide.batch.* counts the batch calls, grouped
- * queries, fused passes and their fan-in, how often a plan or
- * builder arena was served from the batch instead of rebuilt, and the
- * ppo memo's lookups and computations.
+ * queries, fused passes and their fan-in, how often a plan was served
+ * from the batch instead of recompiled, and the ppo memo's lookups
+ * and computations.
  */
 std::vector<Decision>
 decideBatch(const std::vector<Query> &queries,

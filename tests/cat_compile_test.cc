@@ -47,12 +47,9 @@ constexpr ModelKind kCatModels[] = {ModelKind::SC, ModelKind::TSO,
 /** Enumerate @p test with the given engine mode; stats out-param. */
 litmus::OutcomeSet
 runCat(const litmus::LitmusTest &test, const cat::CatModel &model,
-       CatEngine::Mode mode, axiomatic::CheckerStats *stats = nullptr,
-       unsigned threads = 1)
+       CatEngine::Mode mode, axiomatic::CheckerStats *stats = nullptr)
 {
-    axiomatic::Options options;
-    options.searchThreads = threads;
-    CatEngine engine(test, model, options, mode);
+    CatEngine engine(test, model, {}, mode);
     litmus::OutcomeSet outcomes = engine.enumerate();
     if (stats)
         *stats = engine.stats();
@@ -153,26 +150,6 @@ TEST(CatCompile, OutcomesMatchInterpreterAndCheckerOnAllBuiltins)
                           + compiled_stats.subtreesSkipped,
                       interp_stats.coCandidates
                           + interp_stats.subtreesSkipped);
-        }
-    }
-}
-
-TEST(CatCompile, ParallelSearchMatchesSerial)
-{
-    for (const char *name : {"dekker", "iriw", "wrc_dep", "mp_fenced"}) {
-        const litmus::LitmusTest *test = litmus::findTest(name);
-        ASSERT_NE(test, nullptr) << name;
-        for (ModelKind kind : kCatModels) {
-            SCOPED_TRACE(std::string(name) + " under "
-                         + model::modelName(kind));
-            const cat::CatModel &m = cat::builtinCatModel(kind);
-            const litmus::OutcomeSet serial =
-                runCat(*test, m, CatEngine::Mode::Compiled, nullptr,
-                       1);
-            const litmus::OutcomeSet parallel =
-                runCat(*test, m, CatEngine::Mode::Compiled, nullptr,
-                       4);
-            EXPECT_EQ(serial, parallel);
         }
     }
 }

@@ -4,9 +4,9 @@
  * pipeline: outcome-set parity on every built-in test under every
  * model for both the hand-coded checker and the cat engine, exact
  * work accounting (every candidate the pruned search skips is counted
- * as skipped), parallel-search determinism, the static read-from
- * feasibility analysis, a fixed-seed fuzz smoke, and the 4-thread
- * IRIW/WRC+/W+RWC acceptance bar.
+ * as skipped), fused-lane parity with the one-filter walk, the static
+ * read-from feasibility analysis, a fixed-seed fuzz smoke, and the
+ * 4-thread IRIW/WRC+/W+RWC acceptance bar.
  */
 
 #include <gtest/gtest.h>
@@ -51,8 +51,20 @@ axiomaticModels()
 
 TEST(Enumerate, PrunedMatchesLegacyOnAllBuiltinsEveryModel)
 {
+    const std::vector<ModelKind> models = axiomaticModels();
     for (const LitmusTest &test : litmus::allTests()) {
-        for (ModelKind model : axiomaticModels()) {
+        // Every model once more as one lane of a single fused walk,
+        // with a shared ppo cache, as the batched pipeline runs them.
+        CandidateEnumerator enumerator(test, {});
+        PpoCache ppoShapes;
+        std::vector<CheckerStats> laneStats;
+        const std::vector<litmus::OutcomeSet> lanes = enumerateModels(
+            enumerator, models, true, &laneStats, &ppoShapes);
+        ASSERT_EQ(lanes.size(), models.size()) << test.name;
+        ASSERT_EQ(laneStats.size(), models.size()) << test.name;
+
+        for (size_t m = 0; m < models.size(); ++m) {
+            const ModelKind model = models[m];
             Checker legacy(test, model);
             const litmus::OutcomeSet expect = legacy.enumerateLegacy();
             Checker pruned(test, model);
@@ -76,6 +88,20 @@ TEST(Enumerate, PrunedMatchesLegacyOnAllBuiltinsEveryModel)
             EXPECT_EQ(ps.valueConsistent, ls.valueConsistent)
                 << test.name << " " << model::modelName(model);
             EXPECT_EQ(ps.accepted, ls.accepted);
+
+            // The fused lane decides and counts exactly as the
+            // one-filter walk, whatever the other lanes veto.
+            EXPECT_EQ(lanes[m], expect)
+                << test.name << " " << model::modelName(model);
+            const CheckerStats &fs = laneStats[m];
+            EXPECT_EQ(fs.coCandidates, ps.coCandidates)
+                << test.name << " " << model::modelName(model);
+            EXPECT_EQ(fs.subtreesSkipped, ps.subtreesSkipped)
+                << test.name << " " << model::modelName(model);
+            EXPECT_EQ(fs.partialsPruned, ps.partialsPruned)
+                << test.name << " " << model::modelName(model);
+            EXPECT_EQ(fs.accepted, ps.accepted)
+                << test.name << " " << model::modelName(model);
         }
     }
 }
@@ -95,64 +121,6 @@ TEST(Enumerate, CatEngineMatchesItsLegacyPathOnAllBuiltins)
                           + pruned.stats().subtreesSkipped,
                       legacy.stats().coCandidates)
                 << test.name << " " << model::modelName(model);
-        }
-    }
-}
-
-TEST(Enumerate, FilteredWrapperReplaysTheFullCandidateStream)
-{
-    // enumerateFiltered() is a compatibility wrapper over the new
-    // core: a pruning-free filter must see exactly the candidate
-    // stream the legacy pipeline produced.
-    for (const char *name : {"mp", "sb_fenced", "rmw_mutex", "corr"}) {
-        const LitmusTest &test = litmus::testByName(name);
-        uint64_t seen = 0;
-        Checker wrapped(test, ModelKind::GAM);
-        const litmus::OutcomeSet all = wrapped.enumerateFiltered(
-            [&](const CandidateExecution &cand) {
-                EXPECT_TRUE(cand.complete);
-                ++seen;
-                return true;
-            });
-        uint64_t legacy_seen = 0;
-        Checker legacy(test, ModelKind::GAM);
-        const litmus::OutcomeSet legacy_all =
-            legacy.enumerateFilteredLegacy(
-                [&](const CandidateExecution &) {
-                    ++legacy_seen;
-                    return true;
-                });
-        EXPECT_EQ(all, legacy_all) << name;
-        EXPECT_EQ(seen, legacy_seen) << name;
-        EXPECT_EQ(wrapped.stats().coCandidates, seen) << name;
-    }
-}
-
-TEST(Enumerate, ParallelPrefixSearchIsDeterministic)
-{
-    for (const char *name : {"iriw", "dekker", "wrc_dep", "2+2w"}) {
-        const LitmusTest &test = litmus::testByName(name);
-        for (ModelKind model : {ModelKind::SC, ModelKind::GAM}) {
-            Options serial;
-            serial.searchThreads = 1;
-            Checker one(test, model, serial);
-            const litmus::OutcomeSet serial_out = one.enumerate();
-
-            Options wide;
-            wide.searchThreads = 4;
-            Checker four(test, model, wide);
-            const litmus::OutcomeSet parallel_out = four.enumerate();
-
-            EXPECT_EQ(parallel_out, serial_out) << name;
-            // The merged counters must not depend on scheduling.
-            EXPECT_EQ(four.stats().coCandidates,
-                      one.stats().coCandidates)
-                << name;
-            EXPECT_EQ(four.stats().subtreesSkipped,
-                      one.stats().subtreesSkipped)
-                << name;
-            EXPECT_EQ(four.stats().accepted, one.stats().accepted)
-                << name;
         }
     }
 }
