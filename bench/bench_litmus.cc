@@ -95,12 +95,11 @@ main()
     std::printf("==============================================\n\n");
 
     std::printf("--- paper suite ---\n");
-    auto paper = harness::runLitmusMatrixParallel(litmus::paperSuite());
+    auto paper = harness::runPaperMatrix(litmus::paperSuite());
     std::printf("%s\n", harness::formatLitmusMatrix(paper).c_str());
 
     std::printf("--- classical suite ---\n");
-    auto classics =
-        harness::runLitmusMatrixParallel(litmus::classicSuite());
+    auto classics = harness::runPaperMatrix(litmus::classicSuite());
     std::printf("%s\n", harness::formatLitmusMatrix(classics).c_str());
 
     timingReport();

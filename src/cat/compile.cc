@@ -8,6 +8,8 @@
 #include "base/logging.hh"
 #include "cat/exec.hh"
 #include "cat/rel.hh"
+#include "obs/registry.hh"
+#include "obs/trace.hh"
 
 namespace gam::cat
 {
@@ -545,6 +547,8 @@ struct PlanBuilder
 std::shared_ptr<const CompiledPlan>
 compileCatModel(const CatModel &model)
 {
+    GAM_TRACE_SCOPE("cat.compile");
+    obs::metrics().counter("cat.compiles").inc();
     auto builder = std::make_shared<PlanBuilder>(model);
     builder->run();
     // Alias the plan into the builder's lifetime (the plan only

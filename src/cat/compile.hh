@@ -153,7 +153,11 @@ struct CompiledPlan
     std::string describe() const;
 };
 
-/** Compile @p model (which must outlive the plan). */
+/**
+ * Compile @p model (which must outlive the plan).  Every call counts
+ * one cat.compiles and traces a cat.compile span, whichever caller
+ * compiles: CatEngine::plan() or decideBatch()'s per-batch plans.
+ */
 std::shared_ptr<const CompiledPlan>
 compileCatModel(const CatModel &model);
 

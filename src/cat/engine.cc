@@ -8,7 +8,6 @@
 #include "cat/eval.hh"
 #include "cat/exec.hh"
 #include "model/engine.hh"
-#include "obs/registry.hh"
 #include "obs/trace.hh"
 
 namespace gam::cat
@@ -24,11 +23,8 @@ CatEngine::CatEngine(const litmus::LitmusTest &test,
 const CompiledPlan &
 CatEngine::plan()
 {
-    if (!_plan) {
-        GAM_TRACE_SCOPE("cat.compile");
+    if (!_plan)
         _plan = compileCatModel(model);
-        obs::metrics().counter("cat.compiles").inc();
-    }
     return *_plan;
 }
 

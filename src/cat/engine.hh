@@ -83,10 +83,11 @@ class CatEngine
      * of compiling lazily.  The batched decide pipeline
      * (harness::decideBatch) compiles each distinct model once per
      * batch and shares the plan across every query in the (model,
-     * engine) group; compiling is by far the largest per-query fixed
-     * cost on small campaign tests.  @p plan must have been produced
-     * by compileCatModel() on this engine's model (the caller keys by
-     * CatModel::sourceHash).  No-op in Mode::Interpreted.
+     * engine) group.  That saves little time: a shipped model
+     * compiles in a few microseconds, while one cat run on a
+     * length-<=4 campaign test takes hundreds.  @p plan must have been
+     * produced by compileCatModel() on this engine's model (the caller
+     * keys by CatModel::sourceHash).  No-op in Mode::Interpreted.
      */
     void usePlan(std::shared_ptr<const CompiledPlan> plan);
 

@@ -350,6 +350,17 @@ resolveEngine(const Query &query)
         : Engine::Operational;
 }
 
+EngineSelect
+engineSelectOf(Engine engine)
+{
+    switch (engine) {
+      case Engine::Axiomatic: return EngineSelect::Axiomatic;
+      case Engine::Operational: return EngineSelect::Operational;
+      case Engine::Cat: return EngineSelect::Cat;
+    }
+    panic("engineSelectOf: bad engine");
+}
+
 namespace
 {
 
@@ -650,6 +661,61 @@ struct PendingEngine
 };
 
 /**
+ * Stamp @p d with its wall time since @p start and its span id, and
+ * take the request's one decide.wall_us sample.
+ */
+void
+stampDecision(Decision &d, std::chrono::steady_clock::time_point start,
+              uint64_t spanId)
+{
+    d.wallSeconds = std::chrono::duration<double>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+    d.traceSpanId = spanId;
+    decideMetrics().wallUs.sample(uint64_t(d.wallSeconds * 1e6));
+}
+
+/**
+ * Serve @p key from the cache, then from the store: the front of every
+ * request, and the end of a deferred delegation's inner SC request.
+ * Counts the cache hit or miss and the store hit, traces each lookup
+ * and flags the served decision; the caller stamps it.
+ */
+std::optional<Decision>
+serveStored(uint64_t key, DecisionCache *cache, DecisionBackend *backend)
+{
+    DecideMetrics &m = decideMetrics();
+    std::optional<Decision> hit;
+    if (cache) {
+        {
+            obs::TraceSpan lookupSpan("decide.cache");
+            hit = cache->lookup(key);
+        }
+        if (hit) {
+            m.cacheHit.inc();
+            hit->cacheHit = true;
+            return hit;
+        }
+        m.cacheMiss.inc();
+    }
+    if (backend) {
+        // Second level: the persistent store.  A hit is verdict-only
+        // (Decision::storeHit), so it must never be inserted into the
+        // in-memory cache -- outcome-set consumers sharing the cache
+        // would silently receive an empty enumeration.
+        {
+            obs::TraceSpan loadSpan("decide.store");
+            hit = backend->load(key);
+        }
+        if (hit) {
+            m.storeHit.inc();
+            hit->storeHit = true;
+        }
+    }
+    return hit;
+}
+
+/**
  * The shared tail of every engine-produced decision -- inline or
  * fused: terminal + completeness counters, wall time, span stamp,
  * cache insert, store offer.  Exactly one terminal counter and one
@@ -665,14 +731,51 @@ finishEngineDecision(const Query &query, Decision &d, uint64_t key,
     m.engineCounter(d.engine).inc();
     if (!d.complete)
         m.incomplete.inc();
-    d.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
-    d.traceSpanId = spanId;
-    m.wallUs.sample(uint64_t(d.wallSeconds * 1e6));
+    stampDecision(d, start, spanId);
     if (cache)
         cache->insert(key, d);
     if (backend && d.complete) {
+        backend->store(key, query, d);
+        m.storeWrite.inc();
+    }
+}
+
+/** The SC query an ScDelegate decision of @p query is answered by:
+ *  the same test and options under SC, pinned to @p engine, with the
+ *  prescreen off (the delegator has just screened the test). */
+Query
+scSubQuery(const Query &query, Engine engine)
+{
+    Query sub = query;
+    sub.model = ModelKind::SC;
+    sub.options.prescreen = false;
+    sub.engine = engineSelectOf(engine);
+    return sub;
+}
+
+/**
+ * Finish an SC delegation from the inner SC decision @p d, inline or
+ * deferred: relabel it as @p query's ScDelegate answer by @p engine,
+ * count and stamp it, and persist it under the delegator's own @p key
+ * too (the delegated set is exact), so a later run is one store hit
+ * instead of a re-screen plus delegation -- but only when the inner
+ * decision carries real outcomes: if it was itself a store hit it is
+ * verdict-only, and persisting its empty set here would corrupt the
+ * round-trip witness.
+ */
+void
+finishScDelegation(const Query &query, Decision &d, Engine engine,
+                   uint64_t key, DecisionBackend *backend,
+                   std::chrono::steady_clock::time_point start,
+                   uint64_t spanId)
+{
+    DecideMetrics &m = decideMetrics();
+    d.engine = engine;
+    d.cacheHit = false;
+    d.prescreened = PrescreenKind::ScDelegate;
+    m.scDelegate.inc();
+    stampDecision(d, start, spanId);
+    if (backend && !d.storeHit) {
         backend->store(key, query, d);
         m.storeWrite.inc();
     }
@@ -705,56 +808,18 @@ decideQuery(const Query &query, DecisionCache *cache,
     DecideMetrics &m = decideMetrics();
     m.requests.inc();
     obs::TraceSpan span("decide");
-
+    // Every return path stamps the decision with this start and span;
+    // exactly one terminal counter fires per request.
     const auto start = std::chrono::steady_clock::now();
-    auto elapsed = [&start] {
-        return std::chrono::duration<double>(
-                   std::chrono::steady_clock::now() - start)
-            .count();
-    };
-    // Every return path stamps the decision with its span and reports
-    // its wall time; exactly one terminal counter fires per request.
-    auto stamp = [&](Decision &d) {
-        d.wallSeconds = elapsed();
-        d.traceSpanId = span.id();
-        m.wallUs.sample(uint64_t(d.wallSeconds * 1e6));
-    };
 
     const uint64_t key = (cache || backend)
         ? queryKeyHashed(batch ? batch->testFp(*query.test)
                                : litmus::fingerprint(*query.test),
                          query, engine)
         : 0;
-    if (cache) {
-        std::optional<Decision> hit;
-        {
-            obs::TraceSpan lookupSpan("decide.cache");
-            hit = cache->lookup(key);
-        }
-        if (hit) {
-            m.cacheHit.inc();
-            hit->cacheHit = true;
-            stamp(*hit);
-            return *std::move(hit);
-        }
-        m.cacheMiss.inc();
-    }
-    if (backend) {
-        // Second level: the persistent store.  A hit is verdict-only
-        // (Decision::storeHit), so it must never be inserted into the
-        // in-memory cache -- outcome-set consumers sharing the cache
-        // would silently receive an empty enumeration.
-        std::optional<Decision> hit;
-        {
-            obs::TraceSpan loadSpan("decide.store");
-            hit = backend->load(key);
-        }
-        if (hit) {
-            m.storeHit.inc();
-            hit->storeHit = true;
-            stamp(*hit);
-            return *std::move(hit);
-        }
+    if (std::optional<Decision> hit = serveStored(key, cache, backend)) {
+        stampDecision(*hit, start, span.id());
+        return hit;
     }
 
     if (prescreenApplies(query)) {
@@ -772,7 +837,7 @@ decideQuery(const Query &query, DecisionCache *cache,
             d.complete = true;
             d.prescreened = PrescreenKind::ValueCover;
             m.valueCover.inc();
-            stamp(d);
+            stampDecision(d, start, span.id());
             // Persistable even though no outcomes exist: the analysis
             // is deterministic, so a fresh re-decide under the same
             // options reproduces this exact (verdict, empty-set) shape
@@ -788,17 +853,10 @@ decideQuery(const Query &query, DecisionCache *cache,
             && model::supportsEngine(ModelKind::SC, engine)) {
             // The model's outcome set provably equals SC's: decide the
             // SC query (usually already cached) with the same engine.
-            // The inner call skips re-screening; the result is exact,
-            // but is not re-inserted under this query's key so that
-            // prescreen-off consumers always exercise the real engine.
-            Query sub = query;
-            sub.model = ModelKind::SC;
-            sub.options.prescreen = false;
-            sub.engine = engine == Engine::Axiomatic
-                ? EngineSelect::Axiomatic
-                : engine == Engine::Operational
-                ? EngineSelect::Operational
-                : EngineSelect::Cat;
+            // The result is exact, but is not inserted into the cache
+            // under this query's key, so that prescreen-off consumers
+            // always exercise the real engine.
+            const Query sub = scSubQuery(query, engine);
             if (pending && engine == Engine::Axiomatic) {
                 // Defer the delegation onto the fused pass's SC lane.
                 // The inner SC decision is its own request (terminal
@@ -815,21 +873,8 @@ decideQuery(const Query &query, DecisionCache *cache,
             }
             Decision d =
                 *decideQuery(sub, cache, backend, batch, nullptr);
-            d.engine = engine;
-            d.cacheHit = false;
-            d.prescreened = PrescreenKind::ScDelegate;
-            m.scDelegate.inc();
-            stamp(d);
-            // Persist under *this* query's key too (the delegated set
-            // is exact), so a later run is one store hit instead of a
-            // re-screen plus delegation -- but only when the inner
-            // decision carries real outcomes: if it was itself a store
-            // hit it is verdict-only, and persisting its empty set here
-            // would corrupt the round-trip witness.
-            if (backend && !d.storeHit) {
-                backend->store(key, query, d);
-                m.storeWrite.inc();
-            }
+            finishScDelegation(query, d, engine, key, backend, start,
+                               span.id());
             return d;
         }
     }
@@ -865,19 +910,12 @@ decideQuery(const Query &query, DecisionCache *cache,
     return d;
 }
 
-Decision
-decideImpl(const Query &query, DecisionCache *cache,
-           DecisionBackend *backend, BatchContext *batch)
-{
-    return *decideQuery(query, cache, backend, batch, nullptr);
-}
-
 } // anonymous namespace
 
 Decision
 decide(const Query &query, DecisionCache *cache, DecisionBackend *backend)
 {
-    return decideImpl(query, cache, backend, nullptr);
+    return *decideQuery(query, cache, backend, nullptr, nullptr);
 }
 
 std::vector<Decision>
@@ -977,7 +1015,6 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
     // value fixpoint and coherence walk run once, with one built-in
     // filter lane per model -- then each pended request finishes from
     // its lane exactly as its inline run would have.
-    DecideMetrics &m = decideMetrics();
     for (FusedGroup &g : fused) {
         bm.fusedGroups.inc();
         bm.fusedQueries.inc(g.members.size());
@@ -990,11 +1027,11 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
                 enumerator, g.lanes, g.opts.enforceInstOrder,
                 &laneStats, &batch.ppoShapes);
         }
-        auto laneDecision = [&](const FusedGroup &grp, size_t lane) {
+        auto laneDecision = [&](size_t lane) {
             Decision d;
             d.engine = Engine::Axiomatic;
             d.outcomes = sets[lane];
-            d.allowed = anyConditionMatch(*grp.test, d.outcomes);
+            d.allowed = anyConditionMatch(*g.test, d.outcomes);
             d.statesVisited = laneStats[lane].coCandidates;
             d.enumStats = laneStats[lane];
             d.complete = true;
@@ -1003,7 +1040,7 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
         for (const PendingEngine &p : g.members) {
             const Query &q = queries[p.slot];
             if (!p.delegateSc) {
-                Decision d = laneDecision(g, p.lane);
+                Decision d = laneDecision(p.lane);
                 obs::TraceSpan span("decide");
                 finishEngineDecision(q, d, p.key, cache, backend,
                                      p.start, span.id());
@@ -1013,64 +1050,23 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
             // A deferred ScDelegate: terminate the inner SC request
             // first -- at the cache (the group's SC member or an
             // earlier delegator published it), at the store, or from
-            // the SC lane -- then complete the delegation exactly as
-            // the inline prescreen path does.
-            std::optional<Decision> inner;
-            if (cache) {
-                obs::TraceSpan lookupSpan("decide.cache");
-                inner = cache->lookup(p.innerKey);
-                if (inner) {
-                    m.cacheHit.inc();
-                    inner->cacheHit = true;
-                } else {
-                    m.cacheMiss.inc();
-                }
-            }
-            if (!inner && backend) {
-                obs::TraceSpan loadSpan("decide.store");
-                inner = backend->load(p.innerKey);
-                if (inner) {
-                    m.storeHit.inc();
-                    inner->storeHit = true;
-                }
-            }
+            // the SC lane -- then finish the delegation exactly as the
+            // inline prescreen path does.
+            std::optional<Decision> inner =
+                serveStored(p.innerKey, cache, backend);
             if (inner) {
-                m.wallUs.sample(uint64_t(
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - p.start)
-                        .count()
-                    * 1e6));
+                stampDecision(*inner, p.start, 0);
             } else {
-                Decision d = laneDecision(g, p.lane);
-                Query sub = q;
-                sub.model = ModelKind::SC;
-                sub.options.prescreen = false;
-                sub.engine = EngineSelect::Axiomatic;
+                inner = laneDecision(p.lane);
                 obs::TraceSpan innerSpan("decide");
-                finishEngineDecision(sub, d, p.innerKey, cache,
-                                     backend, p.start, innerSpan.id());
-                inner = std::move(d);
+                finishEngineDecision(scSubQuery(q, Engine::Axiomatic),
+                                     *inner, p.innerKey, cache, backend,
+                                     p.start, innerSpan.id());
             }
-            Decision d = *std::move(inner);
-            d.engine = Engine::Axiomatic;
-            d.cacheHit = false;
-            d.prescreened = PrescreenKind::ScDelegate;
-            m.scDelegate.inc();
             obs::TraceSpan span("decide");
-            d.wallSeconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - p.start)
-                    .count();
-            d.traceSpanId = span.id();
-            m.wallUs.sample(uint64_t(d.wallSeconds * 1e6));
-            // Persist under the delegator's own key too, exactly as
-            // the inline path: only when the inner decision carries
-            // real outcomes (a store-served inner is verdict-only).
-            if (backend && !d.storeHit) {
-                backend->store(p.key, q, d);
-                m.storeWrite.inc();
-            }
-            out[p.slot] = std::move(d);
+            finishScDelegation(q, *inner, Engine::Axiomatic, p.key,
+                               backend, p.start, span.id());
+            out[p.slot] = *std::move(inner);
         }
     }
 

@@ -64,6 +64,13 @@ enum class EngineSelect {
     Cat,
 };
 
+/**
+ * The EngineSelect that pins @p engine (never Auto): the one
+ * model::Engine -> EngineSelect mapping, shared by the matrix runner,
+ * the campaign driver, SC delegation and the CLI's --engine flag.
+ */
+EngineSelect engineSelectOf(model::Engine engine);
+
 /** How a Decision was (or was not) short-circuited before any engine. */
 enum class PrescreenKind {
     /** An engine (or the cache) produced the decision. */
@@ -419,14 +426,19 @@ Decision decide(const Query &query,
  * exactly as the equivalent decide() call would -- same verdict, same
  * outcome set, same per-model enumeration counters, same cache/store/
  * prescreen interactions (decision_batch_test pins the equivalence).
- * One caveat: duplicate identical queries *within one batch* each run
- * the (shared) engine pass instead of the second hitting the cache,
- * so each lands on an engine terminal counter; verdicts and persisted
- * records are unaffected.  The per-request decide.* metrics otherwise
- * fire as usual; decide.batch.* counts the batch calls, grouped
- * queries, fused passes and their fan-in, how often a plan was served
- * from the batch instead of recompiled, and the ppo memo's lookups
- * and computations.
+ * A deferred SC delegation is served and finished by the same steps
+ * decide() uses inline: its inner SC request ends at the cache, the
+ * store or the fused pass's SC lane.  One caveat: duplicate identical
+ * queries *within one batch* each run the (shared) engine pass
+ * instead of the second hitting the cache, so each lands on an engine
+ * terminal counter; verdicts and persisted records are unaffected.
+ * The per-request decide.* metrics otherwise fire as usual, so every
+ * request still ends at exactly one terminal counter and one
+ * decide.wall_us sample (obs_test pins it); cat.compiles counts each
+ * plan the batch compiles.  decide.batch.* counts the batch calls,
+ * grouped queries, fused passes and their fan-in, how often a plan
+ * was served from the batch instead of recompiled, and the ppo memo's
+ * lookups and computations.
  */
 std::vector<Decision>
 decideBatch(const std::vector<Query> &queries,

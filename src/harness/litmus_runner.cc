@@ -7,6 +7,7 @@
 namespace gam::harness
 {
 
+using model::Engine;
 using model::ModelKind;
 
 namespace
@@ -74,17 +75,6 @@ runJobs(const std::vector<MatrixJob> &jobs, const MatrixOptions &options)
 
 } // namespace
 
-EngineSelect
-engineSelectOf(model::Engine engine)
-{
-    switch (engine) {
-      case Engine::Axiomatic: return EngineSelect::Axiomatic;
-      case Engine::Operational: return EngineSelect::Operational;
-      case Engine::Cat: return EngineSelect::Cat;
-    }
-    panic("engineSelectOf: bad engine");
-}
-
 std::vector<LitmusVerdict>
 runLitmusMatrix(const std::vector<litmus::LitmusTest> &tests,
                 const std::vector<model::ModelKind> &models,
@@ -114,67 +104,6 @@ runPaperMatrix(const std::vector<litmus::LitmusTest> &tests,
             appendJobs(jobs, test, model, expected, options.engine);
     }
     return runJobs(jobs, options);
-}
-
-// --------------------------------------------- legacy bool wrappers
-
-bool
-axiomaticAllowed(const litmus::LitmusTest &test, ModelKind model)
-{
-    Query query;
-    query.test = &test;
-    query.model = model;
-    query.engine = EngineSelect::Axiomatic;
-    return decide(query).allowed;
-}
-
-bool
-operationalAllowed(const litmus::LitmusTest &test, ModelKind model)
-{
-    Query query;
-    query.test = &test;
-    query.model = model;
-    query.engine = EngineSelect::Operational;
-    return decide(query).allowed;
-}
-
-bool
-operationalAllowedParallel(const litmus::LitmusTest &test,
-                           ModelKind model, unsigned threads)
-{
-    Query query;
-    query.test = &test;
-    query.model = model;
-    query.engine = EngineSelect::Operational;
-    query.options.threads = threads;
-    return decide(query).allowed;
-}
-
-std::vector<LitmusVerdict>
-runLitmusMatrix(const std::vector<litmus::LitmusTest> &tests)
-{
-    MatrixOptions options;
-    options.poolThreads = 1;
-    return runPaperMatrix(tests, options);
-}
-
-std::vector<LitmusVerdict>
-runLitmusMatrixParallel(const std::vector<litmus::LitmusTest> &tests,
-                        unsigned threads)
-{
-    MatrixOptions options;
-    options.poolThreads = threads;
-    return runPaperMatrix(tests, options);
-}
-
-std::vector<LitmusVerdict>
-runLitmusMatrixParallel(const std::vector<litmus::LitmusTest> &tests,
-                        const std::vector<model::ModelKind> &models,
-                        unsigned threads)
-{
-    MatrixOptions options;
-    options.poolThreads = threads;
-    return runLitmusMatrix(tests, models, options);
 }
 
 void

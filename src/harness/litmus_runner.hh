@@ -1,8 +1,7 @@
 /**
  * @file
  * Litmus-test driver: batch verdict matrices over the unified
- * decide(Query) -> Decision API (harness/decision.hh), plus the
- * legacy single-query bool entry points kept as thin wrappers.
+ * decide(Query) -> Decision API (harness/decision.hh).
  */
 
 #ifndef GAM_HARNESS_LITMUS_RUNNER_HH
@@ -20,26 +19,12 @@
 namespace gam::harness
 {
 
-/**
- * Which engine decided a verdict.  Historically this enum lived here;
- * it is now model::Engine (next to the capability registry) and this
- * alias keeps existing callers compiling.
- */
-using Engine = model::Engine;
-
-/**
- * The EngineSelect that pins @p engine (never Auto).  The single
- * Engine -> EngineSelect mapping, shared by the matrix runner and the
- * CLI's --engine flag.
- */
-EngineSelect engineSelectOf(model::Engine engine);
-
 /** One (test, model, engine) verdict. */
 struct LitmusVerdict
 {
     std::string test;
     model::ModelKind model;
-    Engine engine;
+    model::Engine engine;
     bool allowed;
     /**
      * False when the operational state budget truncated exploration.
@@ -112,55 +97,6 @@ runLitmusMatrix(const std::vector<litmus::LitmusTest> &tests,
 std::vector<LitmusVerdict>
 runPaperMatrix(const std::vector<litmus::LitmusTest> &tests,
                const MatrixOptions &options = {});
-
-/**
- * @deprecated Thin wrapper over decide(); prefer
- * `decide({&test, model, EngineSelect::Axiomatic}).allowed`.
- */
-bool axiomaticAllowed(const litmus::LitmusTest &test,
-                      model::ModelKind model);
-
-/**
- * Decide @p test under @p model by exhaustive operational exploration.
- * Supported models: SC, TSO and the GAM family (incl. Alpha*).
- * @deprecated Thin wrapper over decide(); prefer
- * `decide({&test, model, EngineSelect::Operational}).allowed`.
- */
-bool operationalAllowed(const litmus::LitmusTest &test,
-                        model::ModelKind model);
-
-/**
- * operationalAllowed() on the multi-threaded explorer.
- * @param threads worker count; 0 means hardware concurrency
- * @deprecated Thin wrapper over decide(); set RunOptions::threads.
- */
-bool operationalAllowedParallel(const litmus::LitmusTest &test,
-                                model::ModelKind model,
-                                unsigned threads = 0);
-
-/**
- * @deprecated Serial expected-verdict matrix; prefer runPaperMatrix()
- * (identical output; poolThreads = 1 reproduces serial execution).
- */
-std::vector<LitmusVerdict>
-runLitmusMatrix(const std::vector<litmus::LitmusTest> &tests);
-
-/**
- * @deprecated Wrapper over runPaperMatrix() with poolThreads =
- * @p threads.
- */
-std::vector<LitmusVerdict>
-runLitmusMatrixParallel(const std::vector<litmus::LitmusTest> &tests,
-                        unsigned threads = 0);
-
-/**
- * @deprecated Wrapper over the three-argument runLitmusMatrix() with
- * poolThreads = @p threads.
- */
-std::vector<LitmusVerdict>
-runLitmusMatrixParallel(const std::vector<litmus::LitmusTest> &tests,
-                        const std::vector<model::ModelKind> &models,
-                        unsigned threads);
 
 /**
  * Stamp expect verdicts onto @p test, derived by asking the axiomatic

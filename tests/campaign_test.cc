@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <set>
 #include <vector>
 
 #include "campaign/driver.hh"
@@ -649,40 +650,61 @@ TEST(CampaignDriver, FormatsSummaries)
 
 TEST(CampaignDriver, LegacyPipelineMatchesTheBatchedOne)
 {
-    // batching=false is the PR 8 static-shard decide() pipeline, kept
-    // for A/B benchmarking; both pipelines must produce identical
-    // results and identical stores.
+    // The batched campaign against a plain decide() loop over the same
+    // units (enumerated, lowered and deduped as the driver does): the
+    // same tallies and a record-for-record identical store.
     ScratchFile batched_file("gam_campaign_pipeline_batched.bin");
-    ScratchFile legacy_file("gam_campaign_pipeline_legacy.bin");
+    ScratchFile loop_file("gam_campaign_pipeline_loop.bin");
 
     CampaignOptions opt = smallCampaign();
     opt.verifySample = 5;
-
     DecisionStore batched_store(batched_file.str());
-    opt.batching = true;
     const auto batched = runCampaign(opt, &batched_store);
-
-    DecisionStore legacy_store(legacy_file.str());
-    opt.batching = false;
-    const auto legacy = runCampaign(opt, &legacy_store);
-
-    EXPECT_EQ(batched.units, legacy.units);
-    EXPECT_EQ(batched.decisions, legacy.decisions);
-    EXPECT_EQ(batched.allowed, legacy.allowed);
-    EXPECT_EQ(batched.storeWrites, legacy.storeWrites);
-    EXPECT_EQ(batched.shardsDone, legacy.shardsDone);
     EXPECT_EQ(batched.verifyMismatches, 0u);
-    EXPECT_EQ(legacy.verifyMismatches, 0u);
-    ASSERT_EQ(batched.tallies.size(), legacy.tallies.size());
-    for (size_t i = 0; i < batched.tallies.size(); ++i) {
-        EXPECT_EQ(batched.tallies[i].decided, legacy.tallies[i].decided);
-        EXPECT_EQ(batched.tallies[i].allowed, legacy.tallies[i].allowed);
+
+    std::vector<litmus::LitmusTest> units;
+    std::set<uint64_t> seen;
+    enumerateCycles(opt.enumerate, [&](const CanonicalCycle &cycle) {
+        auto test = litmus::testFromCycle(cycle.name, cycle.edges,
+                                          cycle.numLocations);
+        if (seen.insert(litmus::fingerprint(*test)).second)
+            units.push_back(*std::move(test));
+        return true;
+    });
+    DecisionStore loop_store(loop_file.str());
+    harness::DecisionCache cache(opt.cacheEntries);
+    uint64_t decisions = 0, allowed = 0, writes = 0;
+    std::vector<uint64_t> pair_allowed(opt.models.size(), 0);
+    for (const litmus::LitmusTest &test : units) {
+        for (size_t m = 0; m < opt.models.size(); ++m) {
+            harness::Query q;
+            q.test = &test;
+            q.model = opt.models[m];
+            q.engine = harness::EngineSelect::Axiomatic;
+            const harness::Decision d = harness::decide(q, &cache,
+                                                        &loop_store);
+            ++decisions;
+            allowed += d.allowed ? 1 : 0;
+            pair_allowed[m] += d.allowed ? 1 : 0;
+            writes += !d.cacheHit && !d.storeHit ? 1 : 0;
+        }
+    }
+
+    EXPECT_EQ(batched.units, units.size());
+    EXPECT_EQ(batched.decisions, decisions);
+    EXPECT_EQ(batched.allowed, allowed);
+    EXPECT_EQ(batched.storeWrites, writes);
+    EXPECT_EQ(batched.shardsDone, opt.shards);
+    ASSERT_EQ(batched.tallies.size(), opt.models.size());
+    for (size_t m = 0; m < opt.models.size(); ++m) {
+        EXPECT_EQ(batched.tallies[m].decided, units.size());
+        EXPECT_EQ(batched.tallies[m].allowed, pair_allowed[m]);
     }
     // Record-for-record identical persistence: same keys, same
     // verdicts, same outcome witnesses.
-    EXPECT_EQ(batched_store.size(), legacy_store.size());
+    EXPECT_EQ(batched_store.size(), loop_store.size());
     batched_store.forEach([&](const StoreRecord &r) {
-        const auto other = legacy_store.record(r.key);
+        const auto other = loop_store.record(r.key);
         ASSERT_TRUE(other.has_value()) << r.key;
         EXPECT_EQ(other->allowed, r.allowed) << r.key;
         EXPECT_EQ(other->outcomeHash, r.outcomeHash) << r.key;

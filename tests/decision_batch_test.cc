@@ -218,6 +218,7 @@ TEST(DecideBatch, ReusesPlansAndFusesArenasWithinABatch)
     // in.
     EXPECT_EQ(delta.counter("decide.batch.groups"), 4u);
     // GAM.cat and GAM0.cat each compile once and reuse once.
+    EXPECT_EQ(delta.counter("cat.compiles"), 2u);
     EXPECT_EQ(delta.counter("decide.batch.plan_reuse"), 2u);
     // mp and sb each run ONE fused enumeration deciding both
     // axiomatic models (plus any SC-delegation lane).

@@ -1,8 +1,7 @@
 /**
  * Tests for the unified decide(Query) -> Decision API: engine
- * registry/capability introspection, parity with the legacy bool
- * entry points and with the engines invoked directly, and the
- * correctness of the memoizing DecisionCache.
+ * registry/capability introspection, parity with the engines invoked
+ * directly, and the correctness of the memoizing DecisionCache.
  */
 
 #include <atomic>
@@ -116,28 +115,40 @@ TEST(EngineRegistry, AutoPrefersAxiomaticWhenDefined)
 
 TEST(DecisionParity, MatchesLegacyEntryPointsOnAllBuiltins)
 {
+    // Every builtin under every model: decide() dispatching to an
+    // engine against the engines invoked directly -- the checker's
+    // verdict and the serial explorer's outcome set -- and the
+    // 4-worker explorer (RunOptions::threads) against the serial one,
+    // uncached so that it really runs.  The prescreen is off: it
+    // answers for the engines, and prescreen_test holds it to them.
     DecisionCache cache;
     for (const auto &test : litmus::allTests()) {
         for (ModelKind model : allModels) {
+            const std::string what =
+                test.name + " " + model::modelName(model);
             if (model::supportsEngine(model, Engine::Axiomatic)) {
-                const Decision d = decide(
-                    queryFor(test, model, EngineSelect::Axiomatic),
-                    &cache);
-                EXPECT_EQ(d.allowed, axiomaticAllowed(test, model))
-                    << test.name << " " << model::modelName(model);
+                Query q = queryFor(test, model, EngineSelect::Axiomatic);
+                q.options.prescreen = false;
+                const Decision d = decide(q, &cache);
+                EXPECT_EQ(d.allowed,
+                          axiomatic::Checker(test, model).isAllowed())
+                    << what;
                 EXPECT_EQ(d.engine, Engine::Axiomatic);
                 EXPECT_TRUE(d.complete);
             }
             if (model::supportsEngine(model, Engine::Operational)) {
-                const Decision d = decide(
-                    queryFor(test, model, EngineSelect::Operational),
-                    &cache);
-                EXPECT_EQ(d.allowed, operationalAllowed(test, model))
-                    << test.name << " " << model::modelName(model);
-                EXPECT_EQ(d.allowed,
-                          operationalAllowedParallel(test, model, 4))
-                    << test.name << " " << model::modelName(model);
+                const litmus::OutcomeSet serial =
+                    directOperationalOutcomes(test, model);
+                Query q = queryFor(test, model, EngineSelect::Operational);
+                q.options.prescreen = false;
+                const Decision d = decide(q, &cache);
+                EXPECT_EQ(d.outcomes, serial) << what;
                 EXPECT_EQ(d.engine, Engine::Operational);
+
+                q.options.threads = 4;
+                const Decision parallel = decide(q, nullptr);
+                EXPECT_EQ(parallel.outcomes, serial) << what;
+                EXPECT_EQ(parallel.allowed, d.allowed) << what;
             }
         }
     }

@@ -100,8 +100,7 @@ TEST(Generator, AnnotatedVerdictsMatchTheOperationalEngine)
         tests.push_back(generateTest(5, i));
         harness::annotateExpected(tests.back(), equal_models);
     }
-    const auto verdicts =
-        harness::runLitmusMatrixParallel(tests, equal_models, 0);
+    const auto verdicts = harness::runLitmusMatrix(tests, equal_models);
     for (const auto &v : verdicts) {
         EXPECT_TRUE(v.matchesPaper())
             << v.test << " under " << model::modelName(v.model);

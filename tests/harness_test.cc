@@ -13,6 +13,20 @@ namespace
 
 using model::ModelKind;
 
+/** decide()'s verdict on @p test under @p model by @p engine, with
+ *  @p threads explorer workers and no cache. */
+bool
+allowedBy(const litmus::LitmusTest &test, ModelKind model,
+          EngineSelect engine, unsigned threads = 1)
+{
+    Query query;
+    query.test = &test;
+    query.model = model;
+    query.engine = engine;
+    query.options.threads = threads;
+    return decide(query, nullptr).allowed;
+}
+
 std::vector<RunResult>
 syntheticResults()
 {
@@ -121,16 +135,16 @@ TEST(HarnessRun, RunOneProducesStats)
 TEST(LitmusRunner, AxiomaticDekkerVerdicts)
 {
     const auto &t = litmus::testByName("dekker");
-    EXPECT_FALSE(axiomaticAllowed(t, ModelKind::SC));
-    EXPECT_TRUE(axiomaticAllowed(t, ModelKind::GAM));
+    EXPECT_FALSE(allowedBy(t, ModelKind::SC, EngineSelect::Axiomatic));
+    EXPECT_TRUE(allowedBy(t, ModelKind::GAM, EngineSelect::Axiomatic));
 }
 
 TEST(LitmusRunner, OperationalDekkerVerdicts)
 {
     const auto &t = litmus::testByName("dekker");
-    EXPECT_FALSE(operationalAllowed(t, ModelKind::SC));
-    EXPECT_TRUE(operationalAllowed(t, ModelKind::TSO));
-    EXPECT_TRUE(operationalAllowed(t, ModelKind::GAM));
+    EXPECT_FALSE(allowedBy(t, ModelKind::SC, EngineSelect::Operational));
+    EXPECT_TRUE(allowedBy(t, ModelKind::TSO, EngineSelect::Operational));
+    EXPECT_TRUE(allowedBy(t, ModelKind::GAM, EngineSelect::Operational));
 }
 
 TEST(LitmusRunner, ParallelMatrixMatchesSerial)
@@ -139,9 +153,12 @@ TEST(LitmusRunner, ParallelMatrixMatchesSerial)
     // the parallel matrix must equal the serial one element-for-element
     // at any team size.
     const auto &tests = litmus::paperSuite();
-    const auto serial = runLitmusMatrix(tests);
+    MatrixOptions options;
+    options.poolThreads = 1;
+    const auto serial = runPaperMatrix(tests, options);
     for (unsigned threads : {1u, 2u, 8u}) {
-        const auto parallel = runLitmusMatrixParallel(tests, threads);
+        options.poolThreads = threads;
+        const auto parallel = runPaperMatrix(tests, options);
         ASSERT_EQ(parallel.size(), serial.size());
         for (size_t i = 0; i < serial.size(); ++i) {
             EXPECT_EQ(parallel[i].test, serial[i].test);
@@ -159,8 +176,8 @@ TEST(LitmusRunner, OperationalParallelAgreesOnVerdicts)
         const auto &t = litmus::testByName(name);
         for (ModelKind kind : {ModelKind::SC, ModelKind::TSO,
                                ModelKind::GAM}) {
-            EXPECT_EQ(operationalAllowedParallel(t, kind, 4),
-                      operationalAllowed(t, kind))
+            EXPECT_EQ(allowedBy(t, kind, EngineSelect::Operational, 4),
+                      allowedBy(t, kind, EngineSelect::Operational))
                 << name << " under " << model::modelName(kind);
         }
     }
@@ -169,7 +186,9 @@ TEST(LitmusRunner, OperationalParallelAgreesOnVerdicts)
 TEST(LitmusRunner, MatrixOnOneTest)
 {
     std::vector<litmus::LitmusTest> one{litmus::testByName("corr")};
-    auto verdicts = runLitmusMatrix(one);
+    MatrixOptions serial;
+    serial.poolThreads = 1;
+    auto verdicts = runPaperMatrix(one, serial);
     EXPECT_FALSE(verdicts.empty());
     for (const auto &v : verdicts)
         EXPECT_TRUE(v.matchesPaper())

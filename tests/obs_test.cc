@@ -3,12 +3,15 @@
  * gauges, log-scale histograms), snapshot exposition and parsing
  * (text, JSON golden + round-trip, Prometheus), the trace collector
  * (Chrome JSON round-trip with span nesting, ring overflow), the
- * pluggable log sink, and the decide() pipeline's metric invariant.
+ * pluggable log sink, and the metric invariant of the decide() and
+ * decideBatch() pipelines.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <map>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -407,6 +410,18 @@ TEST(LogSink, CapturesRecordsWithLevelsAndMonotonicTimestamps)
 
 // ------------------------------------------- the decide() instrument
 
+/** The terminal counters: every request ends at exactly one. */
+uint64_t
+terminals(const MetricSnapshot &d)
+{
+    return d.counter("decide.cache.hit") + d.counter("decide.store.hit")
+        + d.counter("decide.prescreen.value_cover")
+        + d.counter("decide.prescreen.sc_delegate")
+        + d.counter("decide.engine.axiomatic")
+        + d.counter("decide.engine.operational")
+        + d.counter("decide.engine.cat");
+}
+
 TEST(DecideMetrics, RequestsEqualTerminalsAndSpansStamp)
 {
     // Every decide() ends in exactly one of: cache hit, store hit,
@@ -431,14 +446,7 @@ TEST(DecideMetrics, RequestsEqualTerminalsAndSpansStamp)
     const MetricSnapshot d = metrics().snapshot().delta(before);
     EXPECT_GT(d.counter("decide.requests"), 0u);
     EXPECT_GT(d.counter("decide.cache.hit"), 0u);
-    EXPECT_EQ(d.counter("decide.requests"),
-              d.counter("decide.cache.hit")
-                  + d.counter("decide.store.hit")
-                  + d.counter("decide.prescreen.value_cover")
-                  + d.counter("decide.prescreen.sc_delegate")
-                  + d.counter("decide.engine.axiomatic")
-                  + d.counter("decide.engine.operational")
-                  + d.counter("decide.engine.cat"));
+    EXPECT_EQ(d.counter("decide.requests"), terminals(d));
     EXPECT_EQ(d.histograms.at("decide.wall_us").count,
               d.counter("decide.requests"));
 
@@ -463,6 +471,94 @@ TEST(DecideMetrics, RequestsEqualTerminalsAndSpansStamp)
     }
     EXPECT_TRUE(found);
     TraceCollector::instance().clear();
+}
+
+/** An in-memory DecisionBackend keeping verdict-only records, as the
+ *  campaign store does. */
+class MapBackend final : public harness::DecisionBackend
+{
+  public:
+    std::optional<harness::Decision> load(uint64_t key) override
+    {
+        auto it = records.find(key);
+        if (it == records.end())
+            return std::nullopt;
+        harness::Decision d;
+        d.allowed = it->second;
+        return d;
+    }
+
+    void store(uint64_t key, const harness::Query &,
+               const harness::Decision &decision) override
+    {
+        records.emplace(key, decision.allowed);
+    }
+
+    std::map<uint64_t, bool> records;
+};
+
+TEST(DecideMetrics, BatchedRequestsEqualTerminals)
+{
+    // decideBatch() pends axiomatic runs and SC delegations onto fused
+    // walks; every request -- each delegation's inner SC request
+    // included -- must still end at exactly one terminal counter and
+    // one decide.wall_us sample, whichever source serves it.
+    const std::vector<litmus::LitmusTest> tests = litmus::allTests();
+    std::vector<harness::Query> queries, scQueries;
+    for (const litmus::LitmusTest &test : tests) {
+        for (model::ModelKind m :
+             {model::ModelKind::SC, model::ModelKind::TSO,
+              model::ModelKind::GAM0, model::ModelKind::GAM}) {
+            for (harness::EngineSelect e :
+                 {harness::EngineSelect::Axiomatic,
+                  harness::EngineSelect::Cat}) {
+                harness::Query q;
+                q.test = &test;
+                q.model = m;
+                q.engine = e;
+                queries.push_back(q);
+                if (m == model::ModelKind::SC)
+                    scQueries.push_back(q);
+            }
+        }
+    }
+    ASSERT_EQ(queries.size(), 232u);
+
+    auto run = [&](harness::DecisionCache *cache, MapBackend *store) {
+        const MetricSnapshot before = metrics().snapshot();
+        harness::decideBatch(queries, cache, store);
+        const MetricSnapshot d = metrics().snapshot().delta(before);
+        EXPECT_EQ(d.counter("decide.requests"), terminals(d));
+        EXPECT_EQ(d.histograms.at("decide.wall_us").count,
+                  d.counter("decide.requests"));
+        return d;
+    };
+    {
+        // The inner SC requests hit the cache the batch's SC members
+        // filled.
+        harness::DecisionCache cache(1 << 12);
+        MapBackend store;
+        const MetricSnapshot d = run(&cache, &store);
+        EXPECT_EQ(d.counter("decide.requests"), 326u);
+        EXPECT_EQ(d.counter("decide.prescreen.sc_delegate"), 94u);
+        EXPECT_EQ(d.counter("decide.cache.hit"), 94u);
+    }
+    {
+        // The SC members and every inner SC request hit the store.
+        MapBackend scOnly;
+        harness::decideBatch(scQueries, nullptr, &scOnly);
+        const MetricSnapshot d = run(nullptr, &scOnly);
+        EXPECT_EQ(d.counter("decide.store.hit"), 152u);
+    }
+    {
+        // Without a cache the inner SC requests hit the records the
+        // batch's SC members have just stored.
+        MapBackend store;
+        const MetricSnapshot d = run(nullptr, &store);
+        EXPECT_EQ(d.counter("decide.store.hit"), 94u);
+        EXPECT_EQ(d.counter("decide.engine.axiomatic"), 65u);
+        EXPECT_EQ(d.counter("decide.engine.cat"), 65u);
+    }
 }
 
 } // namespace

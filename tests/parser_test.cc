@@ -16,7 +16,7 @@
 #include <limits>
 #include <sstream>
 
-#include "harness/litmus_runner.hh"
+#include "harness/decision.hh"
 #include "isa/assembler.hh"
 #include "litmus/parser.hh"
 #include "litmus/suite.hh"
@@ -28,6 +28,18 @@ namespace
 {
 
 using litmus::LitmusTest;
+
+/** decide()'s verdict on @p test under @p kind by @p engine. */
+bool
+allowedBy(const LitmusTest &test, model::ModelKind kind,
+          harness::EngineSelect engine)
+{
+    harness::Query query;
+    query.test = &test;
+    query.model = kind;
+    query.engine = engine;
+    return harness::decide(query).allowed;
+}
 using litmus::parseLitmus;
 using litmus::printLitmus;
 
@@ -79,12 +91,13 @@ TEST(Parser, ParsedTestKeepsEngineVerdicts)
         ASSERT_TRUE(parsed) << parsed.error.toString();
         for (model::ModelKind kind :
              {model::ModelKind::SC, model::ModelKind::GAM}) {
-            EXPECT_EQ(harness::axiomaticAllowed(original, kind),
-                      harness::axiomaticAllowed(*parsed, kind))
-                << name;
-            EXPECT_EQ(harness::operationalAllowed(original, kind),
-                      harness::operationalAllowed(*parsed, kind))
-                << name;
+            for (harness::EngineSelect engine :
+                 {harness::EngineSelect::Axiomatic,
+                  harness::EngineSelect::Operational}) {
+                EXPECT_EQ(allowedBy(original, kind, engine),
+                          allowedBy(*parsed, kind, engine))
+                    << name;
+            }
         }
     }
 }
@@ -126,10 +139,10 @@ expect GAM allowed
     ASSERT_TRUE(reparsed);
     EXPECT_EQ(canon, printLitmus(*reparsed));
     // And the verdicts come out right.
-    EXPECT_FALSE(harness::axiomaticAllowed(*parsed,
-                                           model::ModelKind::SC));
-    EXPECT_TRUE(harness::axiomaticAllowed(*parsed,
-                                          model::ModelKind::GAM));
+    EXPECT_FALSE(allowedBy(*parsed, model::ModelKind::SC,
+                           harness::EngineSelect::Axiomatic));
+    EXPECT_TRUE(allowedBy(*parsed, model::ModelKind::GAM,
+                          harness::EngineSelect::Axiomatic));
 }
 
 struct BadDoc

@@ -51,14 +51,12 @@
  *                           [--resume] [--verify N]
  *                           [--min-store-hit-rate P] [--quiet]
  *                           [--no-fences] [--no-deps] [--no-rmws]
- *                           [--no-batching]
  *                           [--metrics FILE] [--trace FILE]
  *       Decide the exhaustive canonical test universe up to the given
  *       cycle length under every requested (model, engine) pair, with
  *       batched decides work-stolen over a thread pool.  --canonical
  *       full shrinks the universe by the symmetry quotient
- *       (campaign/symmetry.hh) before deciding; --no-batching falls
- *       back to the one-decide-per-query pipeline.  --store appends
+ *       (campaign/symmetry.hh) before deciding.  --store appends
  *       every decision to a crash-safe persistent store consulted
  *       before the engines; --resume skips shards the checkpoint
  *       (FILE.ckpt by default) records as finished; --verify N
@@ -117,6 +115,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -277,6 +276,14 @@ parseCount(const char *arg)
     if (!is || !is.eof())
         return std::nullopt;
     return value;
+}
+
+/** Is @p arg one of @p options? */
+bool
+oneOf(const std::string &arg, std::initializer_list<const char *> options)
+{
+    return std::any_of(options.begin(), options.end(),
+                       [&](const char *option) { return arg == option; });
 }
 
 /** Next flag value or nullptr (with a message) when it is missing. */
@@ -961,9 +968,19 @@ cmdCampaignRun(int argc, char **argv)
             options.enumerate.rmws = false;
             continue;
         }
-        if (arg == "--no-batching") {
-            options.batching = false;
-            continue;
+        // Every other option takes a value: reject an unknown one
+        // before reading the next argument as its value.
+        if (!oneOf(arg, {"--canonical", "--models", "--engines",
+                         "--store", "--checkpoint", "--metrics",
+                         "--trace", "--min-store-hit-rate",
+                         "--max-cycle-len", "--min-cycle-len",
+                         "--shards", "--threads", "--limit",
+                         "--verify"})) {
+            std::fprintf(stderr,
+                         "gam-litmus: unknown campaign run option "
+                         "'%s'\n",
+                         arg.c_str());
+            return 2;
         }
         const char *value = flagValue(argc, argv, i, arg.c_str());
         if (!value)
@@ -1029,15 +1046,8 @@ cmdCampaignRun(int argc, char **argv)
                 options.threads = unsigned(*n);
             else if (arg == "--limit")
                 options.limit = *n;
-            else if (arg == "--verify")
-                options.verifySample = *n;
-            else {
-                std::fprintf(stderr,
-                             "gam-litmus: unknown campaign run option "
-                             "'%s'\n",
-                             arg.c_str());
-                return 2;
-            }
+            else
+                options.verifySample = *n; // --verify
         }
     }
 
@@ -1174,26 +1184,29 @@ cmdCampaignStatus(int argc, char **argv, bool query)
             json = true;
             continue;
         }
-        const char *value = flagValue(argc, argv, i, arg.c_str());
-        if (!value)
-            return 2;
-        if (arg == "--store") {
-            store_path = value;
-        } else if (query && arg == "--model") {
-            auto kind = model::modelFromName(value);
-            if (!kind) {
-                std::fprintf(stderr, "gam-litmus: unknown model '%s'\n",
-                             value);
-                listModels();
-                return 2;
-            }
-            model_filter = *kind;
-        } else {
+        // --store and query's --model take a value: reject anything
+        // else before reading the next argument as its value.
+        if (arg != "--store" && !(query && arg == "--model")) {
             std::fprintf(stderr,
                          "gam-litmus: unknown campaign %s option '%s'\n",
                          query ? "query" : "status", arg.c_str());
             return 2;
         }
+        const char *value = flagValue(argc, argv, i, arg.c_str());
+        if (!value)
+            return 2;
+        if (arg == "--store") {
+            store_path = value;
+            continue;
+        }
+        auto kind = model::modelFromName(value);
+        if (!kind) {
+            std::fprintf(stderr, "gam-litmus: unknown model '%s'\n",
+                         value);
+            listModels();
+            return 2;
+        }
+        model_filter = *kind;
     }
     if (store_path.empty()) {
         std::fprintf(stderr, "gam-litmus: campaign %s needs --store\n",
