@@ -72,12 +72,12 @@ pass(const campaign::CampaignOptions &options,
 }
 
 /**
- * The per-query baseline: @p options' universe enumerated, lowered and
- * deduped by fingerprint as runCampaign() does, then each shard's
- * units (unit i in shard i mod N) decided on options.threads workers
- * with one harness::decide() per (test, model, engine) through one
- * DecisionCache, flushing @p store as each shard finishes.  Returns
- * the number of decisions.
+ * The per-query baseline: @p options' universe enumerated and deduped
+ * by each cycle's testFingerprint as runCampaign() does, then each
+ * shard's units (unit i in shard i mod N) decided on options.threads
+ * workers with one harness::decide() per (test, model, engine) through
+ * one DecisionCache, flushing @p store as each shard finishes.
+ * Returns the number of decisions.
  */
 uint64_t
 perQueryPass(const campaign::CampaignOptions &options,
@@ -88,9 +88,7 @@ perQueryPass(const campaign::CampaignOptions &options,
     std::unordered_set<uint64_t> seen;
     campaign::enumerateCycles(
         options.enumerate, [&](const campaign::CanonicalCycle &cycle) {
-            const auto test = litmus::testFromCycle(
-                cycle.name, cycle.edges, cycle.numLocations);
-            if (seen.insert(litmus::fingerprint(*test)).second)
+            if (seen.insert(cycle.testFingerprint).second)
                 units.push_back(cycle);
             return true;
         });

@@ -572,6 +572,11 @@ PrescreenAnalysis::~PrescreenAnalysis() = default;
 PrescreenResult
 PrescreenAnalysis::screen(ModelKind model) const
 {
+    // PerLocSC only orders accesses per location, so its axiom admits
+    // out-of-thin-air candidates whose values the value cover assumes
+    // unreachable: no claim about it is sound.
+    if (model == ModelKind::PerLocSC)
+        return {};
     PrescreenResult result = impl->base;
     if (!impl->analyzed || result.verdict == PrescreenVerdict::Forbidden)
         return result;

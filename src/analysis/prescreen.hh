@@ -34,8 +34,11 @@
  * ScDelegate yields the full exact SC outcome set.  What it may not
  * decide: anything about a user-supplied .cat model, or about runs with
  * the InstOrder axiom ablated -- harness::decide() gates it off for
- * those (out-of-thin-air candidates are only provably rejected under
- * the shipped models with their ordering axiom intact).
+ * those -- and anything about PerLocSC, for which screen() always
+ * answers Unknown.  The value cover assumes out-of-thin-air candidates
+ * are rejected, which holds only under the shipped models whose
+ * ordering axiom spans locations, with that axiom intact; PerLocSC's
+ * per-location axiom admits them (oota is allowed under it).
  */
 
 #ifndef GAM_ANALYSIS_PRESCREEN_HH

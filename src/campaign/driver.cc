@@ -169,18 +169,16 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
 
     CampaignResult result;
 
-    // ---- prepare: enumerate, lower, dedupe ------------------------
+    // ---- prepare: enumerate, dedupe -------------------------------
+    // The enumeration fingerprints each emitted cycle's lowered test;
+    // the prepare step keeps no tests, each worker lowers its units.
     std::vector<CanonicalCycle> units;
     {
+        GAM_TRACE_SCOPE("campaign.prepare");
         std::unordered_set<uint64_t> seen;
         result.enumerate = enumerateCycles(
             options.enumerate, [&](const CanonicalCycle &cycle) {
-                auto test = litmus::testFromCycle(cycle.name, cycle.edges,
-                                                  cycle.numLocations);
-                GAM_ASSERT(test.has_value(),
-                           "campaign: emitted cycle '%s' failed to lower",
-                           cycle.name.c_str());
-                if (!seen.insert(litmus::fingerprint(*test)).second) {
+                if (!seen.insert(cycle.testFingerprint).second) {
                     ++result.duplicateTests;
                     return true;
                 }
@@ -366,6 +364,10 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
                     const CanonicalCycle &cycle = units[work[wi]];
                     auto test = litmus::testFromCycle(
                         cycle.name, cycle.edges, cycle.numLocations);
+                    GAM_ASSERT(test.has_value(),
+                               "campaign: emitted cycle '%s' failed to "
+                               "lower",
+                               cycle.name.c_str());
                     tests.push_back(std::move(*test));
                 }
                 std::vector<Query> batch;
@@ -488,7 +490,7 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
             .inc(result.verifyMismatches);
         reg.counter("campaign.shards.done").inc(result.shardsDone);
         reg.counter("campaign.shards.resumed").inc(result.shardsResumed);
-        // The symmetry quotient's work ledger: how many realisable
+        // The symmetry quotient's work ledger: how many
         // rotation-canonical cycles the Full form folded away, and
         // what survived (campaign.units already counts post-dedupe).
         reg.counter("campaign.symmetry.duplicates")

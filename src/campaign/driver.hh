@@ -6,14 +6,18 @@
  *
  * A campaign is three deterministic steps:
  *
- *  1. *Prepare*: enumerate every canonical cycle (campaign/enumerate),
- *     lower each to a litmus test, and dedupe by litmus::fingerprint
- *     (distinct canonical cycles can lower to the same program, e.g.
- *     when a dependency edge degenerates).  The surviving units keep
- *     their enumeration order, so unit -> shard assignment (unit i to
- *     shard i mod N) is reproducible across runs and platforms.
- *  2. *Decide*: workers pull chunks of units from a shared cursor and
- *     decide every (model, engine) pair of a chunk as one
+ *  1. *Prepare*: enumerate every canonical cycle (campaign/enumerate)
+ *     and dedupe by the fingerprint of its lowered test, which the
+ *     enumeration computes when it checks each class representative
+ *     lowers (CanonicalCycle::testFingerprint; distinct canonical
+ *     cycles can lower to the same program, e.g. when a dependency
+ *     edge degenerates).  No test is kept: a unit is its cycle.  The
+ *     surviving units keep their enumeration order, so unit -> shard
+ *     assignment (unit i to shard i mod N) is reproducible across runs
+ *     and platforms.  The step runs in one `campaign.prepare` span.
+ *  2. *Decide*: workers pull chunks of units from a shared cursor,
+ *     lower each unit to its litmus test, and decide every
+ *     (model, engine) pair of a chunk as one
  *     harness::decideBatch() call, backed by a private DecisionCache
  *     and, when given, a DecisionStore -- so a re-run serves from the
  *     store instead of the engines.  A shard completes when its last

@@ -5,6 +5,7 @@
 #include "base/hashing.hh"
 #include "base/logging.hh"
 #include "campaign/symmetry.hh"
+#include "litmus/test.hh"
 
 namespace gam::campaign
 {
@@ -434,19 +435,24 @@ class Enumerator
             return;
         }
         CanonicalCycle cycle = buildCanonical(variants, locs, codes);
-        // The lowering has the last word on realisability (register
-        // pressure, value encoding); a rejected cycle is counted, not
-        // emitted, so every emitted cycle is guaranteed to lower.
-        if (!litmus::testFromCycle(cycle.name, cycle.edges,
-                                   cycle.numLocations)) {
-            ++stats.unrealisable;
-            return;
-        }
+        // The symmetry check is cheaper than a lowering and rejects
+        // most rotation-canonical cycles, so it runs first: only class
+        // representatives are lowered.
         if (opt.canonical == CanonicalForm::Full
             && !isFullCanonical(cycle.edges, cycle.numLocations, opt)) {
             ++stats.symmetryDuplicates;
             return;
         }
+        // The lowering has the last word on realisability (register
+        // pressure, value encoding); a rejected cycle is counted, not
+        // emitted, so every emitted cycle is guaranteed to lower.
+        const auto test = litmus::testFromCycle(cycle.name, cycle.edges,
+                                                cycle.numLocations);
+        if (!test) {
+            ++stats.unrealisable;
+            return;
+        }
+        cycle.testFingerprint = litmus::fingerprint(*test);
         ++stats.emitted;
         if (!emit(cycle))
             stopped = true;

@@ -68,6 +68,15 @@ struct CanonicalCycle
      * canonical cycle.
      */
     std::string name;
+    /**
+     * litmus::fingerprint of the test testFromCycle(name, edges,
+     * numLocations) lowers to.  Set only by enumerateCycles(), which
+     * lowers every emitted cycle once to check it is realisable;
+     * 0 on a cycle canonicalCycle() or canonicalCycleFull() built.
+     * Distinct cycles can share it (a degenerate dependency edge can
+     * lower to the same program), which is what the campaign dedupes.
+     */
+    uint64_t testFingerprint = 0;
 };
 
 /**
@@ -122,22 +131,26 @@ struct EnumerateStats
     uint64_t emitted = 0;
     /** Complete cycles discarded as non-minimal rotations. */
     uint64_t rotationDuplicates = 0;
-    /** Canonical cycles litmus::testFromCycle() rejected (register or
-     *  event-budget overflow in the lowering). */
+    /** Class representatives litmus::testFromCycle() rejected
+     *  (register or event-budget overflow in the lowering).  Only the
+     *  cycles the symmetry check keeps are lowered, so emitted +
+     *  unrealisable is the number of lowerings one sweep does. */
     uint64_t unrealisable = 0;
-    /** CanonicalForm::Full only: realisable rotation-canonical cycles
-     *  rejected as non-canonical members of their verdict-equivalence
-     *  class (see campaign/symmetry.hh for the split). */
+    /** CanonicalForm::Full only: rotation-canonical cycles rejected as
+     *  non-canonical members of their verdict-equivalence class (see
+     *  campaign/symmetry.hh for the split).  They are never lowered,
+     *  so this counts realisable and unrealisable ones alike. */
     uint64_t symmetryDuplicates = 0;
 };
 
 /**
  * Enumerate every canonical cycle admitted by @p options, in a fixed
  * deterministic order (length-major, then lexicographic by canonical
- * encoding), invoking @p sink for each.  Cycles whose lowering the
- * generator rejects are skipped and counted instead of emitted, so
- * every emitted cycle is guaranteed to lower: testFromCycle(name,
- * edges, numLocations) has a value.
+ * encoding), invoking @p sink for each.  Each class representative is
+ * lowered once; one whose lowering the generator rejects is skipped
+ * and counted instead of emitted, so every emitted cycle is
+ * guaranteed to lower -- testFromCycle(name, edges, numLocations) has
+ * a value -- and carries that test's fingerprint in testFingerprint.
  *
  * Return @c false from @p sink to stop early (the stats then cover the
  * prefix enumerated so far).

@@ -536,7 +536,9 @@ runOperational(const Query &query, Decision &d)
  * proved sound against executions those reject (in particular,
  * out-of-thin-air candidates), not against arbitrary user models or
  * ablated axiom sets.  Caller-supplied seed values signal an ablation
- * experiment, so they turn it off too.
+ * experiment, so they turn it off too.  The one builtin model that
+ * admits out-of-thin-air candidates, PerLocSC, is refused by
+ * analysis::PrescreenAnalysis::screen() itself.
  */
 bool
 prescreenApplies(const Query &query)

@@ -237,11 +237,11 @@ lowerCycle(const Cycle &cy, const std::string &name)
     LitmusBuilder builder(name, "generated");
 
     // Only the locations some event touches get named and observed.
-    std::vector<bool> loc_used(4, false);
+    bool loc_used[4] = {false, false, false, false};
     for (const Event &ev : cy.events)
-        loc_used[size_t(ev.loc)] = true;
+        loc_used[ev.loc] = true;
     for (int loc = 0; loc < 4; ++loc) {
-        if (loc_used[size_t(loc)]) {
+        if (loc_used[loc]) {
             builder.location(std::string(1, char('a' + loc)),
                              LOC_A + 8 * loc);
         }

@@ -1,7 +1,6 @@
 #include "litmus/test.hh"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
 
 #include "base/hashing.hh"
@@ -14,11 +13,10 @@ void
 LitmusTest::finalize()
 {
     if (observedRegs.empty()) {
-        std::set<std::pair<int, isa::Reg>> regs;
         for (size_t tid = 0; tid < threads.size(); ++tid) {
             for (const auto &instr : threads[tid].code) {
                 for (isa::Reg r : instr.writeSet())
-                    regs.insert({static_cast<int>(tid), r});
+                    observedRegs.emplace_back(static_cast<int>(tid), r);
             }
         }
         // Condition registers too: a constraint on a register no
@@ -28,10 +26,13 @@ LitmusTest::finalize()
             if (rc.tid >= 0 && rc.tid < static_cast<int>(threads.size())
                 && rc.reg != isa::REG_ZERO && rc.reg >= 0
                 && rc.reg < isa::NUM_REGS) {
-                regs.insert({rc.tid, rc.reg});
+                observedRegs.emplace_back(rc.tid, rc.reg);
             }
         }
-        observedRegs.assign(regs.begin(), regs.end());
+        std::sort(observedRegs.begin(), observedRegs.end());
+        observedRegs.erase(
+            std::unique(observedRegs.begin(), observedRegs.end()),
+            observedRegs.end());
     }
     if (addressUniverse.empty()) {
         for (const auto &[name, addr] : locations)

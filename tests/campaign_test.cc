@@ -210,17 +210,59 @@ TEST(CampaignEnumerate, EmissionIsDeterministicAndSorted)
 
 TEST(CampaignEnumerate, EveryEmittedCycleLowers)
 {
+    // Under both canonical forms every emitted cycle lowers, and the
+    // fingerprint the enumeration kept is that lowering's.
+    for (const auto &[form, want] :
+         {std::pair{CanonicalForm::Rotation, uint64_t(905)},
+          std::pair{CanonicalForm::Full, uint64_t(397)}}) {
+        EnumerateOptions opt;
+        opt.maxLen = 4;
+        opt.canonical = form;
+        uint64_t checked = 0;
+        const EnumerateStats stats =
+            enumerateCycles(opt, [&](const CanonicalCycle &c) {
+                auto test =
+                    litmus::testFromCycle(c.name, c.edges, c.numLocations);
+                EXPECT_TRUE(test.has_value()) << c.name;
+                if (test) {
+                    EXPECT_EQ(c.testFingerprint, litmus::fingerprint(*test))
+                        << c.name;
+                }
+                ++checked;
+                return true;
+            });
+        EXPECT_EQ(checked, want);
+        EXPECT_EQ(stats.emitted, want);
+        EXPECT_EQ(stats.unrealisable, 0u);
+    }
+}
+
+TEST(CampaignEnumerate, FullLengthFiveFingerprintsDedupeAsLoweringDoes)
+{
+    // The campaign's prepare step dedupes on testFingerprint alone.
+    // Against lowering and fingerprinting every emitted cycle, it must
+    // keep the same tests in the same order: 4,433 classes lowering to
+    // 4,402 distinct tests.
     EnumerateOptions opt;
-    opt.maxLen = 4;
-    uint64_t checked = 0;
-    enumerateCycles(opt, [&](const CanonicalCycle &c) {
-        auto test =
-            litmus::testFromCycle(c.name, c.edges, c.numLocations);
-        EXPECT_TRUE(test.has_value()) << c.name;
-        ++checked;
-        return true;
-    });
-    EXPECT_EQ(checked, 905u);
+    opt.maxLen = 5;
+    opt.canonical = CanonicalForm::Full;
+    std::vector<uint64_t> kept, lowered;
+    std::set<uint64_t> kept_seen, lowered_seen;
+    const EnumerateStats stats =
+        enumerateCycles(opt, [&](const CanonicalCycle &c) {
+            if (kept_seen.insert(c.testFingerprint).second)
+                kept.push_back(c.testFingerprint);
+            const uint64_t fp = litmus::fingerprint(
+                *litmus::testFromCycle(c.name, c.edges, c.numLocations));
+            if (lowered_seen.insert(fp).second)
+                lowered.push_back(fp);
+            return true;
+        });
+    EXPECT_EQ(stats.emitted, 4'433u);
+    EXPECT_EQ(stats.unrealisable, 0u);
+    EXPECT_EQ(kept.size(), 4'402u);
+    EXPECT_EQ(stats.emitted - kept.size(), 31u);
+    EXPECT_EQ(kept, lowered);
 }
 
 TEST(CampaignEnumerate, EarlyStopReturnsPrefix)
@@ -651,8 +693,10 @@ TEST(CampaignDriver, FormatsSummaries)
 TEST(CampaignDriver, LegacyPipelineMatchesTheBatchedOne)
 {
     // The batched campaign against a plain decide() loop over the same
-    // units (enumerated, lowered and deduped as the driver does): the
-    // same tallies and a record-for-record identical store.
+    // units: the same tallies and a record-for-record identical store.
+    // The loop lowers and fingerprints every enumerated cycle itself,
+    // an independent reference for the driver's dedupe on
+    // CanonicalCycle::testFingerprint.
     ScratchFile batched_file("gam_campaign_pipeline_batched.bin");
     ScratchFile loop_file("gam_campaign_pipeline_loop.bin");
 

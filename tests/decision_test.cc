@@ -119,16 +119,18 @@ TEST(DecisionParity, MatchesLegacyEntryPointsOnAllBuiltins)
     // engine against the engines invoked directly -- the checker's
     // verdict and the serial explorer's outcome set -- and the
     // 4-worker explorer (RunOptions::threads) against the serial one,
-    // uncached so that it really runs.  The prescreen is off: it
-    // answers for the engines, and prescreen_test holds it to them.
+    // uncached so that it really runs.  The axiomatic verdict keeps
+    // the prescreen on, so a screened answer is held to the checker
+    // too; the outcome-set comparisons turn it off, because a
+    // value-cover answer carries no outcomes.
     DecisionCache cache;
     for (const auto &test : litmus::allTests()) {
         for (ModelKind model : allModels) {
             const std::string what =
                 test.name + " " + model::modelName(model);
             if (model::supportsEngine(model, Engine::Axiomatic)) {
-                Query q = queryFor(test, model, EngineSelect::Axiomatic);
-                q.options.prescreen = false;
+                const Query q =
+                    queryFor(test, model, EngineSelect::Axiomatic);
                 const Decision d = decide(q, &cache);
                 EXPECT_EQ(d.allowed,
                           axiomatic::Checker(test, model).isAllowed())

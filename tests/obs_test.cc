@@ -2,9 +2,9 @@
  * Tests for the observability layer: the metric registry (counters,
  * gauges, log-scale histograms), snapshot exposition and parsing
  * (text, JSON golden + round-trip, Prometheus), the trace collector
- * (Chrome JSON round-trip with span nesting, ring overflow), the
- * pluggable log sink, and the metric invariant of the decide() and
- * decideBatch() pipelines.
+ * (Chrome JSON round-trip with span nesting, ring overflow, the
+ * campaign's prepare span), the pluggable log sink, and the metric
+ * invariant of the decide() and decideBatch() pipelines.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "campaign/driver.hh"
 #include "harness/decision.hh"
 #include "litmus/suite.hh"
 #include "model/engine.hh"
@@ -368,6 +369,49 @@ TEST(Trace, RingOverflowDropsOldestAndCounts)
     EXPECT_EQ(collector.retainedEvents(), Capacity);
     collector.clear();
     EXPECT_EQ(collector.droppedEvents(), 0u);
+}
+
+TEST(Trace, CampaignPrepareIsOneSpanBeforeTheWorkers)
+{
+    // The campaign's serial prepare step (enumerate, dedupe) is one
+    // span inside campaign.run on the coordinating thread, closed
+    // before any worker starts deciding.
+    TraceCollector &collector = TraceCollector::instance();
+    collector.clear();
+    collector.enable();
+    campaign::CampaignOptions options;
+    options.enumerate.maxLen = 3;
+    options.threads = 2;
+    const campaign::CampaignResult result =
+        campaign::runCampaign(options, nullptr);
+    collector.disable();
+    ASSERT_GT(result.units, 0u);
+
+    const auto events = parseChromeTrace(collector.exportChromeJson());
+    collector.clear();
+    const ParsedEvent *run = nullptr, *prepare = nullptr;
+    size_t runs = 0, prepares = 0;
+    double first_worker = -1.0;
+    for (const ParsedEvent &e : events) {
+        if (e.name == "campaign.run") {
+            run = &e;
+            ++runs;
+        } else if (e.name == "campaign.prepare") {
+            prepare = &e;
+            ++prepares;
+        } else if (e.name == "campaign.worker"
+                   && (first_worker < 0.0 || e.ts < first_worker)) {
+            first_worker = e.ts;
+        }
+    }
+    ASSERT_EQ(runs, 1u);
+    ASSERT_EQ(prepares, 1u);
+    ASSERT_GE(first_worker, 0.0);
+    EXPECT_EQ(prepare->tid, run->tid);
+    const double eps = 0.002;
+    EXPECT_LE(run->ts, prepare->ts + eps);
+    EXPECT_LE(prepare->ts + prepare->dur, run->ts + run->dur + eps);
+    EXPECT_LE(prepare->ts + prepare->dur, first_worker + eps);
 }
 
 // ----------------------------------------------------------- log sink

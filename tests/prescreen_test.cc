@@ -114,6 +114,34 @@ TEST(Prescreen, SoundOnBuiltinCorpusBothEngines)
     EXPECT_EQ(counts.scDelegate, 94u);
 }
 
+TEST(Prescreen, SoundOnBuiltinCorpusUnderEveryAxiomaticModel)
+{
+    // ARM and PerLocSC too, through the axiomatic engine: no builtin
+    // may change its verdict when the prescreen is switched on.
+    // PerLocSC admits out-of-thin-air candidates, so oota is allowed
+    // under it although no store writes the value 42 it reads.
+    DecisionCache on_cache;
+    DecisionCache off_cache;
+    for (const auto &test : gam::litmus::allTests()) {
+        for (ModelKind model : gam::model::axiomaticModels) {
+            const Decision on = checkOne(test, model,
+                                         EngineSelect::Axiomatic,
+                                         &on_cache, &off_cache);
+            if (model == ModelKind::PerLocSC) {
+                EXPECT_EQ(on.prescreened, PrescreenKind::None)
+                    << test.name;
+            }
+        }
+    }
+    EXPECT_EQ(prescreen(gam::litmus::testByName("oota"),
+                        ModelKind::PerLocSC)
+                  .verdict,
+              PrescreenVerdict::Unknown);
+    EXPECT_EQ(prescreen(gam::litmus::testByName("oota"), ModelKind::GAM)
+                  .verdict,
+              PrescreenVerdict::Forbidden);
+}
+
 TEST(Prescreen, SoundOnGeneratedTests)
 {
     constexpr uint64_t kSeed = 20260808;

@@ -194,16 +194,31 @@ usage()
                  "canonical test universe\n"
                  "      [--max-cycle-len N]   cycle length bound "
                  "(default 6)\n"
+                 "      [--min-cycle-len N]   shortest cycle length "
+                 "(default 3)\n"
+                 "      [--canonical rotation|full]\n"
+                 "                            symmetry quotient of the "
+                 "universe\n"
+                 "                            (default rotation)\n"
                  "      [--models A,B,..]     default SC,TSO,GAM0,GAM\n"
                  "      [--engines A,B,..]    default axiomatic\n"
                  "      [--shards N] [--threads N] [--limit N]\n"
+                 "      [--no-fences] [--no-deps] [--no-rmws]\n"
+                 "                            leave fences, "
+                 "dependencies or RMWs\n"
+                 "                            out of the edge "
+                 "vocabulary\n"
                  "      [--store FILE]        persistent decision "
                  "store (append-log)\n"
+                 "      [--checkpoint FILE]   shard checkpoint "
+                 "(default FILE.ckpt of\n"
+                 "                            --store)\n"
                  "      [--resume]            skip checkpointed shards\n"
                  "      [--verify N]          re-decide every Nth "
                  "decision from scratch\n"
                  "      [--min-store-hit-rate P]  exit 1 below P%% "
                  "store hits\n"
+                 "      [--quiet]             no progress lines\n"
                  "      [--metrics FILE]      write the run's registry "
                  "delta as JSON\n"
                  "                            (default "
@@ -217,6 +232,13 @@ usage()
                  "[--allowed|--forbidden]\n"
                  "                            summarise matching "
                  "records\n"
+                 "      [--disagree MODEL_A MODEL_B]\n"
+                 "                            list the tests the two "
+                 "models decide\n"
+                 "                            differently\n"
+                 "  campaign compact --output FILE INPUT...\n"
+                 "                            merge stores into one "
+                 "deduped log\n"
                  "  model list                list the shipped cat "
                  "models\n"
                  "  model show <name|file>    print a cat model's "
