@@ -71,13 +71,16 @@ pass(const campaign::CampaignOptions &options,
     return result;
 }
 
+/** The per-query baseline's static partition of the units. */
+constexpr unsigned PerQueryShards = 16;
+
 /**
  * The per-query baseline: @p options' universe enumerated and deduped
  * by each cycle's testFingerprint as runCampaign() does, then each
- * shard's units (unit i in shard i mod N) decided on options.threads
- * workers with one harness::decide() per (test, model, engine) through
- * one DecisionCache, flushing @p store as each shard finishes.
- * Returns the number of decisions.
+ * shard's units (unit i in shard i mod PerQueryShards) decided on
+ * options.threads workers with one harness::decide() per (test, model,
+ * engine) through one DecisionCache, flushing @p store as each shard
+ * finishes.  Returns the number of decisions.
  */
 uint64_t
 perQueryPass(const campaign::CampaignOptions &options,
@@ -102,11 +105,10 @@ perQueryPass(const campaign::CampaignOptions &options,
     run.threads = 1;
     harness::DecisionCache cache(options.cacheEntries);
     std::atomic<uint64_t> decisions{0};
-    const unsigned shards = options.shards;
     ThreadPool pool(options.threads);
-    for (unsigned s = 0; s < shards; ++s) {
+    for (unsigned s = 0; s < PerQueryShards; ++s) {
         pool.submit([&, s] {
-            for (size_t i = s; i < units.size(); i += shards) {
+            for (size_t i = s; i < units.size(); i += PerQueryShards) {
                 const campaign::CanonicalCycle &cycle = units[i];
                 const auto test = litmus::testFromCycle(
                     cycle.name, cycle.edges, cycle.numLocations);
@@ -157,7 +159,6 @@ main()
 
     campaign::CampaignOptions options;
     options.enumerate.maxLen = 4;
-    options.shards = 16;
     options.threads = 2;
 
     // -------- section 1: batched pipeline vs. pre-batching baseline
@@ -203,14 +204,14 @@ main()
     const double speedup = resumed_s > 0 ? cold_s / resumed_s : 0.0;
 
     std::printf("campaign benchmark: %llu canonical tests (cycles up "
-                "to length %u) x %zu models, %u shards\n\n",
+                "to length %u) x %zu models\n\n",
                 static_cast<unsigned long long>(cold.units),
-                options.enumerate.maxLen, options.models.size(),
-                options.shards);
+                options.enumerate.maxLen, options.models.size());
     std::printf("baseline pass: %8llu decisions in %7.3fs  (%9.0f "
-                "dec/s, per-query loop, per-record flush)\n",
+                "dec/s, per-query loop over %u shards, per-record "
+                "flush)\n",
                 static_cast<unsigned long long>(baseline_decisions),
-                baseline_s, baseline_rate);
+                baseline_s, baseline_rate, PerQueryShards);
     std::printf("cold     pass: %8llu decisions in %7.3fs  (%9.0f "
                 "dec/s, %llu store hits)\n",
                 static_cast<unsigned long long>(cold.decisions), cold_s,
@@ -267,7 +268,6 @@ main()
     seven.enumerate.fences = false;
     seven.enumerate.deps = false;
     seven.enumerate.canonical = campaign::CanonicalForm::Full;
-    seven.shards = 16;
     seven.threads = 2;
     double rot7_s = 0.0, full7_s = 0.0, seven_s = 0.0;
     const uint64_t rot7 = countClasses(

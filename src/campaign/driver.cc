@@ -4,16 +4,12 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <iomanip>
 #include <iterator>
-#include <memory>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <unordered_set>
 
-#include "base/hashing.hh"
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "litmus/test.hh"
@@ -30,109 +26,11 @@ using harness::Query;
 using model::Engine;
 using model::ModelKind;
 
-/** Everything a checkpoint must pin down: the universe and its
- *  partition.  Worker/thread counts and the store path are free. */
-uint64_t
-configHash(const CampaignOptions &o)
+/** One worker's tallies, summed once the pool drains. */
+struct WorkerTally
 {
-    StateHasher h;
-    h.add(o.enumerate.fingerprint());
-    h.separator();
-    for (ModelKind m : o.models)
-        h.add(uint64_t(m));
-    h.separator();
-    for (Engine e : o.engines)
-        h.add(uint64_t(e));
-    h.separator();
-    h.add(o.shards);
-    h.add(o.limit);
-    h.add(o.run.fingerprint());
-    return h.digest();
-}
-
-/**
- * The line-oriented shard checkpoint.  Plain appends, one flushed
- * line per finished shard: a torn final line (killed mid-write) fails
- * to parse and is simply ignored, which loses one shard's mark, never
- * the file.
- */
-class Checkpoint
-{
-  public:
-    Checkpoint(const std::string &path, uint64_t config, bool resume)
-        : filePath(path)
-    {
-        bool valid = false;
-        if (resume) {
-            std::ifstream in(path);
-            std::string line;
-            if (in && std::getline(in, line)
-                && line == "gam-campaign-checkpoint v1"
-                && std::getline(in, line) && line.rfind("config ", 0) == 0) {
-                GAM_ASSERT(line.substr(7) == hex(config),
-                           "checkpoint '%s' was written for a different "
-                           "campaign configuration",
-                           path.c_str());
-                valid = true;
-                unsigned shard = 0;
-                while (std::getline(in, line))
-                    if (std::sscanf(line.c_str(), "done %u", &shard) == 1)
-                        finished.insert(shard);
-            }
-        }
-        if (!valid) {
-            std::ofstream out(path, std::ios::trunc);
-            GAM_ASSERT(out.good(), "cannot write checkpoint '%s'",
-                       path.c_str());
-            out << "gam-campaign-checkpoint v1\n"
-                << "config " << hex(config) << "\n";
-        }
-        log = std::fopen(path.c_str(), "ab");
-        GAM_ASSERT(log != nullptr, "cannot append to checkpoint '%s'",
-                   path.c_str());
-    }
-
-    ~Checkpoint()
-    {
-        if (log)
-            std::fclose(log);
-    }
-
-    bool isDone(unsigned shard) const { return finished.count(shard) > 0; }
-
-    size_t doneCount() const { return finished.size(); }
-
-    void
-    markDone(unsigned shard)
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        std::fprintf(log, "done %u\n", shard);
-        std::fflush(log);
-    }
-
-  private:
-    static std::string
-    hex(uint64_t v)
-    {
-        char buf[17];
-        std::snprintf(buf, sizeof(buf), "%016llx",
-                      static_cast<unsigned long long>(v));
-        return buf;
-    }
-
-    const std::string filePath;
-    std::mutex mu;
-    std::FILE *log = nullptr;
-    std::unordered_set<unsigned> finished;
-};
-
-/** Per-shard tallies, merged in shard order once the pool drains. */
-struct ShardTally
-{
+    /** Per (model, engine) pair, in the campaign's pair order. */
     std::vector<PairTally> pairs;
-    uint64_t decisions = 0;
-    uint64_t allowed = 0;
-    uint64_t storeHits = 0;
     uint64_t cacheHits = 0;
     uint64_t prescreened = 0;
     uint64_t storeWrites = 0;
@@ -197,75 +95,17 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
                 ++result.skippedPairs;
         }
     result.pairs = pairs.size();
-
-    const unsigned shard_count = std::max(1u, options.shards);
-    result.shardsTotal = shard_count;
-
-    // ---- checkpoint ----------------------------------------------
-    std::unique_ptr<Checkpoint> checkpoint;
-    if (!options.checkpointPath.empty())
-        checkpoint = std::make_unique<Checkpoint>(
-            options.checkpointPath, configHash(options), options.resume);
-
-    std::vector<unsigned> todo;
-    for (unsigned s = 0; s < shard_count; ++s) {
-        if (checkpoint && checkpoint->isDone(s))
-            ++result.shardsResumed;
-        else
-            todo.push_back(s);
-    }
-
-    uint64_t scheduled_units = 0;
-    for (unsigned s : todo)
-        scheduled_units += s < units.size()
-            ? (units.size() - s - 1) / shard_count + 1 : 0;
-    const uint64_t decisions_total = scheduled_units * pairs.size();
+    const uint64_t decisions_total = units.size() * pairs.size();
 
     // ---- decide ---------------------------------------------------
     harness::DecisionCache cache(options.cacheEntries);
     harness::RunOptions run = options.run;
     run.threads = 1; // parallelism lives across units, not inside engines
 
-    std::vector<ShardTally> tallies(shard_count);
     std::atomic<uint64_t> done{0};
     std::atomic<uint64_t> store_hits{0};
-    std::atomic<unsigned> shards_finished{0};
+    std::atomic<size_t> cursor{0};
 
-    obs::Histogram &shard_wall_us =
-        obs::metrics().histogram("campaign.shard.wall_us");
-    obs::Histogram &shard_decisions =
-        obs::metrics().histogram("campaign.shard.decisions");
-
-    // Tally one decision into its home shard (the caller holds the
-    // shard's lock) and report whether the verify sampler picked it.
-    auto tallyDecision = [&](ShardTally &tally, size_t p,
-                             const Decision &d) {
-        PairTally &pt = tally.pairs[p];
-        pt.model = pairs[p].first;
-        pt.engine = pairs[p].second;
-        ++pt.decided;
-        ++tally.decisions;
-        if (d.allowed) {
-            ++pt.allowed;
-            ++tally.allowed;
-        }
-        if (d.storeHit) {
-            ++pt.storeHits;
-            ++tally.storeHits;
-            store_hits.fetch_add(1, std::memory_order_relaxed);
-        }
-        tally.cacheHits += d.cacheHit ? 1 : 0;
-        tally.prescreened +=
-            d.prescreened != harness::PrescreenKind::None ? 1 : 0;
-        // Mirrors decide()'s backend-offer condition: a fresh complete
-        // answer (engine or prescreen) was persisted; served answers
-        // never are.
-        tally.storeWrites +=
-            store && !d.cacheHit && !d.storeHit && d.complete ? 1 : 0;
-        done.fetch_add(1, std::memory_order_relaxed);
-        return options.verifySample != 0
-            && tally.decisions % options.verifySample == 0;
-    };
     // Re-decide from scratch -- no cache, no store -- and hold the
     // answer against the persisted witness.  Returns true on match.
     auto verifyDecision = [&](const Query &q, Engine e,
@@ -281,87 +121,41 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
         }
         return ok;
     };
-    const auto decide_start = std::chrono::steady_clock::now();
-    // A shard is complete once its last unit is tallied: make its
-    // records durable *before* the checkpoint marks it done (a crash
-    // in between re-decides the shard; the reverse order would skip
-    // units whose answers were never persisted), then sample the
-    // per-shard histograms exactly once.
-    auto completeShard = [&](unsigned s) {
-        if (store)
-            store->flush();
-        if (checkpoint)
-            checkpoint->markDone(s);
-        const double shard_seconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - decide_start)
-                .count();
-        shard_wall_us.sample(uint64_t(shard_seconds * 1e6));
-        shard_decisions.sample(tallies[s].decisions);
-        shards_finished.fetch_add(1, std::memory_order_release);
-    };
-
-    for (unsigned s : todo)
-        tallies[s].pairs.resize(pairs.size());
 
     // Work-stealing over units: workers pull fixed-size chunks of the
-    // flattened work list from a shared cursor and decide each chunk
-    // as one harness::decideBatch() call (every model/engine pair of
-    // every unit in the chunk), so per-query fixed costs amortize and
-    // a slow unit delays one worker, not a whole shard.  Shards
-    // survive purely as checkpoint + tally accounting: unit i belongs
-    // to shard i mod N, and a shard completes when its outstanding
-    // unit count hits zero.
-    std::vector<size_t> work;
-    std::vector<std::atomic<uint64_t>> remaining(shard_count);
-    for (size_t i = 0; i < units.size(); ++i) {
-        const unsigned s = unsigned(i % shard_count);
-        if (checkpoint && checkpoint->isDone(s))
-            continue;
-        work.push_back(i);
-        remaining[s].fetch_add(1, std::memory_order_relaxed);
-    }
-    // Empty shards (more shards than units) have nothing to wait for:
-    // complete them up front.
-    for (unsigned s : todo)
-        if (remaining[s].load(std::memory_order_relaxed) == 0)
-            completeShard(s);
-    std::vector<std::mutex> shard_mu(shard_count);
-    std::atomic<size_t> cursor{0};
-
-    // Chunk size trades steal frequency against batch amortization:
-    // 64 units x a typical 4-pair matrix is a 256-query batch, which
-    // keeps the batch's ppo-shape and prescreen memos hot across units
-    // (cycle tests share thread shapes heavily) and spreads
-    // BatchContext setup thin, while still leaving enough steals per
-    // real campaign to keep the tail balanced.
+    // unit list from a shared cursor and decide each chunk as one
+    // harness::decideBatch() call (every model/engine pair of every
+    // unit in the chunk), so per-query fixed costs amortize and a slow
+    // unit delays one worker, not the campaign.  Chunk size trades
+    // steal frequency against batch amortization: 64 units x a typical
+    // 4-pair matrix is a 256-query batch, which keeps the batch's
+    // ppo-shape and prescreen memos hot across units (cycle tests
+    // share thread shapes heavily) and spreads BatchContext setup
+    // thin, while still leaving enough steals per real campaign to
+    // keep the tail balanced.
     constexpr size_t ChunkUnits = 64;
     ThreadPool pool(options.threads);
     const unsigned workers = std::max(
         1u, std::min(pool.threadCount(),
-                     unsigned((work.size() + ChunkUnits - 1)
+                     unsigned((units.size() + ChunkUnits - 1)
                               / ChunkUnits)));
+    std::vector<WorkerTally> tallies(
+        workers, WorkerTally{std::vector<PairTally>(pairs.size())});
     for (unsigned w = 0; w < workers; ++w) {
-        pool.submit([&] {
+        pool.submit([&, w] {
             GAM_TRACE_SCOPE("campaign.worker");
-            struct Sample
-            {
-                Query query;
-                Engine engine;
-                Decision decision;
-                unsigned shard;
-            };
+            WorkerTally &tally = tallies[w];
             for (;;) {
                 const size_t begin =
                     cursor.fetch_add(ChunkUnits, std::memory_order_relaxed);
-                if (begin >= work.size())
+                if (begin >= units.size())
                     return;
-                const size_t end = std::min(begin + ChunkUnits, work.size());
+                const size_t end = std::min(begin + ChunkUnits, units.size());
 
                 std::vector<litmus::LitmusTest> tests;
                 tests.reserve(end - begin);
-                for (size_t wi = begin; wi < end; ++wi) {
-                    const CanonicalCycle &cycle = units[work[wi]];
+                for (size_t u = begin; u < end; ++u) {
+                    const CanonicalCycle &cycle = units[u];
                     auto test = litmus::testFromCycle(
                         cycle.name, cycle.edges, cycle.numLocations);
                     GAM_ASSERT(test.has_value(),
@@ -385,60 +179,57 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
                 const std::vector<Decision> decisions =
                     harness::decideBatch(batch, &cache, store);
 
-                // Tally under the home shard's lock; run the sampled
-                // verification re-decides after releasing it (they are
-                // full engine runs).
-                std::vector<Sample> samples;
-                size_t qi = 0;
-                for (size_t wi = begin; wi < end; ++wi) {
-                    const unsigned s = unsigned(work[wi] % shard_count);
-                    {
-                        std::lock_guard<std::mutex> lock(shard_mu[s]);
-                        for (size_t p = 0; p < pairs.size(); ++p, ++qi) {
-                            if (tallyDecision(tallies[s], p,
-                                              decisions[qi]))
-                                samples.push_back({batch[qi],
-                                                   pairs[p].second,
-                                                   decisions[qi], s});
-                        }
+                // batch[qi] is decision number begin * |pairs| + qi of
+                // the campaign's unit x pair order.
+                const uint64_t first = begin * pairs.size();
+                uint64_t hits = 0;
+                for (size_t qi = 0; qi < batch.size(); ++qi) {
+                    const Decision &d = decisions[qi];
+                    const size_t p = qi % pairs.size();
+                    PairTally &pt = tally.pairs[p];
+                    ++pt.decided;
+                    pt.allowed += d.allowed ? 1 : 0;
+                    pt.storeHits += d.storeHit ? 1 : 0;
+                    hits += d.storeHit ? 1 : 0;
+                    tally.cacheHits += d.cacheHit ? 1 : 0;
+                    tally.prescreened +=
+                        d.prescreened != harness::PrescreenKind::None
+                        ? 1 : 0;
+                    // Mirrors decide()'s backend-offer condition: a
+                    // fresh complete answer (engine or prescreen) was
+                    // persisted; served answers never are.
+                    tally.storeWrites +=
+                        store && !d.cacheHit && !d.storeHit && d.complete
+                        ? 1 : 0;
+                    if (options.verifySample != 0
+                        && (first + qi + 1) % options.verifySample == 0) {
+                        ++tally.verified;
+                        if (!verifyDecision(batch[qi], pairs[p].second, d))
+                            ++tally.verifyMismatches;
                     }
-                    if (remaining[s].fetch_sub(
-                            1, std::memory_order_acq_rel) == 1)
-                        completeShard(s);
                 }
-                for (const Sample &sample : samples) {
-                    const bool ok = verifyDecision(
-                        sample.query, sample.engine, sample.decision);
-                    std::lock_guard<std::mutex> lock(
-                        shard_mu[sample.shard]);
-                    ShardTally &tally = tallies[sample.shard];
-                    ++tally.verified;
-                    if (!ok)
-                        ++tally.verifyMismatches;
-                }
+                done.fetch_add(batch.size(), std::memory_order_relaxed);
+                store_hits.fetch_add(hits, std::memory_order_relaxed);
             }
         });
     }
 
     // Coordinate: poll for progress while the pool drains.
-    auto snapshot = [&](unsigned finished) {
+    auto snapshot = [&] {
         CampaignProgress p;
         p.decisionsDone = done.load(std::memory_order_relaxed);
         p.decisionsTotal = decisions_total;
         p.storeHits = store_hits.load(std::memory_order_relaxed);
-        p.shardsDone = result.shardsResumed + finished;
-        p.shardsTotal = shard_count;
         p.seconds = elapsed();
         return p;
     };
     if (progress) {
         double last = 0.0;
-        while (shards_finished.load(std::memory_order_acquire)
-               < todo.size()) {
+        while (done.load(std::memory_order_relaxed) < decisions_total) {
             std::this_thread::sleep_for(std::chrono::milliseconds(100));
             if (elapsed() - last >= 1.0) {
                 last = elapsed();
-                progress(snapshot(shards_finished.load()));
+                progress(snapshot());
             }
         }
     }
@@ -446,29 +237,28 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
     if (store)
         store->flush();
 
-    // ---- merge (shard order: deterministic) -----------------------
+    // ---- merge ----------------------------------------------------
     result.tallies.resize(pairs.size());
     for (size_t p = 0; p < pairs.size(); ++p) {
-        result.tallies[p].model = pairs[p].first;
-        result.tallies[p].engine = pairs[p].second;
+        PairTally &pt = result.tallies[p];
+        pt.model = pairs[p].first;
+        pt.engine = pairs[p].second;
+        for (const WorkerTally &tally : tallies) {
+            pt.decided += tally.pairs[p].decided;
+            pt.allowed += tally.pairs[p].allowed;
+            pt.storeHits += tally.pairs[p].storeHits;
+        }
+        result.decisions += pt.decided;
+        result.allowed += pt.allowed;
+        result.storeHits += pt.storeHits;
     }
-    for (unsigned s = 0; s < shard_count; ++s) {
-        const ShardTally &tally = tallies[s];
-        result.decisions += tally.decisions;
-        result.allowed += tally.allowed;
-        result.storeHits += tally.storeHits;
+    for (const WorkerTally &tally : tallies) {
         result.cacheHits += tally.cacheHits;
         result.prescreened += tally.prescreened;
         result.storeWrites += tally.storeWrites;
         result.verified += tally.verified;
         result.verifyMismatches += tally.verifyMismatches;
-        for (size_t p = 0; p < tally.pairs.size(); ++p) {
-            result.tallies[p].decided += tally.pairs[p].decided;
-            result.tallies[p].allowed += tally.pairs[p].allowed;
-            result.tallies[p].storeHits += tally.pairs[p].storeHits;
-        }
     }
-    result.shardsDone = result.shardsResumed + unsigned(todo.size());
     result.cacheStats = cache.stats();
     result.seconds = elapsed();
 
@@ -488,8 +278,6 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
         reg.counter("campaign.verified").inc(result.verified);
         reg.counter("campaign.verify_mismatches")
             .inc(result.verifyMismatches);
-        reg.counter("campaign.shards.done").inc(result.shardsDone);
-        reg.counter("campaign.shards.resumed").inc(result.shardsResumed);
         // The symmetry quotient's work ledger: how many
         // rotation-canonical cycles the Full form folded away, and
         // what survived (campaign.units already counts post-dedupe).
@@ -521,7 +309,7 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
     }
 
     if (progress)
-        progress(snapshot(unsigned(todo.size())));
+        progress(snapshot());
     return result;
 }
 
@@ -554,10 +342,6 @@ formatCampaign(const CampaignResult &r)
        << " cache hits, " << r.prescreened << " prescreened";
     if (r.storeWrites)
         os << ", " << r.storeWrites << " store writes";
-    os << "\n";
-    os << "shards: " << r.shardsDone << "/" << r.shardsTotal << " done";
-    if (r.shardsResumed)
-        os << " (" << r.shardsResumed << " resumed from checkpoint)";
     os << "\n";
     if (r.verified)
         os << "verify: " << r.verified << " sampled re-decides, "

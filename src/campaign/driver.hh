@@ -1,8 +1,9 @@
 /**
  * @file
  * The campaign driver: decide the exhaustive test universe under a
- * set of models and engines, sharded over a thread pool, with
- * checkpoint/resume and an optional persistent decision store.
+ * set of models and engines over a thread pool, with an optional
+ * persistent decision store that doubles as the campaign's resume
+ * point.
  *
  * A campaign is three deterministic steps:
  *
@@ -12,25 +13,27 @@
  *     lowers (CanonicalCycle::testFingerprint; distinct canonical
  *     cycles can lower to the same program, e.g. when a dependency
  *     edge degenerates).  No test is kept: a unit is its cycle.  The
- *     surviving units keep their enumeration order, so unit -> shard
- *     assignment (unit i to shard i mod N) is reproducible across runs
- *     and platforms.  The step runs in one `campaign.prepare` span.
+ *     surviving units keep their enumeration order, so a --limit
+ *     prefix and the verify sample are reproducible across runs and
+ *     platforms.  The step runs in one `campaign.prepare` span.
  *  2. *Decide*: workers pull chunks of units from a shared cursor,
  *     lower each unit to its litmus test, and decide every
  *     (model, engine) pair of a chunk as one
  *     harness::decideBatch() call, backed by a private DecisionCache
- *     and, when given, a DecisionStore -- so a re-run serves from the
- *     store instead of the engines.  A shard completes when its last
- *     unit is tallied, and a killed run loses only unfinished shards.
- *  3. *Checkpoint*: finished shards are appended to a line-oriented
- *     checkpoint file (config-hash guarded, torn lines ignored);
- *     --resume skips them wholesale.
+ *     and, when given, a DecisionStore.  Each worker tallies into its
+ *     own counts.
+ *  3. *Merge*: once the pool drains, the store is flushed and the
+ *     workers' tallies are summed.
+ *
+ * Resuming is re-running: a campaign over the same store serves every
+ * decision a killed run persisted from the store instead of the
+ * engines, and decides only the rest.
  *
  * Verification sampling closes the loop on the store: every Nth
- * decision is re-decided from scratch (no cache, no store) and its
- * verdict plus outcome-set witness (size, litmus::outcomeSetHash) are
- * compared against the stored record, proving persisted answers still
- * match the engines exactly.
+ * decision, counted in unit x pair order, is re-decided from scratch
+ * (no cache, no store) and its verdict plus outcome-set witness (size,
+ * litmus::outcomeSetHash) are compared against the stored record,
+ * proving persisted answers still match the engines exactly.
  */
 
 #ifndef GAM_CAMPAIGN_DRIVER_HH
@@ -66,19 +69,14 @@ struct CampaignOptions
     /** Engines to decide each model under (unsupported pairs are
      *  skipped and counted, not errors). */
     std::vector<model::Engine> engines = {model::Engine::Axiomatic};
-    /** Work-queue shards (checkpoint granularity), >= 1. */
-    unsigned shards = 64;
     /** Worker threads; 0 = hardware concurrency. */
     unsigned threads = 0;
     /** Cap on deduped units (0 = the whole universe); applied in
      *  enumeration order, so a capped run is a prefix of the full one. */
     uint64_t limit = 0;
-    /** Checkpoint file; empty disables checkpointing. */
-    std::string checkpointPath;
-    /** Skip shards the checkpoint records as done (else start over). */
-    bool resume = false;
-    /** Re-decide every Nth decision from scratch and compare verdict
-     *  and outcome witness against the store (0 = off). */
+    /** Re-decide every Nth decision (in unit x pair order) from
+     *  scratch and compare verdict and outcome witness against the
+     *  store (0 = off). */
     uint64_t verifySample = 0;
     /** Private in-memory cache capacity.  Deliberately small: within
      *  one campaign only delegated SC sub-queries repeat, and a small
@@ -106,8 +104,6 @@ struct CampaignProgress
     uint64_t decisionsDone = 0;
     uint64_t decisionsTotal = 0;
     uint64_t storeHits = 0;
-    unsigned shardsDone = 0;
-    unsigned shardsTotal = 0;
     double seconds = 0.0;
 };
 
@@ -141,10 +137,6 @@ struct CampaignResult
     /** Verification samples taken / that disagreed with the store. */
     uint64_t verified = 0;
     uint64_t verifyMismatches = 0;
-    unsigned shardsTotal = 0;
-    unsigned shardsDone = 0;
-    /** Shards skipped wholesale thanks to --resume. */
-    unsigned shardsResumed = 0;
     double seconds = 0.0;
     std::vector<PairTally> tallies;
     harness::DecisionCacheStats cacheStats;
@@ -157,12 +149,10 @@ struct CampaignResult
 };
 
 /**
- * Run a campaign.  @p store may be nullptr (no persistence).  The
- * progress callback, when given, is invoked from the coordinating
- * thread roughly once a second and once at completion.
- *
- * Asserts on a checkpoint whose config hash does not match the
- * options when resuming -- a checkpoint only describes one universe.
+ * Run a campaign.  @p store may be nullptr (no persistence); when
+ * given, it is flushed before this returns.  The progress callback,
+ * when given, is invoked from the coordinating thread roughly once a
+ * second and once at completion.
  */
 CampaignResult
 runCampaign(const CampaignOptions &options, DecisionStore *store,

@@ -475,20 +475,6 @@ class Enumerator
 
 } // namespace
 
-uint64_t
-EnumerateOptions::fingerprint() const
-{
-    StateHasher h;
-    h.add(uint64_t(minLen));
-    h.add(uint64_t(maxLen));
-    h.add(uint64_t(maxThreads));
-    h.add(uint64_t(maxLocations));
-    h.add((fences ? 1u : 0u) | (deps ? 2u : 0u) | (rmws ? 4u : 0u)
-          | (matchedFencesOnly ? 8u : 0u)
-          | (canonical == CanonicalForm::Full ? 16u : 0u));
-    return h.digest();
-}
-
 EnumerateStats
 enumerateCycles(const EnumerateOptions &options,
                 const std::function<bool(const CanonicalCycle &)> &sink)
@@ -503,8 +489,9 @@ enumerateCycles(const EnumerateOptions &options,
     // Determinism gate: emission must be a pure function of the
     // options -- length-major, then lexicographically increasing by
     // canonical encoding.  An unordered-container dependency anywhere
-    // in the pipeline would scramble this order (and with it campaign
-    // shard assignment), so assert it on every emission.
+    // in the pipeline would scramble this order (and with it a
+    // campaign's --limit prefix and verify sample), so assert it on
+    // every emission.
     int last_len = 0;
     std::vector<uint8_t> last_codes;
     std::vector<uint8_t> codes;

@@ -26,9 +26,9 @@
  * Enumeration is a lexicographic depth-first search over plain arrays:
  * the emission order is a pure function of EnumerateOptions -- no
  * unordered-container iteration anywhere near it -- which is what
- * makes campaign shard assignment reproducible across platforms and
- * PRs (enumerateCycles asserts the order it emits is strictly
- * increasing).
+ * makes a campaign's --limit prefixes and its verify sample
+ * reproducible across platforms and PRs (enumerateCycles asserts the
+ * order it emits is strictly increasing).
  */
 
 #ifndef GAM_CAMPAIGN_ENUMERATE_HH
@@ -119,9 +119,6 @@ struct EnumerateOptions
 
     /** Which symmetry quotient the emitted universe represents. */
     CanonicalForm canonical = CanonicalForm::Rotation;
-
-    /** 64-bit digest of every field (campaign config identity). */
-    uint64_t fingerprint() const;
 };
 
 /** Counters of one enumerateCycles() sweep. */

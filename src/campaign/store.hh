@@ -16,16 +16,16 @@
  *
  * Crash safety is recovery-side, not write-side: appends are plain
  * buffered writes, group-flushed every K records or T milliseconds
- * (StoreOptions; explicit flush() at shard boundaries), and opening a
- * store validates the log prefix record by record, truncating
- * everything from the first short or checksum-failed record onward (a
- * torn tail from a kill or power cut) instead of refusing the file.
- * Lost tail records simply get re-decided and re-appended; every
- * surviving record was validated, so a load never serves corrupted
- * bytes.  Group flushing only widens the at-risk tail from one record
- * to one flush group -- the campaign driver still flushes before a
- * checkpoint marks a shard done, so a resume never skips units whose
- * answers were lost.
+ * (StoreOptions; the campaign driver calls flush() once its workers
+ * are done), and opening a store validates the log prefix record by
+ * record, truncating everything from the first short or
+ * checksum-failed record onward (a torn tail from a kill or power
+ * cut) instead of refusing the file.  Lost tail records simply get
+ * re-decided and re-appended when the campaign is re-run over the
+ * store, which is how a killed campaign resumes; every surviving
+ * record was validated, so a load never serves corrupted bytes.
+ * Group flushing only widens the at-risk tail from one record to one
+ * flush group.
  */
 
 #ifndef GAM_CAMPAIGN_STORE_HH
@@ -199,9 +199,9 @@ class DecisionStore final : public harness::DecisionBackend
  * append rule.  Records are written in key order, so compacting the
  * same inputs always produces a byte-identical file.  Each input is
  * opened with full recovery, so compaction also heals torn tails.
- * The `campaign compact` subcommand: shard-per-store campaigns and
- * crashed runs leave multiple partial logs behind; one compacted
- * store serves a resume with a single index.
+ * The `campaign compact` subcommand: campaigns split across several
+ * stores and crashed runs leave multiple partial logs behind; one
+ * compacted store serves a resume with a single index.
  */
 CompactStats compactStores(const std::vector<std::string> &inputs,
                            const std::string &output);

@@ -155,8 +155,7 @@ struct CompiledPlan
 
 /**
  * Compile @p model (which must outlive the plan).  Every call counts
- * one cat.compiles and traces a cat.compile span, whichever caller
- * compiles: CatEngine::plan() or decideBatch()'s per-batch plans.
+ * one cat.compiles and traces a cat.compile span.
  */
 std::shared_ptr<const CompiledPlan>
 compileCatModel(const CatModel &model);

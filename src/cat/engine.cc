@@ -28,14 +28,6 @@ CatEngine::plan()
     return *_plan;
 }
 
-void
-CatEngine::usePlan(std::shared_ptr<const CompiledPlan> plan)
-{
-    GAM_ASSERT(plan != nullptr, "usePlan: null plan");
-    if (mode == Mode::Compiled)
-        _plan = std::move(plan);
-}
-
 namespace
 {
 

@@ -79,19 +79,6 @@ class CatEngine
     const CompiledPlan &plan();
 
     /**
-     * Adopt an already-compiled plan for this engine's model instead
-     * of compiling lazily.  The batched decide pipeline
-     * (harness::decideBatch) compiles each distinct model once per
-     * batch and shares the plan across every query in the (model,
-     * engine) group.  That saves little time: a shipped model
-     * compiles in a few microseconds, while one cat run on a
-     * length-<=4 campaign test takes hundreds.  @p plan must have been
-     * produced by compileCatModel() on this engine's model (the caller
-     * keys by CatModel::sourceHash).  No-op in Mode::Interpreted.
-     */
-    void usePlan(std::shared_ptr<const CompiledPlan> plan);
-
-    /**
      * The pre-incremental pipeline: full evaluation of every complete
      * candidate, no pruning.  The reference side of differential
      * tests and the pruning benchmarks; identical outcome set to
@@ -114,7 +101,7 @@ class CatEngine
     const CatModel &model;
     axiomatic::Options options;
     Mode mode;
-    /** Compiled on first use or adopted via usePlan(); immutable. */
+    /** Compiled on first use; immutable. */
     std::shared_ptr<const CompiledPlan> _plan;
     axiomatic::CheckerStats _stats;
 };

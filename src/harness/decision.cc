@@ -12,7 +12,6 @@
 #include "analysis/prescreen.hh"
 #include "base/hashing.hh"
 #include "base/logging.hh"
-#include "cat/compile.hh"
 #include "cat/engine.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
@@ -391,17 +390,13 @@ axOptionsKey(const axiomatic::Options &opts)
  * Per-batch shared state (one per decideBatch() call, single worker,
  * no locking): the amortizable fixed costs of the decide pipeline.
  * Every entry is keyed so that sharing can never change a result --
- * test fingerprints by test identity, compiled plans by model content
- * hash, ppo results by everything preservedProgramOrder() reads.
+ * test fingerprints by test identity, ppo results by everything
+ * preservedProgramOrder() reads.
  */
 struct BatchContext
 {
     /** litmus::fingerprint() per distinct test, hashed once. */
     std::unordered_map<const litmus::LitmusTest *, uint64_t> testFps;
-    /** Compiled cat plan per CatModel::sourceHash. */
-    std::unordered_map<uint64_t,
-                       std::shared_ptr<const cat::CompiledPlan>>
-        plans;
     /**
      * Memoized ppo edge lists shared by every built-in filter lane of
      * every fused enumeration in the batch (axiomatic::PpoCache),
@@ -420,8 +415,6 @@ struct BatchContext
     std::unordered_map<const litmus::LitmusTest *,
                        std::unique_ptr<analysis::PrescreenAnalysis>>
         prescreens;
-    /** Plans served from the batch instead of recompiled. */
-    uint64_t planReuse = 0;
 
     uint64_t
     testFp(const litmus::LitmusTest &test)
@@ -429,17 +422,6 @@ struct BatchContext
         auto [it, fresh] = testFps.try_emplace(&test, 0);
         if (fresh)
             it->second = litmus::fingerprint(test);
-        return it->second;
-    }
-
-    std::shared_ptr<const cat::CompiledPlan>
-    planFor(const cat::CatModel &model)
-    {
-        auto [it, fresh] = plans.try_emplace(model.sourceHash);
-        if (fresh)
-            it->second = cat::compileCatModel(model);
-        else
-            ++planReuse;
         return it->second;
     }
 
@@ -480,7 +462,7 @@ runAxiomatic(const Query &query, Decision &d)
 }
 
 void
-runCat(const Query &query, Decision &d, BatchContext *batch)
+runCat(const Query &query, Decision &d)
 {
     const cat::CatModel &m = query.catModel
         ? *query.catModel : cat::builtinCatModel(query.model);
@@ -491,8 +473,6 @@ runCat(const Query &query, Decision &d, BatchContext *batch)
                           query.options.catCompile
                               ? cat::CatEngine::Mode::Compiled
                               : cat::CatEngine::Mode::Interpreted);
-    if (batch && query.options.catCompile)
-        engine.usePlan(batch->planFor(m));
     d.outcomes = engine.enumerate();
     d.allowed = anyConditionMatch(*query.test, d.outcomes);
     d.statesVisited = engine.stats().coCandidates;
@@ -606,14 +586,13 @@ decideMetrics()
 
 /**
  * decideBatch()'s own registry metrics.  batch.queries counts queries
- * routed through a batch; plan_reuse counts how often a compiled cat
- * plan was served from the batch context instead of recompiled;
- * fused_groups / fused_queries count the fused enumeration walks and
- * the axiomatic engine runs they absorbed (fused_queries /
- * fused_groups is the fan-in the multi-lane walk buys -- the dominant
- * batch amortization); ppo_lookups / ppo_computed count the built-in lanes' ppo requests
- * and the ones the batch's shape cache could not serve.  All are
- * tallied in the batch and added once per call.
+ * routed through a batch; fused_groups / fused_queries count the fused
+ * enumeration walks and the axiomatic engine runs they absorbed
+ * (fused_queries / fused_groups is the fan-in the multi-lane walk buys
+ * -- the dominant batch amortization); ppo_lookups / ppo_computed
+ * count the built-in lanes' ppo requests and the ones the batch's
+ * shape cache could not serve.  All are tallied in the batch and added
+ * once per call.
  */
 struct BatchMetrics
 {
@@ -622,8 +601,6 @@ struct BatchMetrics
         obs::metrics().counter("decide.batch.queries");
     obs::Counter &groups =
         obs::metrics().counter("decide.batch.groups");
-    obs::Counter &planReuse =
-        obs::metrics().counter("decide.batch.plan_reuse");
     obs::Counter &fusedGroups =
         obs::metrics().counter("decide.batch.fused_groups");
     obs::Counter &fusedQueries =
@@ -679,9 +656,9 @@ stampDecision(Decision &d, std::chrono::steady_clock::time_point start,
 
 /**
  * Serve @p key from the cache, then from the store: the front of every
- * request, and the end of a deferred delegation's inner SC request.
- * Counts the cache hit or miss and the store hit, traces each lookup
- * and flags the served decision; the caller stamps it.
+ * request, and (cache only) the end of a deferred delegation's inner
+ * SC request.  Counts the cache hit or miss and the store hit, traces
+ * each lookup and flags the served decision; the caller stamps it.
  */
 std::optional<Decision>
 serveStored(uint64_t key, DecisionCache *cache, DecisionBackend *backend)
@@ -759,11 +736,9 @@ scSubQuery(const Query &query, Engine engine)
  * Finish an SC delegation from the inner SC decision @p d, inline or
  * deferred: relabel it as @p query's ScDelegate answer by @p engine,
  * count and stamp it, and persist it under the delegator's own @p key
- * too (the delegated set is exact), so a later run is one store hit
- * instead of a re-screen plus delegation -- but only when the inner
- * decision carries real outcomes: if it was itself a store hit it is
- * verdict-only, and persisting its empty set here would corrupt the
- * round-trip witness.
+ * (the delegated set is exact), so a later run is one store hit
+ * instead of a re-screen plus delegation.  The inner request never
+ * touches the store, so @p d always carries its real outcome set.
  */
 void
 finishScDelegation(const Query &query, Decision &d, Engine engine,
@@ -777,7 +752,7 @@ finishScDelegation(const Query &query, Decision &d, Engine engine,
     d.prescreened = PrescreenKind::ScDelegate;
     m.scDelegate.inc();
     stampDecision(d, start, spanId);
-    if (backend && !d.storeHit) {
+    if (backend) {
         backend->store(key, query, d);
         m.storeWrite.inc();
     }
@@ -857,14 +832,16 @@ decideQuery(const Query &query, DecisionCache *cache,
             // SC query (usually already cached) with the same engine.
             // The result is exact, but is not inserted into the cache
             // under this query's key, so that prescreen-off consumers
-            // always exercise the real engine.
+            // always exercise the real engine.  The inner SC request
+            // bypasses the store: a store hit is verdict-only, and the
+            // delegator must carry -- and persist -- the exact set.
             const Query sub = scSubQuery(query, engine);
             if (pending && engine == Engine::Axiomatic) {
                 // Defer the delegation onto the fused pass's SC lane.
                 // The inner SC decision is its own request (terminal
                 // at finish time: the cache once an SC group member
-                // or earlier delegator published it, the store, or
-                // the lane itself), so count its arrival now.
+                // or earlier delegator published it, or the lane
+                // itself), so count its arrival now.
                 m.requests.inc();
                 pending->key = key;
                 pending->innerKey = queryKeyHashed(
@@ -874,7 +851,7 @@ decideQuery(const Query &query, DecisionCache *cache,
                 return std::nullopt;
             }
             Decision d =
-                *decideQuery(sub, cache, backend, batch, nullptr);
+                *decideQuery(sub, cache, nullptr, batch, nullptr);
             finishScDelegation(query, d, engine, key, backend, start,
                                span.id());
             return d;
@@ -903,7 +880,7 @@ decideQuery(const Query &query, DecisionCache *cache,
             runOperational(query, d);
             break;
           case Engine::Cat:
-            runCat(query, d, batch);
+            runCat(query, d);
             break;
         }
     }
@@ -1051,18 +1028,18 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
             }
             // A deferred ScDelegate: terminate the inner SC request
             // first -- at the cache (the group's SC member or an
-            // earlier delegator published it), at the store, or from
-            // the SC lane -- then finish the delegation exactly as the
-            // inline prescreen path does.
+            // earlier delegator published it) or from the SC lane,
+            // never at the store -- then finish the delegation exactly
+            // as the inline prescreen path does.
             std::optional<Decision> inner =
-                serveStored(p.innerKey, cache, backend);
+                serveStored(p.innerKey, cache, nullptr);
             if (inner) {
                 stampDecision(*inner, p.start, 0);
             } else {
                 inner = laneDecision(p.lane);
                 obs::TraceSpan innerSpan("decide");
                 finishEngineDecision(scSubQuery(q, Engine::Axiomatic),
-                                     *inner, p.innerKey, cache, backend,
+                                     *inner, p.innerKey, cache, nullptr,
                                      p.start, innerSpan.id());
             }
             obs::TraceSpan span("decide");
@@ -1073,7 +1050,6 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
     }
 
     bm.groups.inc(groups);
-    bm.planReuse.inc(batch.planReuse);
     bm.ppoLookups.inc(batch.ppoShapes.lookups);
     bm.ppoComputed.inc(batch.ppoShapes.shapes.size());
     return out;

@@ -394,7 +394,10 @@ model::Engine resolveEngine(const Query &query);
  *                miss.  A backend hit returns a verdict-only Decision
  *                (storeHit set, no outcome enumeration) and is *not*
  *                inserted into the cache; a backend miss persists the
- *                fresh decision once the engine has produced it.
+ *                fresh decision once the engine has produced it.  An
+ *                SC delegation's inner SC request bypasses the
+ *                backend, so the delegated decision always carries its
+ *                exact outcome set and is persisted under its own key.
  *
  * Preconditions (GAM_ASSERT): query.test is non-null and the resolved
  * engine supports query.model -- gate explicit engine selections with
@@ -417,8 +420,6 @@ Decision decide(const Query &query,
  *    The fused pass sets up each rf candidate once for all lanes,
  *    and one preservedProgramOrder() memo (axiomatic::PpoCache) is
  *    shared across the whole batch;
- *  - each distinct cat model is compiled once per batch and the plan
- *    shared by every query in its group (CatEngine::usePlan);
  *  - each distinct test gets one litmus::fingerprint() hash, reused
  *    by every key computation.
  *
@@ -427,18 +428,17 @@ Decision decide(const Query &query,
  * outcome set, same per-model enumeration counters, same cache/store/
  * prescreen interactions (decision_batch_test pins the equivalence).
  * A deferred SC delegation is served and finished by the same steps
- * decide() uses inline: its inner SC request ends at the cache, the
- * store or the fused pass's SC lane.  One caveat: duplicate identical
- * queries *within one batch* each run the (shared) engine pass
- * instead of the second hitting the cache, so each lands on an engine
- * terminal counter; verdicts and persisted records are unaffected.
+ * decide() uses inline: its inner SC request ends at the cache or the
+ * fused pass's SC lane, never at the store.  One caveat: duplicate
+ * identical queries *within one batch* each run the (shared) engine
+ * pass instead of the second hitting the cache, so each lands on an
+ * engine terminal counter; verdicts and persisted records are
+ * unaffected.
  * The per-request decide.* metrics otherwise fire as usual, so every
  * request still ends at exactly one terminal counter and one
- * decide.wall_us sample (obs_test pins it); cat.compiles counts each
- * plan the batch compiles.  decide.batch.* counts the batch calls,
- * grouped queries, fused passes and their fan-in, how often a plan
- * was served from the batch instead of recompiled, and the ppo memo's
- * lookups and computations.
+ * decide.wall_us sample (obs_test pins it).  decide.batch.* counts
+ * the batch calls, grouped queries, fused passes and their fan-in,
+ * and the ppo memo's lookups and computations.
  */
 std::vector<Decision>
 decideBatch(const std::vector<Query> &queries,

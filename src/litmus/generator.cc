@@ -393,13 +393,15 @@ lowerCycle(const Cycle &cy, const std::string &name)
                            cy.events[size_t(last)].storeValue);
     }
 
-    LitmusTest test = builder.done();
     // Observe only the load results: address/scratch registers are
-    // compile-time constants and would just bloat every outcome.
-    test.observedRegs.clear();
+    // compile-time constants and would just bloat every outcome.  They
+    // come in (thread, register) order, and naming them before done()
+    // keeps finalize() from collecting every written register.
     for (const Observed &obs : observed)
-        test.observedRegs.emplace_back(obs.tid, obs.reg);
-    std::sort(test.observedRegs.begin(), test.observedRegs.end());
+        builder.observe(obs.tid, obs.reg);
+    LitmusTest test = builder.done();
+    if (observed.empty())
+        test.observedRegs.clear(); // a store-only cycle observes none
     return test;
 }
 

@@ -255,6 +255,13 @@ LitmusBuilder::requireMem(isa::Addr addr, isa::Value value)
 }
 
 LitmusBuilder &
+LitmusBuilder::observe(int tid, isa::Reg reg)
+{
+    test.observedRegs.emplace_back(tid, reg);
+    return *this;
+}
+
+LitmusBuilder &
 LitmusBuilder::expect(model::ModelKind kind, bool allowed)
 {
     test.expected[kind] = allowed;

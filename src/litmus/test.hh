@@ -125,6 +125,9 @@ class LitmusBuilder
     LitmusBuilder &thread(isa::Program program);
     LitmusBuilder &requireReg(int tid, isa::Reg reg, isa::Value value);
     LitmusBuilder &requireMem(isa::Addr addr, isa::Value value);
+    /** Observe register @p reg of thread @p tid.  Once any register is
+     *  observed, finalize() no longer observes every written one. */
+    LitmusBuilder &observe(int tid, isa::Reg reg);
     LitmusBuilder &expect(model::ModelKind kind, bool allowed);
     LitmusTest done();
 

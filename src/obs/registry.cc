@@ -319,34 +319,6 @@ jsonEscape(const std::string &s)
 } // namespace
 
 std::string
-MetricSnapshot::toText() const
-{
-    size_t width = 0;
-    for (const auto &[name, v] : counters)
-        width = std::max(width, name.size());
-    for (const auto &[name, v] : gauges)
-        width = std::max(width, name.size());
-    for (const auto &[name, v] : histograms)
-        width = std::max(width, name.size());
-
-    std::ostringstream os;
-    for (const auto &[name, v] : counters) {
-        os << name << std::string(width - name.size() + 2, ' ') << v
-           << "\n";
-    }
-    for (const auto &[name, v] : gauges) {
-        os << name << std::string(width - name.size() + 2, ' ')
-           << jsonNumber(v) << "\n";
-    }
-    for (const auto &[name, h] : histograms) {
-        os << name << std::string(width - name.size() + 2, ' ')
-           << "count " << h.count << ", mean " << jsonNumber(h.mean())
-           << ", max " << h.max << "\n";
-    }
-    return os.str();
-}
-
-std::string
 MetricSnapshot::toJson() const
 {
     std::ostringstream os;
@@ -379,42 +351,6 @@ MetricSnapshot::toJson() const
         first = false;
     }
     os << (first ? "" : "\n  ") << "}\n}\n";
-    return os.str();
-}
-
-std::string
-MetricSnapshot::toPrometheus() const
-{
-    auto promName = [](const std::string &name) {
-        std::string out = "gam_";
-        for (char c : name)
-            out.push_back(c == '.' ? '_' : c);
-        return out;
-    };
-    std::ostringstream os;
-    for (const auto &[name, v] : counters) {
-        const std::string p = promName(name);
-        os << "# TYPE " << p << " counter\n" << p << " " << v << "\n";
-    }
-    for (const auto &[name, v] : gauges) {
-        const std::string p = promName(name);
-        os << "# TYPE " << p << " gauge\n"
-           << p << " " << jsonNumber(v) << "\n";
-    }
-    for (const auto &[name, h] : histograms) {
-        const std::string p = promName(name);
-        os << "# TYPE " << p << " histogram\n";
-        uint64_t cumulative = 0;
-        for (const auto &[bucket, n] : h.buckets) {
-            cumulative += n;
-            os << p << "_bucket{le=\""
-               << Histogram::bucketUpperBound(bucket) << "\"} "
-               << cumulative << "\n";
-        }
-        os << p << "_bucket{le=\"+Inf\"} " << h.count << "\n"
-           << p << "_sum " << h.sum << "\n"
-           << p << "_count " << h.count << "\n";
-    }
     return os.str();
 }
 

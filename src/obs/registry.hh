@@ -1,8 +1,7 @@
 /**
  * @file
  * The unified metrics layer: a thread-safe registry of named counters,
- * gauges and log-scale histograms, with text, JSON and
- * Prometheus-style exposition.
+ * gauges and log-scale histograms, exported as JSON.
  *
  * Every layer of the decide() stack (cache, store backend, pre-screen,
  * engines, campaign driver, fuzzer, fence synthesis) reports through
@@ -13,7 +12,7 @@
  *   decide.cache.hit          counter   DecisionCache hits in decide()
  *   decide.engine.axiomatic   counter   fresh axiomatic engine runs
  *   decide.wall_us            histogram per-decision wall microseconds
- *   campaign.shard.wall_us    histogram per-shard wall microseconds
+ *   campaign.store.hit        counter   campaign decisions the store served
  *   bench.campaign.speedup    gauge     a bench's measured gate value
  *
  * Hot paths cache the returned Metric reference (registration takes a
@@ -132,8 +131,6 @@ struct MetricSnapshot
         uint64_t max = 0;
         /** (bucket index, count) for every non-empty bucket, sorted. */
         std::vector<std::pair<unsigned, uint64_t>> buckets;
-
-        double mean() const { return count ? double(sum) / double(count) : 0.0; }
     };
 
     std::map<std::string, uint64_t> counters;
@@ -152,9 +149,6 @@ struct MetricSnapshot
      */
     MetricSnapshot delta(const MetricSnapshot &before) const;
 
-    /** Aligned "name value" lines; histograms as count/mean/max. */
-    std::string toText() const;
-
     /**
      * The stable machine-readable schema ("gam-metrics-v1"):
      *
@@ -171,13 +165,6 @@ struct MetricSnapshot
      * with fromJson().
      */
     std::string toJson() const;
-
-    /**
-     * Prometheus text exposition: dots become underscores, every name
-     * is prefixed "gam_", histograms expand to cumulative _bucket
-     * series with le labels plus _sum and _count.
-     */
-    std::string toPrometheus() const;
 
     /**
      * Parse a toJson() document (the v1 schema only); nullopt on any

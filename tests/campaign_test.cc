@@ -2,8 +2,8 @@
  * Tests for the campaign subsystem: exhaustive canonical cycle
  * enumeration (campaign/enumerate.hh), the persistent crash-safe
  * decision store (campaign/store.hh) with its decide() backend
- * integration, and the sharded checkpoint/resume driver
- * (campaign/driver.hh).
+ * integration, and the campaign driver (campaign/driver.hh), which
+ * resumes a killed run through its store.
  */
 
 #include <gtest/gtest.h>
@@ -277,18 +277,6 @@ TEST(CampaignEnumerate, EarlyStopReturnsPrefix)
     EXPECT_EQ(stats.emitted, 10u);
 }
 
-TEST(CampaignEnumerate, OptionsFingerprintSeparatesConfigs)
-{
-    EnumerateOptions a;
-    EnumerateOptions b;
-    EXPECT_EQ(a.fingerprint(), b.fingerprint());
-    b.maxLen = 5;
-    EXPECT_NE(a.fingerprint(), b.fingerprint());
-    b = a;
-    b.fences = false;
-    EXPECT_NE(a.fingerprint(), b.fingerprint());
-}
-
 // ---------------------------------------------------------- the store
 
 harness::Query
@@ -510,7 +498,6 @@ smallCampaign()
     opt.enumerate.maxLen = 3;
     opt.models = {ModelKind::GAM0, ModelKind::GAM};
     opt.engines = {Engine::Axiomatic};
-    opt.shards = 4;
     opt.threads = 2;
     return opt;
 }
@@ -531,13 +518,11 @@ TEST(CampaignDriver, DecidesTheUniverseAndVerifies)
     EXPECT_EQ(result.skippedPairs, 0u);
     EXPECT_EQ(result.decisions, result.units * 2);
     EXPECT_EQ(result.storeHits, 0u);
-    EXPECT_EQ(result.shardsDone, 4u);
-    EXPECT_GT(result.verified, 0u);
+    EXPECT_EQ(result.verified, result.decisions / 7);
     EXPECT_EQ(result.verifyMismatches, 0u);
-    // Every decision persisted; SC-delegated ones may add one inner
-    // SC record per distinct test on top.
-    EXPECT_GE(store.size(), result.decisions);
-    EXPECT_LE(store.size(), result.decisions + result.units);
+    // Every decision persisted under its own key, an SC-delegated one
+    // too; no inner SC request adds a record of its own.
+    EXPECT_EQ(store.size(), result.decisions);
 
     // Second run over the same store: 100% store hits, same verdicts.
     auto again = runCampaign(opt, &store);
@@ -572,12 +557,6 @@ TEST(CampaignDriver, MetricsReconcileExactlyWithDriverTallies)
     EXPECT_EQ(m.counter("campaign.cache.hit"), cold.cacheHits);
     EXPECT_EQ(m.counter("campaign.store.hit"), cold.storeHits);
     EXPECT_EQ(m.counter("campaign.store.write"), cold.storeWrites);
-    EXPECT_EQ(m.counter("campaign.shards.done"), cold.shardsDone);
-    // Every shard samples its wall time and decision count once.
-    EXPECT_EQ(m.histograms.at("campaign.shard.wall_us").count,
-              cold.shardsDone);
-    EXPECT_EQ(m.histograms.at("campaign.shard.decisions").sum,
-              cold.decisions);
     // The delta is what --metrics writes; it must survive its own
     // JSON exactly.
     const auto parsed = obs::MetricSnapshot::fromJson(m.toJson());
@@ -615,59 +594,6 @@ TEST(CampaignDriver, LimitTakesAPrefixOfTheUniverse)
     auto result = runCampaign(opt, nullptr);
     EXPECT_EQ(result.units, 10u);
     EXPECT_EQ(result.decisions, 20u);
-}
-
-TEST(CampaignDriver, ResumeSkipsCheckpointedShards)
-{
-    ScratchFile store_file("gam_campaign_driver_resume.bin");
-    ScratchFile ckpt_file("gam_campaign_driver_resume.ckpt");
-
-    CampaignOptions opt = smallCampaign();
-    opt.checkpointPath = ckpt_file.str();
-
-    DecisionStore store(store_file.str());
-    auto full = runCampaign(opt, &store);
-    EXPECT_EQ(full.shardsResumed, 0u);
-
-    // Everything checkpointed: a resume does no deciding at all.
-    opt.resume = true;
-    auto resumed = runCampaign(opt, &store);
-    EXPECT_EQ(resumed.shardsResumed, 4u);
-    EXPECT_EQ(resumed.decisions, 0u);
-
-    // Hand-truncate the checkpoint to shards {0, 2}: a resume decides
-    // exactly the other two shards' units, all served by the store.
-    std::vector<std::string> lines;
-    {
-        std::ifstream in(ckpt_file.str());
-        std::string line;
-        while (std::getline(in, line))
-            lines.push_back(line);
-    }
-    ASSERT_GE(lines.size(), 2u);
-    {
-        std::ofstream out(ckpt_file.str(), std::ios::trunc);
-        out << lines[0] << "\n" << lines[1] << "\n";
-        out << "done 0\ndone 2\n";
-        out << "done torn-gar"; // a torn final line must be ignored
-    }
-    auto partial = runCampaign(opt, &store);
-    EXPECT_EQ(partial.shardsResumed, 2u);
-    EXPECT_GT(partial.decisions, 0u);
-    EXPECT_LT(partial.decisions, full.decisions);
-    EXPECT_EQ(partial.storeHits, partial.decisions);
-}
-
-TEST(CampaignDriver, CheckpointRejectsOtherConfigs)
-{
-    ScratchFile ckpt_file("gam_campaign_driver_confighash.ckpt");
-    CampaignOptions opt = smallCampaign();
-    opt.checkpointPath = ckpt_file.str();
-    runCampaign(opt, nullptr);
-
-    opt.resume = true;
-    opt.enumerate.maxLen = 4; // a different universe
-    EXPECT_DEATH(runCampaign(opt, nullptr), "different campaign");
 }
 
 TEST(CampaignDriver, FormatsSummaries)
@@ -738,7 +664,6 @@ TEST(CampaignDriver, LegacyPipelineMatchesTheBatchedOne)
     EXPECT_EQ(batched.decisions, decisions);
     EXPECT_EQ(batched.allowed, allowed);
     EXPECT_EQ(batched.storeWrites, writes);
-    EXPECT_EQ(batched.shardsDone, opt.shards);
     ASSERT_EQ(batched.tallies.size(), opt.models.size());
     for (size_t m = 0; m < opt.models.size(); ++m) {
         EXPECT_EQ(batched.tallies[m].decided, units.size());
@@ -758,10 +683,10 @@ TEST(CampaignDriver, LegacyPipelineMatchesTheBatchedOne)
 
 TEST(CampaignDriver, MidShardStoreCoverageKeepsTheReconciliation)
 {
-    // A store covering a *prefix* of every shard's units (a previous
-    // run killed mid-campaign): the next run mixes store hits and
-    // fresh decisions within one shard, and the tallies must still
-    // reconcile exactly.
+    // A store covering a *prefix* of the universe (a previous run
+    // killed mid-campaign): the re-run over it is the resume, mixing
+    // store hits and fresh decisions within one work chunk, and the
+    // tallies must still reconcile exactly.
     ScratchFile store_file("gam_campaign_midshard.bin");
     DecisionStore store(store_file.str());
 
@@ -782,26 +707,21 @@ TEST(CampaignDriver, MidShardStoreCoverageKeepsTheReconciliation)
               full.storeHits);
     EXPECT_EQ(full.metrics.counter("campaign.store.write"),
               full.storeWrites);
-    EXPECT_EQ(full.metrics.histograms.at("campaign.shard.decisions").sum,
-              full.decisions);
 }
 
-TEST(CampaignDriver, CheckpointedShardsSurviveAnAbruptExit)
+TEST(CampaignDriver, StoreHoldsEveryDecisionAfterAnAbruptExit)
 {
-    // The driver must flush the store *before* the checkpoint marks a
-    // shard done: a child process decides the campaign with a store
-    // that only flushes at explicit durability points, then dies via
-    // _exit -- no destructors, stdio buffers dropped.  Everything the
-    // checkpoint claims done must nonetheless be on disk.
+    // runCampaign() must flush the store before it returns: a child
+    // process decides the campaign with a store that only flushes at
+    // explicit durability points, then dies via _exit -- no
+    // destructors, stdio buffers dropped.  Every decision must
+    // nonetheless be on disk, and a re-run over the store (the
+    // resume) must be served from it alone.
     ScratchFile store_file("gam_campaign_kill.bin");
-    ScratchFile ckpt_file("gam_campaign_kill.ckpt");
 
     CampaignOptions opt = smallCampaign();
-    opt.checkpointPath = ckpt_file.str();
-
     const auto reference = runCampaign(opt, nullptr);
     ASSERT_GT(reference.decisions, 0u);
-    fs::remove(ckpt_file.str());
 
     const pid_t pid = fork();
     ASSERT_NE(pid, -1);
@@ -820,17 +740,63 @@ TEST(CampaignDriver, CheckpointedShardsSurviveAnAbruptExit)
 
     DecisionStore store(store_file.str());
     EXPECT_EQ(store.stats().droppedBytes, 0u);
-    EXPECT_GE(store.size(), reference.decisions);
+    EXPECT_EQ(store.size(), reference.decisions);
 
-    opt.resume = true;
     opt.verifySample = 5;
     const auto resumed = runCampaign(opt, &store);
-    EXPECT_EQ(resumed.shardsResumed, opt.shards);
-    EXPECT_EQ(resumed.decisions, 0u);
+    EXPECT_EQ(resumed.decisions, reference.decisions);
+    EXPECT_EQ(resumed.storeHits, resumed.decisions);
+    EXPECT_EQ(resumed.storeWrites, 0u);
+    EXPECT_EQ(resumed.verified, resumed.decisions / 5);
     EXPECT_EQ(resumed.verifyMismatches, 0u);
-    EXPECT_EQ(resumed.decisions,
-              resumed.storeWrites + resumed.cacheHits
-                  + resumed.storeHits);
+}
+
+TEST(CampaignDriver, VerifySampleIsEveryNthDecisionInUnitOrder)
+{
+    // The sample is every Nth decision in unit x pair order, whichever
+    // worker decided it: exactly decisions / N re-decides, on one
+    // worker or several, over a universe of several work chunks.
+    for (unsigned workers : {1u, 3u}) {
+        CampaignOptions opt;
+        opt.enumerate.maxLen = 4;
+        opt.enumerate.canonical = CanonicalForm::Full;
+        opt.threads = workers;
+        opt.verifySample = 5;
+        const CampaignResult res = runCampaign(opt, nullptr);
+        EXPECT_EQ(res.decisions, 392u * 4) << workers;
+        EXPECT_EQ(res.verified, res.decisions / 5) << workers;
+        EXPECT_EQ(res.verifyMismatches, 0u) << workers;
+    }
+}
+
+TEST(CampaignDriver, RerunOverAnScOnlyStoreVerifiesClean)
+{
+    // A re-run with more models over a store that holds only SC
+    // records: an SC delegation's inner SC request must not be served
+    // from the store (a verdict-only hit), so every delegated decision
+    // carries its exact outcome set, verifies clean and is persisted
+    // under its own key.
+    ScratchFile store_file("gam_campaign_sc_prefix.bin");
+    DecisionStore store(store_file.str());
+
+    CampaignOptions opt = smallCampaign();
+    opt.models = {ModelKind::SC};
+    const auto sc = runCampaign(opt, &store);
+    EXPECT_EQ(store.size(), sc.decisions);
+
+    opt.models = CampaignOptions().models;
+    opt.verifySample = 1;
+    const auto all = runCampaign(opt, &store);
+    EXPECT_GT(all.metrics.counter("decide.prescreen.sc_delegate"), 0u);
+    EXPECT_EQ(all.verified, all.decisions);
+    EXPECT_EQ(all.verifyMismatches, 0u);
+    EXPECT_EQ(all.storeHits, sc.decisions);
+    EXPECT_EQ(store.size(), all.decisions);
+
+    opt.verifySample = 0;
+    const auto again = runCampaign(opt, &store);
+    EXPECT_EQ(again.decisions, all.decisions);
+    EXPECT_EQ(again.storeHits, again.decisions);
 }
 
 TEST(CampaignStore, BufferedAppendsAreReadableBeforeTheyAreDurable)

@@ -46,9 +46,8 @@
  *   gam-litmus campaign run [--max-cycle-len N] [--min-cycle-len N]
  *                           [--models A,B,..] [--engines A,B,..]
  *                           [--canonical rotation|full]
- *                           [--shards N] [--threads N] [--limit N]
- *                           [--store FILE] [--checkpoint FILE]
- *                           [--resume] [--verify N]
+ *                           [--threads N] [--limit N]
+ *                           [--store FILE] [--verify N]
  *                           [--min-store-hit-rate P] [--quiet]
  *                           [--no-fences] [--no-deps] [--no-rmws]
  *                           [--metrics FILE] [--trace FILE]
@@ -58,10 +57,10 @@
  *       full shrinks the universe by the symmetry quotient
  *       (campaign/symmetry.hh) before deciding.  --store appends
  *       every decision to a crash-safe persistent store consulted
- *       before the engines; --resume skips shards the checkpoint
- *       (FILE.ckpt by default) records as finished; --verify N
- *       re-decides every Nth decision from scratch and compares it
- *       against the store (exit 1 on any mismatch);
+ *       before the engines, so re-running with the same --store
+ *       resumes a killed campaign; --verify N re-decides every Nth
+ *       decision from scratch and compares it against the store
+ *       (exit 1 on any mismatch);
  *       --min-store-hit-rate P exits 1 when fewer than P percent of
  *       decisions were served by the store.  The run's registry delta
  *       is written as gam-metrics-v1 JSON to --metrics
@@ -202,18 +201,16 @@ usage()
                  "                            (default rotation)\n"
                  "      [--models A,B,..]     default SC,TSO,GAM0,GAM\n"
                  "      [--engines A,B,..]    default axiomatic\n"
-                 "      [--shards N] [--threads N] [--limit N]\n"
+                 "      [--threads N] [--limit N]\n"
                  "      [--no-fences] [--no-deps] [--no-rmws]\n"
                  "                            leave fences, "
                  "dependencies or RMWs\n"
                  "                            out of the edge "
                  "vocabulary\n"
                  "      [--store FILE]        persistent decision "
-                 "store (append-log)\n"
-                 "      [--checkpoint FILE]   shard checkpoint "
-                 "(default FILE.ckpt of\n"
-                 "                            --store)\n"
-                 "      [--resume]            skip checkpointed shards\n"
+                 "store (append-log);\n"
+                 "                            re-run with the same "
+                 "store to resume\n"
                  "      [--verify N]          re-decide every Nth "
                  "decision from scratch\n"
                  "      [--min-store-hit-rate P]  exit 1 below P%% "
@@ -970,10 +967,6 @@ cmdCampaignRun(int argc, char **argv)
 
     for (int i = 0; i < argc; ++i) {
         const std::string arg = argv[i];
-        if (arg == "--resume") {
-            options.resume = true;
-            continue;
-        }
         if (arg == "--quiet") {
             quiet = true;
             continue;
@@ -993,10 +986,9 @@ cmdCampaignRun(int argc, char **argv)
         // Every other option takes a value: reject an unknown one
         // before reading the next argument as its value.
         if (!oneOf(arg, {"--canonical", "--models", "--engines",
-                         "--store", "--checkpoint", "--metrics",
-                         "--trace", "--min-store-hit-rate",
-                         "--max-cycle-len", "--min-cycle-len",
-                         "--shards", "--threads", "--limit",
+                         "--store", "--metrics", "--trace",
+                         "--min-store-hit-rate", "--max-cycle-len",
+                         "--min-cycle-len", "--threads", "--limit",
                          "--verify"})) {
             std::fprintf(stderr,
                          "gam-litmus: unknown campaign run option "
@@ -1034,8 +1026,6 @@ cmdCampaignRun(int argc, char **argv)
             options.engines = *std::move(engines);
         } else if (arg == "--store") {
             store_path = value;
-        } else if (arg == "--checkpoint") {
-            options.checkpointPath = value;
         } else if (arg == "--metrics") {
             metrics_path = value;
         } else if (arg == "--trace") {
@@ -1062,8 +1052,6 @@ cmdCampaignRun(int argc, char **argv)
                 options.enumerate.maxLen = int(*n);
             else if (arg == "--min-cycle-len")
                 options.enumerate.minLen = int(*n);
-            else if (arg == "--shards")
-                options.shards = unsigned(*n);
             else if (arg == "--threads")
                 options.threads = unsigned(*n);
             else if (arg == "--limit")
@@ -1072,15 +1060,6 @@ cmdCampaignRun(int argc, char **argv)
                 options.verifySample = *n; // --verify
         }
     }
-
-    if (store_path.empty() && options.resume
-        && options.checkpointPath.empty()) {
-        std::fprintf(stderr, "gam-litmus: --resume needs --store or "
-                             "--checkpoint to resume from\n");
-        return 2;
-    }
-    if (!store_path.empty() && options.checkpointPath.empty())
-        options.checkpointPath = store_path + ".ckpt";
 
     std::unique_ptr<campaign::DecisionStore> store;
     if (!store_path.empty())
@@ -1100,13 +1079,12 @@ cmdCampaignRun(int argc, char **argv)
         const uint64_t left = p.decisionsTotal - p.decisionsDone;
         std::fprintf(stderr,
                      "campaign: %llu/%llu decisions (%.0f/s, %.1f%% "
-                     "store hits), %u/%u shards, ETA %s\n",
+                     "store hits), ETA %s\n",
                      (unsigned long long)p.decisionsDone,
                      (unsigned long long)p.decisionsTotal, rate,
                      p.decisionsDone ? 100.0 * double(p.storeHits)
                              / double(p.decisionsDone)
                                      : 0.0,
-                     p.shardsDone, p.shardsTotal,
                      rate > 0 ? formatEta(double(left) / rate).c_str()
                               : "--");
     };
@@ -1117,7 +1095,7 @@ cmdCampaignRun(int argc, char **argv)
         quiet ? std::function<void(const campaign::CampaignProgress &)>{}
               : progress);
     if (!trace_path.empty()) {
-        // runCampaign() has joined its shard workers.
+        // runCampaign() has joined its workers.
         obs::TraceCollector::instance().disable();
         if (!writeTrace(trace_path))
             return 1;
