@@ -1,6 +1,7 @@
 #include "campaign/enumerate.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "base/hashing.hh"
 #include "base/logging.hh"
@@ -14,29 +15,21 @@ namespace
 {
 
 using litmus::CycleEdge;
+using litmus::CycleEventKind;
+using litmus::EdgeVariants;
+using litmus::isFenceVariant;
+using litmus::V_ADDR;
+using litmus::V_FRE;
+using litmus::V_RFE;
 
 /**
- * The enumeration alphabet, in canonical (emission) order.  Fence
- * kinds are distinct variants so rotation minimality is decided on
- * fully concrete cycles -- two fence expansions of one structural
- * cycle are different relaxations and both get a representative.
+ * One name token per litmus::EdgeVariant code, the alphabet the DFS
+ * walks.  Fence kinds are distinct letters in it, so rotation
+ * minimality is decided on fully concrete cycles -- two fence
+ * expansions of one structural cycle are different relaxations and
+ * both get a representative.
  */
-enum Variant : int {
-    V_RFE = 0,
-    V_COE,
-    V_FRE,
-    V_PO,
-    V_FLL,
-    V_FLS,
-    V_FSL,
-    V_FSS,
-    V_ADDR,
-    V_DATA,
-    V_CTRL,
-    VariantCount,
-};
-
-constexpr const char *variantToken[VariantCount] = {
+constexpr const char *variantToken[EdgeVariants] = {
     "rfe", "coe", "fre", "po", "fll", "fls", "fsl", "fss",
     "adr", "dat", "ctl",
 };
@@ -44,130 +37,44 @@ constexpr const char *variantToken[VariantCount] = {
 bool
 isCommV(int v)
 {
-    return v <= V_FRE;
+    return litmus::isCommunication(litmus::variantKind(v));
 }
 
-bool
-isFenceV(int v)
-{
-    return v >= V_FLL && v <= V_FSS;
-}
-
-CycleEdge::Kind
-edgeKindOfVariant(int v)
-{
-    switch (v) {
-      case V_RFE: return CycleEdge::Kind::Rfe;
-      case V_COE: return CycleEdge::Kind::Coe;
-      case V_FRE: return CycleEdge::Kind::Fre;
-      case V_PO: return CycleEdge::Kind::Po;
-      case V_FLL:
-      case V_FLS:
-      case V_FSL:
-      case V_FSS: return CycleEdge::Kind::PoFence;
-      case V_ADDR: return CycleEdge::Kind::PoAddr;
-      case V_DATA: return CycleEdge::Kind::PoData;
-      default: return CycleEdge::Kind::PoCtrl;
+/** litmus::cycleEventKind() of the event between every pair of
+ *  variants, tabulated once for the DFS. */
+constexpr auto eventKindTable = [] {
+    std::array<std::array<CycleEventKind, EdgeVariants>, EdgeVariants> t{};
+    for (int in = 0; in < EdgeVariants; ++in) {
+        for (int out = 0; out < EdgeVariants; ++out) {
+            t[size_t(in)][size_t(out)] = litmus::cycleEventKind(
+                litmus::headNeed(litmus::variantKind(in)),
+                litmus::tailNeed(litmus::variantKind(out)));
+        }
     }
-}
-
-isa::FenceKind
-fenceOfVariant(int v)
-{
-    return static_cast<isa::FenceKind>(v - V_FLL);
-}
-
-/** The variant an explicit spec edge names. */
-int
-variantOf(const CycleEdge &edge)
-{
-    switch (edge.kind) {
-      case CycleEdge::Kind::Rfe: return V_RFE;
-      case CycleEdge::Kind::Coe: return V_COE;
-      case CycleEdge::Kind::Fre: return V_FRE;
-      case CycleEdge::Kind::Po: return V_PO;
-      case CycleEdge::Kind::PoFence:
-        return V_FLL + static_cast<int>(edge.fence);
-      case CycleEdge::Kind::PoAddr: return V_ADDR;
-      case CycleEdge::Kind::PoData: return V_DATA;
-      case CycleEdge::Kind::PoCtrl: return V_CTRL;
-    }
-    return V_PO;
-}
-
-/** Event-type requirements, mirroring the lowering's Need rules. */
-enum class Need : uint8_t { Free, Load, Store };
-
-Need
-tailNeedV(int v)
-{
-    switch (v) {
-      case V_RFE:
-      case V_COE: return Need::Store;
-      case V_FRE:
-      case V_ADDR:
-      case V_DATA:
-      case V_CTRL: return Need::Load;
-      default: return Need::Free;
-    }
-}
-
-Need
-headNeedV(int v)
-{
-    switch (v) {
-      case V_RFE: return Need::Load;
-      case V_COE:
-      case V_FRE:
-      case V_DATA: return Need::Store;
-      default: return Need::Free;
-    }
-}
-
-using litmus::CycleEventKind;
+    return t;
+}();
 
 /** The kind the lowering assigns to an event between two edges. */
 CycleEventKind
 eventKind(int in_variant, int out_variant)
 {
-    const Need in = headNeedV(in_variant);
-    const Need out = tailNeedV(out_variant);
-    if ((in == Need::Load && out == Need::Store)
-        || (in == Need::Store && out == Need::Load)) {
-        return CycleEventKind::Rmw;
-    }
-    if (in == Need::Store || out == Need::Store)
-        return CycleEventKind::Store;
-    return CycleEventKind::Load;
+    return eventKindTable[size_t(in_variant)][size_t(out_variant)];
 }
 
-/** Can @p kind stand on the load side of a fence?  (RMWs can both.) */
+/** Does fence variant @p v fit @p kind before it? */
 bool
-loadSide(CycleEventKind kind)
+fitsBefore(int v, CycleEventKind kind)
 {
-    return kind != CycleEventKind::Store;
+    return litmus::fitsFenceSide(isa::fencePre(litmus::variantFence(v)),
+                                 kind);
 }
 
+/** Does fence variant @p v fit @p kind after it? */
 bool
-storeSide(CycleEventKind kind)
+fitsAfter(int v, CycleEventKind kind)
 {
-    return kind != CycleEventKind::Load;
-}
-
-/** Does fence variant @p v accept @p kind before it? */
-bool
-fencePreMatches(int v, CycleEventKind kind)
-{
-    return (v == V_FLL || v == V_FLS) ? loadSide(kind)
-                                      : storeSide(kind);
-}
-
-/** Does fence variant @p v accept @p kind after it? */
-bool
-fencePostMatches(int v, CycleEventKind kind)
-{
-    return (v == V_FLL || v == V_FSL) ? loadSide(kind)
-                                      : storeSide(kind);
+    return litmus::fitsFenceSide(isa::fencePost(litmus::variantFence(v)),
+                                 kind);
 }
 
 /**
@@ -209,21 +116,17 @@ buildCanonical(const std::vector<int> &variants,
 {
     const int n = static_cast<int>(variants.size());
     CanonicalCycle cycle;
-    cycle.numLocations = std::clamp(
-        1 + *std::max_element(locs.begin(), locs.end()), 2, 4);
+    cycle.numLocations =
+        std::clamp(1 + *std::max_element(locs.begin(), locs.end()),
+                   litmus::MinCycleLocations, litmus::MaxCycleLocations);
     cycle.name = "camp";
     for (int i = 0; i < n; ++i) {
         const int v = variants[size_t(i)];
-        CycleEdge edge;
-        edge.kind = edgeKindOfVariant(v);
-        if (isFenceV(v))
-            edge.fence = fenceOfVariant(v);
         const int head = locs[size_t((i + 1) % n)];
         const int tail = locs[size_t(i)];
-        edge.locStep = ((head - tail) % cycle.numLocations
-                        + cycle.numLocations)
-            % cycle.numLocations;
-        cycle.edges.push_back(edge);
+        cycle.edges.push_back(litmus::variantEdge(
+            v, ((head - tail) % cycle.numLocations + cycle.numLocations)
+                   % cycle.numLocations));
         cycle.name += "_";
         cycle.name += variantToken[v];
         cycle.name += static_cast<char>('a' + head);
@@ -301,7 +204,8 @@ class Enumerator
             // rotation ends with it), returning to event 0's location.
             if (locs[size_t(n - 1)] != 0)
                 return;
-            if (commCount + 1 < 2 || commCount + 1 > opt.maxThreads)
+            if (commCount + 1 < litmus::MinCycleThreads
+                || commCount + 1 > litmus::MaxCycleThreads)
                 return;
             for (int v = V_RFE; v <= V_FRE && !stopped; ++v) {
                 variants[size_t(i)] = v;
@@ -313,14 +217,14 @@ class Enumerator
             return;
         }
 
-        for (int v = 0; v < VariantCount && !stopped; ++v) {
-            if (!opt.fences && isFenceV(v))
+        for (int v = 0; v < EdgeVariants && !stopped; ++v) {
+            if (!opt.fences && isFenceVariant(v))
                 continue;
             if (!opt.deps && v >= V_ADDR)
                 continue;
             // Interior communication edges must leave room for the
             // mandatory communication closing edge.
-            if (isCommV(v) && commCount + 2 > opt.maxThreads)
+            if (isCommV(v) && commCount + 2 > litmus::MaxCycleThreads)
                 continue;
             variants[size_t(i)] = v;
             if (!admitEvent(i))
@@ -332,7 +236,7 @@ class Enumerator
                 --commCount;
             } else {
                 const int limit =
-                    std::min(maxLabel + 1, opt.maxLocations - 1);
+                    std::min(maxLabel + 1, litmus::MaxCycleLocations - 1);
                 for (int label = 0; label <= limit && !stopped;
                      ++label) {
                     locs[size_t(i + 1)] = label;
@@ -362,17 +266,12 @@ class Enumerator
             eventKind(variants[size_t(i - 1)], variants[size_t(i)]);
         if (!admitKind(kind))
             return false;
-        if (opt.matchedFencesOnly) {
-            if (isFenceV(variants[size_t(i - 1)])
-                && !fencePostMatches(variants[size_t(i - 1)], kind)) {
-                unadmitKind(kind);
-                return false;
-            }
-            if (isFenceV(variants[size_t(i)])
-                && !fencePreMatches(variants[size_t(i)], kind)) {
-                unadmitKind(kind);
-                return false;
-            }
+        const int in = variants[size_t(i - 1)];
+        const int out = variants[size_t(i)];
+        if ((isFenceVariant(in) && !fitsAfter(in, kind))
+            || (isFenceVariant(out) && !fitsBefore(out, kind))) {
+            unadmitKind(kind);
+            return false;
         }
         return true;
     }
@@ -391,11 +290,12 @@ class Enumerator
     {
         if (kind == CycleEventKind::Rmw && !opt.rmws)
             return false;
-        // The lowering's event budget: at most 4 loads and 4 stores
-        // keeps rf and coherence enumeration bounded for both engines.
-        const int new_loads = loads + (loadSide(kind) ? 1 : 0);
-        const int new_stores = stores + (storeSide(kind) ? 1 : 0);
-        if (new_loads > 4 || new_stores > 4)
+        // The cycle budgets' loads and stores (an RMW is both).
+        const int new_loads = loads + (litmus::readsMemory(kind) ? 1 : 0);
+        const int new_stores =
+            stores + (litmus::writesMemory(kind) ? 1 : 0);
+        if (new_loads > litmus::MaxCycleLoads
+            || new_stores > litmus::MaxCycleStores)
             return false;
         loads = new_loads;
         stores = new_stores;
@@ -405,8 +305,8 @@ class Enumerator
     void
     unadmitKind(CycleEventKind kind)
     {
-        loads -= loadSide(kind) ? 1 : 0;
-        stores -= storeSide(kind) ? 1 : 0;
+        loads -= litmus::readsMemory(kind) ? 1 : 0;
+        stores -= litmus::writesMemory(kind) ? 1 : 0;
     }
 
     /** All n edges chosen: close the cycle and emit if canonical. */
@@ -419,10 +319,7 @@ class Enumerator
             eventKind(variants[size_t(n - 1)], variants[0]);
         if (!admitKind(kind0))
             return;
-        const bool fence0_ok = !opt.matchedFencesOnly
-            || !isFenceV(variants[0])
-            || fencePreMatches(variants[0], kind0);
-        if (fence0_ok)
+        if (!isFenceVariant(variants[0]) || fitsBefore(variants[0], kind0))
             emitIfCanonical();
         unadmitKind(kind0);
     }
@@ -482,8 +379,6 @@ enumerateCycles(const EnumerateOptions &options,
     EnumerateOptions opt = options;
     opt.minLen = std::clamp(opt.minLen, 3, 8);
     opt.maxLen = std::clamp(opt.maxLen, opt.minLen, 8);
-    opt.maxThreads = std::clamp(opt.maxThreads, 2, 4);
-    opt.maxLocations = std::clamp(opt.maxLocations, 1, 4);
 
     EnumerateStats stats;
     // Determinism gate: emission must be a pure function of the
@@ -499,13 +394,9 @@ enumerateCycles(const EnumerateOptions &options,
         [&](const CanonicalCycle &cycle) {
         const int len = static_cast<int>(cycle.edges.size());
         std::vector<int> variants, locs;
-        int loc = 0;
-        for (const CycleEdge &edge : cycle.edges) {
-            variants.push_back(variantOf(edge));
-            locs.push_back(loc);
-            if (!isCommV(variants.back()))
-                loc = (loc + edge.locStep) % cycle.numLocations;
-        }
+        for (const CycleEdge &edge : cycle.edges)
+            variants.push_back(litmus::edgeVariant(edge));
+        litmus::walkCycleLocations(cycle.edges, cycle.numLocations, locs);
         rotationCodes(variants, locs, 0, codes);
         GAM_ASSERT(len > last_len
                        || (len == last_len
@@ -531,12 +422,13 @@ std::optional<CanonicalCycle>
 canonicalCycle(const std::vector<CycleEdge> &edges, int numLocations)
 {
     const int n = static_cast<int>(edges.size());
-    if (n < 3 || numLocations < 2 || numLocations > 4)
+    if (n < 3 || numLocations < litmus::MinCycleLocations
+        || numLocations > litmus::MaxCycleLocations)
         return std::nullopt;
 
     std::vector<int> variants;
     for (const CycleEdge &edge : edges)
-        variants.push_back(variantOf(edge));
+        variants.push_back(litmus::edgeVariant(edge));
 
     int comm_count = 0;
     for (int v : variants)
@@ -546,18 +438,9 @@ canonicalCycle(const std::vector<CycleEdge> &edges, int numLocations)
 
     // Walk the location steps exactly as the lowering does; the walk
     // must close back onto event 0's location.
-    std::vector<int> locs(size_t(n), 0);
-    for (int i = 0; i < n; ++i) {
-        const int step =
-            isCommV(variants[size_t(i)]) ? 0 : edges[size_t(i)].locStep;
-        const int next =
-            ((locs[size_t(i)] + step) % numLocations + numLocations)
-            % numLocations;
-        if (i + 1 < n)
-            locs[size_t(i + 1)] = next;
-        else if (next != locs[0])
-            return std::nullopt;
-    }
+    std::vector<int> locs;
+    if (!litmus::walkCycleLocations(edges, numLocations, locs))
+        return std::nullopt;
 
     // Pick the least encoding among the communication-ending
     // rotations, then rebuild the representative from it.

@@ -6,11 +6,15 @@
  * seed; a campaign needs the complete, deterministic test universe up
  * to a bounded cycle length instead.  Following the diy7 methodology
  * (Herding Cats, PAPERS.md), this module enumerates every cycle over
- * the generator's edge vocabulary -- the external communication
- * relations rf/co/fr, plain program order, the four basic fences
- * LL/LS/SL/SS, and address/data/control dependencies, with load+store
- * conflicts becoming RMWs -- and canonicalizes each one so isomorphic
- * tests collapse to a single representative *before* lowering:
+ * the generator's edge alphabet (litmus::EdgeVariant) -- the external
+ * communication relations rf/co/fr, plain program order, the four
+ * basic fences LL/LS/SL/SS, and address/data/control dependencies,
+ * with load+store conflicts becoming RMWs -- within the generator's
+ * cycle budgets, and canonicalizes each one so isomorphic tests
+ * collapse to a single representative *before* lowering.  The event
+ * kinds, fence fitting and location walk it prunes and encodes with
+ * are the generator's own (litmus/generator.hh), so every cycle it
+ * emits follows the lowering's rules edge for edge:
  *
  *  - Thread rotation: a cycle has no distinguished start; of all
  *    rotations ending with a communication edge (the ones the lowering
@@ -94,28 +98,23 @@ struct CanonicalCycle
  */
 enum class CanonicalForm : uint8_t { Rotation, Full };
 
-/** Bounds of one exhaustive enumeration. */
+/**
+ * Bounds of one exhaustive enumeration.  Threads, locations, loads and
+ * stores are always bounded by the generator's cycle budgets, and a
+ * fence edge only takes the kinds that fit the events beside it
+ * (litmus::fenceFits), as the random generator draws them.
+ */
 struct EnumerateOptions
 {
     /** Cycle length in edges (== events), 3..8. */
     int minLen = 3;
     int maxLen = 6;
-    /** Thread budget: communication edges per cycle, 2..4. */
-    int maxThreads = 4;
-    /** Distinct shared locations, 1..4. */
-    int maxLocations = 4;
     /** Include fence-decorated program-order edges. */
     bool fences = true;
     /** Include dependency-decorated program-order edges. */
     bool deps = true;
     /** Allow load+store type conflicts (lowered as AMOSWAP RMWs). */
     bool rmws = true;
-    /**
-     * Only emit fence kinds whose sides match the adjacent events'
-     * access types (an RMW matches either side), as the random
-     * generator does; false enumerates all four kinds per fence edge.
-     */
-    bool matchedFencesOnly = true;
 
     /** Which symmetry quotient the emitted universe represents. */
     CanonicalForm canonical = CanonicalForm::Rotation;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <cerrno>
+#include <cstring>
 #include <filesystem>
+#include <system_error>
 
 #include "base/hashing.hh"
 #include "base/logging.hh"
@@ -107,54 +110,118 @@ decodeRecord(const unsigned char (&buf)[RecordSize])
     return r;
 }
 
-void
+/** The header writeHeader() emits: magic, then the version (low u32). */
+std::array<unsigned char, HeaderSize>
+storeHeader()
+{
+    std::array<unsigned char, HeaderSize> buf = {};
+    putLe64(buf.data() + 0, StoreMagic);
+    putLe64(buf.data() + 8, uint64_t(StoreVersion));
+    return buf;
+}
+
+bool
 writeHeader(std::FILE *f)
 {
-    unsigned char buf[HeaderSize] = {};
-    putLe64(buf + 0, StoreMagic);
-    putLe64(buf + 8, uint64_t(StoreVersion)); // low u32 version, high 0
-    const size_t n = std::fwrite(buf, 1, HeaderSize, f);
-    GAM_ASSERT(n == HeaderSize, "campaign store: short header write");
+    return std::fwrite(storeHeader().data(), 1, HeaderSize, f)
+        == HeaderSize;
+}
+
+std::string
+quoted(const std::string &path)
+{
+    return "'" + path + "'";
+}
+
+/** "<what> '<path>': <reason>", the reason errno gives for the call
+ *  that just failed. */
+std::string
+failure(const char *what, const std::string &path)
+{
+    const std::error_code ec(errno, std::generic_category());
+    return std::string(what) + " " + quoted(path) + ": " + ec.message();
 }
 
 } // namespace
 
-DecisionStore::DecisionStore(const std::string &path, StoreOptions opts)
+DecisionStore::DecisionStore(const std::string &path, StoreOptions opts,
+                             Unopened)
     : filePath(path), options(opts),
       lastFlush(std::chrono::steady_clock::now())
 {
+}
+
+DecisionStore::DecisionStore(const std::string &path, StoreOptions opts)
+    : DecisionStore(path, opts, Unopened{})
+{
+    const std::optional<std::string> error = recover(StoreOpen::Create);
+    GAM_ASSERT(!error, "%s", error->c_str());
+}
+
+std::unique_ptr<DecisionStore>
+DecisionStore::open(const std::string &path, StoreOpen mode,
+                    std::string *error, StoreOptions options)
+{
+    std::unique_ptr<DecisionStore> store(
+        new DecisionStore(path, options, Unopened{}));
+    if (std::optional<std::string> why = store->recover(mode)) {
+        if (error)
+            *error = std::move(*why);
+        return nullptr;
+    }
+    return store;
+}
+
+std::optional<std::string>
+DecisionStore::recover(StoreOpen mode)
+{
     namespace fs = std::filesystem;
+    const std::string name = quoted(filePath);
 
     // Recovery pass: read the existing log front to back, keeping the
-    // longest valid prefix.
+    // longest valid prefix.  Nothing is written before the file has
+    // proved to be a store.
+    std::error_code ec;
+    const fs::file_status status = fs::status(filePath, ec);
     uint64_t file_size = 0;
-    if (std::FILE *in = std::fopen(path.c_str(), "rb")) {
+    if (fs::exists(status)) {
+        if (!fs::is_regular_file(status))
+            return name + " is not a campaign decision store";
+        std::FILE *in = std::fopen(filePath.c_str(), "rb");
+        if (!in)
+            return failure("cannot read campaign store", filePath);
         unsigned char header[HeaderSize];
-        if (std::fread(header, 1, HeaderSize, in) == HeaderSize) {
-            GAM_ASSERT(getLe64(header + 0) == StoreMagic,
-                       "'%s' is not a campaign decision store",
-                       path.c_str());
-            GAM_ASSERT(uint32_t(getLe64(header + 8)) == StoreVersion,
-                       "campaign store '%s': unsupported version",
-                       path.c_str());
-            unsigned char buf[RecordSize];
-            while (std::fread(buf, 1, RecordSize, in) == RecordSize) {
-                auto r = decodeRecord(buf);
-                if (!r)
-                    break; // first corrupt record: the tail starts here
-                if (index.emplace(r->key, *r).second) {
-                    ++counters.loaded;
-                    testIndex[r->testFingerprint].push_back(r->key);
-                } else {
-                    ++counters.duplicates;
-                }
-            }
+        const size_t got = std::fread(header, 1, HeaderSize, in);
+        // A file shorter than the header is a store's torn header
+        // exactly when it is a prefix of one.
+        const bool torn = got < HeaderSize;
+        const bool is_store = torn
+            ? std::memcmp(header, storeHeader().data(), got) == 0
+            : getLe64(header + 0) == StoreMagic;
+        const bool supported =
+            torn || uint32_t(getLe64(header + 8)) == StoreVersion;
+        unsigned char buf[RecordSize];
+        while (is_store && supported && !torn
+               && std::fread(buf, 1, RecordSize, in) == RecordSize) {
+            auto r = decodeRecord(buf);
+            if (!r)
+                break; // first corrupt record: the tail starts here
+            if (index.emplace(r->key, *r).second)
+                ++counters.loaded;
+            else
+                ++counters.duplicates;
         }
         std::fclose(in);
-        std::error_code ec;
-        file_size = fs::file_size(path, ec);
+        if (!is_store)
+            return name + " is not a campaign decision store";
+        if (!supported)
+            return "campaign store " + name + ": unsupported version";
+        file_size = fs::file_size(filePath, ec);
         if (ec)
-            file_size = 0;
+            return "cannot size campaign store " + name + ": "
+                + ec.message();
+    } else if (mode == StoreOpen::Existing) {
+        return "no campaign store at " + name;
     }
 
     const uint64_t good_size =
@@ -163,26 +230,29 @@ DecisionStore::DecisionStore(const std::string &path, StoreOptions opts)
         // Torn or corrupt tail: drop it now so the recovered prefix
         // and new appends form one contiguous valid log.
         counters.droppedBytes = file_size - good_size;
-        std::error_code ec;
         fs::resize_file(filePath, good_size, ec);
-        GAM_ASSERT(!ec, "campaign store '%s': cannot truncate torn tail",
-                   filePath.c_str());
+        if (ec) {
+            return "campaign store " + name
+                + ": cannot truncate torn tail: " + ec.message();
+        }
         file_size = good_size;
     }
 
     if (file_size < HeaderSize) {
-        // New (or headerless-stub) file: start a fresh log.
+        // New file, or a torn header: start a fresh log.
         counters.droppedBytes += file_size;
         std::FILE *f = std::fopen(filePath.c_str(), "wb");
-        GAM_ASSERT(f != nullptr, "campaign store: cannot create '%s'",
-                   filePath.c_str());
-        writeHeader(f);
-        std::fclose(f);
+        if (!f)
+            return failure("cannot create campaign store", filePath);
+        const bool written = writeHeader(f);
+        if (std::fclose(f) != 0 || !written)
+            return "campaign store " + name + ": short header write";
     }
 
     log = std::fopen(filePath.c_str(), "ab");
-    GAM_ASSERT(log != nullptr, "campaign store: cannot append to '%s'",
-               filePath.c_str());
+    if (!log)
+        return failure("cannot append to campaign store", filePath);
+    return std::nullopt;
 }
 
 DecisionStore::~DecisionStore()
@@ -236,7 +306,6 @@ DecisionStore::store(uint64_t key, const harness::Query &query,
         ++counters.duplicates;
         return;
     }
-    testIndex[r.testFingerprint].push_back(key);
     append(r);
 }
 
@@ -312,44 +381,28 @@ DecisionStore::flushLocked()
     lastFlush = std::chrono::steady_clock::now();
 }
 
-std::vector<StoreRecord>
-DecisionStore::recordsForTest(uint64_t testFingerprint) const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    std::vector<StoreRecord> out;
-    auto it = testIndex.find(testFingerprint);
-    if (it == testIndex.end())
-        return out;
-    out.reserve(it->second.size());
-    for (uint64_t key : it->second)
-        out.push_back(index.at(key));
-    std::sort(out.begin(), out.end(),
-              [](const StoreRecord &a, const StoreRecord &b) {
-                  return a.key < b.key;
-              });
-    return out;
-}
-
-size_t
-DecisionStore::distinctTests() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return testIndex.size();
-}
-
-CompactStats
+std::optional<CompactStats>
 compactStores(const std::vector<std::string> &inputs,
-              const std::string &output)
+              const std::string &output, std::string *error)
 {
+    auto fail = [&](std::string why) {
+        if (error)
+            *error = std::move(why);
+        return std::nullopt;
+    };
+    if (std::find(inputs.begin(), inputs.end(), output) != inputs.end()) {
+        return fail("campaign compact: output " + quoted(output)
+                    + " is also an input");
+    }
+
     CompactStats stats;
     std::unordered_map<uint64_t, StoreRecord> merged;
     for (const std::string &in : inputs) {
-        GAM_ASSERT(in != output,
-                   "campaign compact: output '%s' is also an input",
-                   output.c_str());
-        DecisionStore store(in);
+        auto store = DecisionStore::open(in, StoreOpen::Existing, error);
+        if (!store)
+            return std::nullopt;
         ++stats.inputs;
-        store.forEach([&](const StoreRecord &r) {
+        store->forEach([&](const StoreRecord &r) {
             ++stats.scanned;
             if (!merged.emplace(r.key, r).second)
                 ++stats.duplicates;
@@ -368,19 +421,18 @@ compactStores(const std::vector<std::string> &inputs,
               });
 
     std::FILE *out = std::fopen(output.c_str(), "wb");
-    GAM_ASSERT(out != nullptr, "campaign compact: cannot create '%s'",
-               output.c_str());
-    writeHeader(out);
+    if (!out)
+        return fail(failure("campaign compact: cannot create", output));
+    bool written = writeHeader(out);
     for (const StoreRecord *r : ordered) {
         unsigned char buf[RecordSize];
         encodeRecord(*r, buf);
-        const size_t n = std::fwrite(buf, 1, RecordSize, out);
-        GAM_ASSERT(n == RecordSize,
-                   "campaign compact: short write to '%s'",
-                   output.c_str());
+        written = written
+            && std::fwrite(buf, 1, RecordSize, out) == RecordSize;
     }
-    GAM_ASSERT(std::fflush(out) == 0 && std::fclose(out) == 0,
-               "campaign compact: cannot finish '%s'", output.c_str());
+    written = std::fflush(out) == 0 && written;
+    if (std::fclose(out) != 0 || !written)
+        return fail("campaign compact: short write to " + quoted(output));
     stats.merged = ordered.size();
     return stats;
 }

@@ -26,6 +26,13 @@
  * record was validated, so a load never serves corrupted bytes.
  * Group flushing only widens the at-risk tail from one record to one
  * flush group.
+ *
+ * A file is a store only if it starts with the store header; one of
+ * 0-15 bytes that is a prefix of the header is the torn header of a
+ * killed run and opens as a fresh store.  DecisionStore::open()
+ * refuses any other file, leaving its bytes untouched, and reports
+ * why instead of aborting -- as it does for a path that cannot be
+ * created or, when the store must already exist, a missing file.
  */
 
 #ifndef GAM_CAMPAIGN_STORE_HH
@@ -35,6 +42,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -98,6 +106,15 @@ struct StoreOptions
     uint64_t flushIntervalMs = 200;
 };
 
+/** What DecisionStore::open() does with a path that has no file. */
+enum class StoreOpen : uint8_t
+{
+    /** Create a fresh store there (`campaign run`). */
+    Create,
+    /** Refuse it: reading commands never create a store. */
+    Existing,
+};
+
 /** Outcome of one compactStores() merge. */
 struct CompactStats
 {
@@ -120,10 +137,19 @@ class DecisionStore final : public harness::DecisionBackend
 {
   public:
     /**
-     * Open (or create) the store at @p path, recovering every valid
-     * record and truncating any torn tail.  Asserts that an existing
-     * non-empty file is actually a campaign store (magic + version).
+     * Open the store at @p path, recovering every valid record and
+     * truncating any torn tail; with StoreOpen::Create a missing file
+     * becomes a fresh store.  Returns null, with the reason (naming
+     * the file) in @p error when given, if the file is not a store,
+     * cannot be read or created, or is missing under
+     * StoreOpen::Existing; a refused file is left untouched.
      */
+    static std::unique_ptr<DecisionStore>
+    open(const std::string &path, StoreOpen mode,
+         std::string *error = nullptr, StoreOptions options = {});
+
+    /** open(path, StoreOpen::Create), asserting that it succeeds: for
+     *  paths the caller owns (benchmarks, tests). */
     explicit DecisionStore(const std::string &path,
                            StoreOptions options = {});
     ~DecisionStore() override;
@@ -151,19 +177,6 @@ class DecisionStore final : public harness::DecisionBackend
     /** Visit every resident record (order unspecified). */
     void forEach(const std::function<void(const StoreRecord &)> &fn) const;
 
-    /**
-     * Every resident record for @p testFingerprint, in key order
-     * (deterministic).  Served by the in-memory test-fingerprint index
-     * built at open and maintained per append -- the `campaign query
-     * --disagree` axis: one test's verdicts across models without a
-     * full log scan.
-     */
-    std::vector<StoreRecord> recordsForTest(uint64_t testFingerprint)
-        const;
-
-    /** Distinct test fingerprints resident. */
-    size_t distinctTests() const;
-
     /** Records resident (recovered + appended this session). */
     size_t size() const;
 
@@ -176,6 +189,12 @@ class DecisionStore final : public harness::DecisionBackend
     const std::string &path() const { return filePath; }
 
   private:
+    struct Unopened {};
+    DecisionStore(const std::string &path, StoreOptions options,
+                  Unopened);
+    /** Recover the log and open it for appending; the reason on
+     *  failure. */
+    std::optional<std::string> recover(StoreOpen mode);
     void append(const StoreRecord &record);
     void flushLocked();
 
@@ -183,8 +202,6 @@ class DecisionStore final : public harness::DecisionBackend
     const StoreOptions options;
     mutable std::mutex mu;
     std::unordered_map<uint64_t, StoreRecord> index;
-    /** testFingerprint -> keys of its records (insertion order). */
-    std::unordered_map<uint64_t, std::vector<uint64_t>> testIndex;
     std::FILE *log = nullptr;
     StoreStats counters;
     /** Appends since the last flush, and when that flush happened. */
@@ -198,13 +215,18 @@ class DecisionStore final : public harness::DecisionBackend
  * containing a key wins, matching the store's own first-write-wins
  * append rule.  Records are written in key order, so compacting the
  * same inputs always produces a byte-identical file.  Each input is
- * opened with full recovery, so compaction also heals torn tails.
- * The `campaign compact` subcommand: campaigns split across several
- * stores and crashed runs leave multiple partial logs behind; one
- * compacted store serves a resume with a single index.
+ * opened with full recovery (StoreOpen::Existing), so compaction also
+ * heals torn tails.  Returns nullopt, with the reason in @p error when
+ * given, if an input is missing or not a store, the output is also an
+ * input, or the output cannot be written; no output is created when
+ * an input is refused.  The `campaign compact` subcommand: campaigns
+ * split across several stores and crashed runs leave multiple partial
+ * logs behind; one compacted store serves a resume with a single
+ * index.
  */
-CompactStats compactStores(const std::vector<std::string> &inputs,
-                           const std::string &output);
+std::optional<CompactStats>
+compactStores(const std::vector<std::string> &inputs,
+              const std::string &output, std::string *error = nullptr);
 
 } // namespace gam::campaign
 

@@ -13,129 +13,14 @@ namespace
 
 using litmus::CycleEdge;
 using litmus::CycleEventKind;
-
-bool
-isCommKind(CycleEdge::Kind k)
-{
-    return k == CycleEdge::Kind::Rfe || k == CycleEdge::Kind::Coe
-        || k == CycleEdge::Kind::Fre;
-}
-
-bool
-isR(CycleEventKind k)
-{
-    return k != CycleEventKind::Store;
-}
-
-bool
-isW(CycleEventKind k)
-{
-    return k != CycleEventKind::Load;
-}
-
-/**
- * Decoration id of a po-family edge, in the enumeration's variant
- * order relative to V_PO: 0 = po, 1..4 = FenceLL/LS/SL/SS, 5 = addr,
- * 6 = data, 7 = ctrl.  The lex-least rule below relies on this order
- * matching campaign/enumerate.cc's emission order.
- */
-constexpr int kDecorations = 8;
-
-int
-decorationId(const CycleEdge &e)
-{
-    switch (e.kind) {
-      case CycleEdge::Kind::Po: return 0;
-      case CycleEdge::Kind::PoFence: return 1 + int(e.fence);
-      case CycleEdge::Kind::PoAddr: return 5;
-      case CycleEdge::Kind::PoData: return 6;
-      case CycleEdge::Kind::PoCtrl: return 7;
-      default: return -1; // communication edge
-    }
-}
-
-CycleEdge
-withDecoration(CycleEdge base, int id)
-{
-    switch (id) {
-      case 0: base.kind = CycleEdge::Kind::Po; break;
-      case 5: base.kind = CycleEdge::Kind::PoAddr; break;
-      case 6: base.kind = CycleEdge::Kind::PoData; break;
-      case 7: base.kind = CycleEdge::Kind::PoCtrl; break;
-      default:
-        base.kind = CycleEdge::Kind::PoFence;
-        base.fence = static_cast<isa::FenceKind>(id - 1);
-        break;
-    }
-    return base;
-}
-
-/** Event-type needs, mirroring the lowering's rules. */
-enum class Need : uint8_t { Free, Load, Store };
-
-Need
-tailNeed(CycleEdge::Kind k)
-{
-    switch (k) {
-      case CycleEdge::Kind::Rfe:
-      case CycleEdge::Kind::Coe: return Need::Store;
-      case CycleEdge::Kind::Fre:
-      case CycleEdge::Kind::PoAddr:
-      case CycleEdge::Kind::PoData:
-      case CycleEdge::Kind::PoCtrl: return Need::Load;
-      default: return Need::Free;
-    }
-}
-
-Need
-headNeed(CycleEdge::Kind k)
-{
-    switch (k) {
-      case CycleEdge::Kind::Rfe: return Need::Load;
-      case CycleEdge::Kind::Coe:
-      case CycleEdge::Kind::Fre:
-      case CycleEdge::Kind::PoData: return Need::Store;
-      default: return Need::Free;
-    }
-}
-
-Need
-decorationTailNeed(int id)
-{
-    return id >= 5 ? Need::Load : Need::Free;
-}
-
-Need
-decorationHeadNeed(int id)
-{
-    return id == 6 ? Need::Store : Need::Free;
-}
-
-CycleEventKind
-combineNeeds(Need in, Need out)
-{
-    if ((in == Need::Load && out == Need::Store)
-        || (in == Need::Store && out == Need::Load)) {
-        return CycleEventKind::Rmw;
-    }
-    if (in == Need::Store || out == Need::Store)
-        return CycleEventKind::Store;
-    return CycleEventKind::Load;
-}
-
-/** Absolute event locations along the walk (comm edges keep them). */
-std::vector<int>
-eventLocs(const std::vector<CycleEdge> &edges, int numLoc)
-{
-    const size_t n = edges.size();
-    std::vector<int> loc(n, 0);
-    for (size_t i = 0; i + 1 < n; ++i) {
-        const int step =
-            isCommKind(edges[i].kind) ? 0 : edges[i].locStep;
-        loc[i + 1] = ((loc[i] + step) % numLoc + numLoc) % numLoc;
-    }
-    return loc;
-}
+using litmus::EventNeed;
+using litmus::isFenceVariant;
+using litmus::readsMemory;
+using litmus::V_ADDR;
+using litmus::V_CTRL;
+using litmus::V_DATA;
+using litmus::V_PO;
+using litmus::writesMemory;
 
 void
 transitiveClose(uint64_t *p, int L)
@@ -173,7 +58,7 @@ gamFamilyPairs(const std::vector<CycleEventKind> &k,
     auto set = [&](int i, int j) { p |= 1ull << (i * 8 + j); };
     // SAMemSt: a store after older same-address memory instructions.
     for (int j = 0; j < L; ++j) {
-        if (!isW(k[size_t(j)]))
+        if (!writesMemory(k[size_t(j)]))
             continue;
         for (int i = 0; i < j; ++i)
             if (loc[size_t(i)] == loc[size_t(j)])
@@ -182,46 +67,43 @@ gamFamilyPairs(const std::vector<CycleEventKind> &k,
     // SAStLd: the dep source of a store orders before the loads for
     // which that store is the closest older same-address store.
     auto saStLd = [&](int src, int s) {
-        if (!isW(k[size_t(s)]))
+        if (!writesMemory(k[size_t(s)]))
             return;
         for (int e = s + 1; e < L; ++e) {
             if (loc[size_t(e)] != loc[size_t(s)])
                 continue;
-            if (isR(k[size_t(e)]))
+            if (readsMemory(k[size_t(e)]))
                 set(src, e);
-            if (isW(k[size_t(e)]))
+            if (writesMemory(k[size_t(e)]))
                 break; // intervening store shields younger loads
         }
     };
     for (int slot = 0; slot + 1 < L; ++slot) {
         const int src = slot, dst = slot + 1, d = dec[size_t(slot)];
-        if (d == 0)
+        if (d == V_PO)
             continue;
-        if (d <= 4) { // FenceOrd
-            const auto f = static_cast<isa::FenceKind>(d - 1);
-            const bool preLoad = isa::fencePre(f) == isa::MemType::Load;
-            const bool postLoad =
-                isa::fencePost(f) == isa::MemType::Load;
+        if (isFenceVariant(d)) { // FenceOrd
+            const auto f = litmus::variantFence(d);
             for (int a = 0; a <= src; ++a) {
-                if (!(preLoad ? isR(k[size_t(a)]) : isW(k[size_t(a)])))
+                if (!litmus::fitsFenceSide(isa::fencePre(f), k[size_t(a)]))
                     continue;
                 for (int b = dst; b < L; ++b)
-                    if (postLoad ? isR(k[size_t(b)])
-                                 : isW(k[size_t(b)]))
+                    if (litmus::fitsFenceSide(isa::fencePost(f),
+                                              k[size_t(b)]))
                         set(a, b);
             }
-        } else if (d == 5) { // addr: RegRAW + AddrSt + SAStLd
+        } else if (d == V_ADDR) { // RegRAW + AddrSt + SAStLd
             set(src, dst);
             for (int w = dst + 1; w < L; ++w)
-                if (isW(k[size_t(w)]))
+                if (writesMemory(k[size_t(w)]))
                     set(src, w);
             saStLd(src, dst);
-        } else if (d == 6) { // data: RegRAW + SAStLd
+        } else if (d == V_DATA) { // RegRAW + SAStLd
             set(src, dst);
             saStLd(src, dst);
         } else { // ctrl: BrSt (stores only; loads may speculate)
             for (int w = dst; w < L; ++w)
-                if (isW(k[size_t(w)]))
+                if (writesMemory(k[size_t(w)]))
                     set(src, w);
         }
     }
@@ -239,26 +121,21 @@ tsoPairs(const std::vector<CycleEventKind> &k, const std::vector<int> &dec)
     auto set = [&](int i, int j) { p |= 1ull << (i * 8 + j); };
     for (int j = 0; j < L; ++j) {
         for (int i = 0; i < j; ++i) {
-            const bool pureW =
-                isW(k[size_t(i)]) && !isR(k[size_t(i)]);
-            const bool pureR =
-                isR(k[size_t(j)]) && !isW(k[size_t(j)]);
-            if (!(pureW && pureR))
+            if (k[size_t(i)] != CycleEventKind::Store
+                || k[size_t(j)] != CycleEventKind::Load)
                 set(i, j);
         }
     }
     for (int slot = 0; slot + 1 < L; ++slot) {
         const int d = dec[size_t(slot)];
-        if (d < 1 || d > 4)
+        if (!isFenceVariant(d))
             continue;
-        const auto f = static_cast<isa::FenceKind>(d - 1);
-        const bool preLoad = isa::fencePre(f) == isa::MemType::Load;
-        const bool postLoad = isa::fencePost(f) == isa::MemType::Load;
+        const auto f = litmus::variantFence(d);
         for (int a = 0; a <= slot; ++a) {
-            if (!(preLoad ? isR(k[size_t(a)]) : isW(k[size_t(a)])))
+            if (!litmus::fitsFenceSide(isa::fencePre(f), k[size_t(a)]))
                 continue;
             for (int b = slot + 1; b < L; ++b)
-                if (postLoad ? isR(k[size_t(b)]) : isW(k[size_t(b)]))
+                if (litmus::fitsFenceSide(isa::fencePost(f), k[size_t(b)]))
                     set(a, b);
         }
     }
@@ -273,8 +150,10 @@ struct ThreadView
     std::vector<CycleEventKind> kinds;
     std::vector<int> locs;
     std::vector<int> decorations;
-    Need inNeed = Need::Free;  ///< head need of the entering comm edge
-    Need outNeed = Need::Free; ///< tail need of the leaving comm edge
+    /** Head need of the entering comm edge. */
+    EventNeed inNeed = EventNeed::Free;
+    /** Tail need of the leaving comm edge. */
+    EventNeed outNeed = EventNeed::Free;
 };
 
 /** Split a rotation-canonical cycle (last edge comm) into threads. */
@@ -284,12 +163,12 @@ splitThreads(const std::vector<CycleEdge> &edges,
              const std::vector<int> &locs)
 {
     const size_t n = edges.size();
-    GAM_ASSERT(isCommKind(edges[n - 1].kind),
+    GAM_ASSERT(litmus::isCommunication(edges[n - 1].kind),
                "splitThreads: spec is not rotation-canonical");
     std::vector<ThreadView> threads;
     size_t start = 0;
     for (size_t i = 0; i < n; ++i) {
-        if (!isCommKind(edges[i].kind))
+        if (!litmus::isCommunication(edges[i].kind))
             continue;
         ThreadView t;
         t.start = start;
@@ -297,11 +176,10 @@ splitThreads(const std::vector<CycleEdge> &edges,
             t.kinds.push_back(kinds[e]);
             t.locs.push_back(locs[e]);
             if (e < i)
-                t.decorations.push_back(decorationId(edges[e]));
+                t.decorations.push_back(litmus::edgeVariant(edges[e]));
         }
-        t.inNeed = headNeed(
-            edges[(start + n - 1) % n].kind);
-        t.outNeed = tailNeed(edges[i].kind);
+        t.inNeed = litmus::headNeed(edges[(start + n - 1) % n].kind);
+        t.outNeed = litmus::tailNeed(edges[i].kind);
         threads.push_back(std::move(t));
         start = i + 1;
     }
@@ -310,67 +188,56 @@ splitThreads(const std::vector<CycleEdge> &edges,
 
 /** Thread event kinds implied by boundary needs and decorations. */
 void
-localKinds(Need inNeed, Need outNeed, const std::vector<int> &dec,
+localKinds(EventNeed inNeed, EventNeed outNeed, const std::vector<int> &dec,
            std::vector<CycleEventKind> *out)
 {
     const size_t L = dec.size() + 1;
     out->resize(L);
     for (size_t j = 0; j < L; ++j) {
-        const Need in =
-            j == 0 ? inNeed : decorationHeadNeed(dec[j - 1]);
-        const Need outN =
-            j == L - 1 ? outNeed : decorationTailNeed(dec[j]);
-        (*out)[j] = combineNeeds(in, outN);
+        const EventNeed in = j == 0
+            ? inNeed
+            : litmus::headNeed(litmus::variantKind(dec[j - 1]));
+        const EventNeed outN = j == L - 1
+            ? outNeed
+            : litmus::tailNeed(litmus::variantKind(dec[j]));
+        (*out)[j] = litmus::cycleEventKind(in, outN);
     }
-}
-
-/** The enumerator's matched-fence rule: both fence sides must accept
- *  the adjacent event's access type (an RMW matches either side). */
-bool
-fenceSidesMatch(int id, CycleEventKind before, CycleEventKind after)
-{
-    const bool preLoad = id == 1 || id == 2;  // FenceLL, FenceLS
-    const bool postLoad = id == 1 || id == 3; // FenceLL, FenceSL
-    if (preLoad ? before == CycleEventKind::Store
-                : before == CycleEventKind::Load)
-        return false;
-    return !(postLoad ? after == CycleEventKind::Store
-                      : after == CycleEventKind::Load);
 }
 
 /**
  * Lex-least decoration vector whose event kinds and ordering
  * signature match the thread's, drawn from the universe's decoration
  * alphabet.  Restricting candidates to what the enumeration can emit
- * (matchedFencesOnly in particular) is load-bearing: the canonical
- * member must itself be enumerable or its class would lose its only
- * representative.  Memoized: the same (boundary needs, locations,
- * decorations, alphabet) recurs across many cycles.
+ * (fences that fit their events in particular) is load-bearing: the
+ * canonical member must itself be enumerable or its class would lose
+ * its only representative.  Memoized: the same (boundary needs,
+ * locations, decorations, alphabet) recurs across many cycles.
  */
 std::vector<int>
 canonicalDecorations(const ThreadView &t, bool allowFences,
-                     bool allowDeps, bool matchedOnly)
+                     bool allowDeps)
 {
     const size_t slots = t.decorations.size();
     if (slots == 0)
         return {};
 
-    uint64_t key = (t.inNeed == Need::Load ? 1u : 0u)
-        | (t.outNeed == Need::Load ? 2u : 0u) | (allowFences ? 4u : 0u)
-        | (allowDeps ? 8u : 0u) | (matchedOnly ? 16u : 0u)
-        | (uint64_t(slots) << 5);
+    // Decorations pack as their 3-bit offset from V_PO.
+    uint64_t key = (t.inNeed == EventNeed::Load ? 1u : 0u)
+        | (t.outNeed == EventNeed::Load ? 2u : 0u)
+        | (allowFences ? 4u : 0u) | (allowDeps ? 8u : 0u)
+        | (uint64_t(slots) << 4);
     for (size_t j = 0; j < t.locs.size(); ++j)
         key = key << 2 | uint64_t(t.locs[j] & 3);
     for (size_t j = 0; j < slots; ++j)
-        key = key << 3 | uint64_t(t.decorations[j]);
-    // The loc field above shifts at most 16 bits and the decorations
-    // 21, on top of 7 + 3 header bits: the packing stays in 64 bits
-    // for threads of up to 8 events.
+        key = key << 3 | uint64_t(t.decorations[j] - V_PO);
+    // The header above takes 7 bits, the locations at most 16 and the
+    // decorations 21: the packing stays in 64 bits for threads of up
+    // to 8 events.
     thread_local std::unordered_map<uint64_t, uint32_t> memo;
     if (auto it = memo.find(key); it != memo.end()) {
         std::vector<int> dec(slots);
         for (size_t j = 0; j < slots; ++j)
-            dec[j] = int(it->second >> (3 * j) & 7);
+            dec[j] = V_PO + int(it->second >> (3 * j) & 7);
         return dec;
     }
 
@@ -378,7 +245,7 @@ canonicalDecorations(const ThreadView &t, bool allowFences,
         gamFamilyPairs(t.kinds, t.locs, t.decorations);
     const uint64_t tsoSig = tsoPairs(t.kinds, t.decorations);
 
-    std::vector<int> cand(slots, 0), best = t.decorations;
+    std::vector<int> cand(slots, V_PO), best = t.decorations;
     std::vector<CycleEventKind> kinds;
     for (;;) {
         // Stop at the original: it matches itself, so the first
@@ -388,11 +255,12 @@ canonicalDecorations(const ThreadView &t, bool allowFences,
         bool allowed = true;
         for (size_t j = 0; j < slots; ++j) {
             const int d = cand[j];
-            if ((!allowFences && d >= 1 && d <= 4)
-                || (!allowDeps && d >= 5)
-                || (matchedOnly && d >= 1 && d <= 4
-                    && !fenceSidesMatch(d, t.kinds[j],
-                                        t.kinds[j + 1]))) {
+            if ((!allowDeps && d >= V_ADDR)
+                || (isFenceVariant(d)
+                    && (!allowFences
+                        || !litmus::fenceFits(litmus::variantFence(d),
+                                              t.kinds[j],
+                                              t.kinds[j + 1])))) {
                 allowed = false;
                 break;
             }
@@ -408,9 +276,9 @@ canonicalDecorations(const ThreadView &t, bool allowFences,
         }
         size_t j = slots;
         while (j-- > 0) {
-            if (++cand[j] < kDecorations)
+            if (++cand[j] <= V_CTRL)
                 break;
-            cand[j] = 0;
+            cand[j] = V_PO;
         }
         if (j == size_t(-1))
             break;
@@ -418,7 +286,7 @@ canonicalDecorations(const ThreadView &t, bool allowFences,
 
     uint32_t packed = 0;
     for (size_t j = 0; j < slots; ++j)
-        packed |= uint32_t(best[j]) << (3 * j);
+        packed |= uint32_t(best[j] - V_PO) << (3 * j);
     memo.emplace(key, packed);
     return best;
 }
@@ -434,9 +302,9 @@ contractibleEvent(const std::vector<CycleEdge> &edges,
                   const std::vector<int> &locs)
 {
     const int n = int(edges.size());
-    bool locHasStore[4] = {false, false, false, false};
+    bool locHasStore[litmus::MaxCycleLocations] = {};
     for (int i = 0; i < n; ++i)
-        if (kinds[size_t(i)] != CycleEventKind::Load)
+        if (writesMemory(kinds[size_t(i)]))
             locHasStore[locs[size_t(i)]] = true;
     for (int i = 0; i < n; ++i) {
         const CycleEdge &in = edges[size_t((i + n - 1) % n)];
@@ -454,7 +322,8 @@ contractibleEvent(const std::vector<CycleEdge> &edges,
 void
 contractEvent(std::vector<CycleEdge> *edges, int *numLoc, int victim)
 {
-    const auto locs = eventLocs(*edges, *numLoc);
+    std::vector<int> locs;
+    litmus::walkCycleLocations(*edges, *numLoc, locs);
     const int n = int(edges->size());
     std::vector<int> keepLoc;
     std::vector<CycleEdge> keepEdges;
@@ -467,7 +336,7 @@ contractEvent(std::vector<CycleEdge> *edges, int *numLoc, int victim)
     // Relabel surviving locations by first occurrence and recompute
     // the po location steps between consecutive survivors.
     const int m = int(keepEdges.size());
-    int relabel[4] = {-1, -1, -1, -1};
+    int relabel[litmus::MaxCycleLocations] = {-1, -1, -1, -1};
     int next = 0;
     for (int j = 0; j < m; ++j) {
         int &slot = relabel[keepLoc[size_t(j)]];
@@ -475,10 +344,11 @@ contractEvent(std::vector<CycleEdge> *edges, int *numLoc, int victim)
             slot = next++;
         keepLoc[size_t(j)] = slot;
     }
-    const int newNumLoc = std::clamp(next, 2, 4);
+    const int newNumLoc = std::clamp(next, litmus::MinCycleLocations,
+                                     litmus::MaxCycleLocations);
     for (int j = 0; j < m; ++j) {
         CycleEdge &e = keepEdges[size_t(j)];
-        if (isCommKind(e.kind))
+        if (litmus::isCommunication(e.kind))
             continue;
         const int from = keepLoc[size_t(j)];
         const int to = keepLoc[size_t((j + 1) % m)];
@@ -509,7 +379,8 @@ isFullCanonical(const std::vector<CycleEdge> &edges, int numLocations,
                 const EnumerateOptions &options, SymmetryStats *stats)
 {
     const auto kinds = litmus::cycleEventKinds(edges);
-    const auto locs = eventLocs(edges, numLocations);
+    std::vector<int> locs;
+    litmus::walkCycleLocations(edges, numLocations, locs);
     if (contractibleEvent(edges, kinds, locs) >= 0) {
         if (stats)
             ++stats->contractible;
@@ -518,8 +389,7 @@ isFullCanonical(const std::vector<CycleEdge> &edges, int numLocations,
     for (const ThreadView &t : splitThreads(edges, kinds, locs)) {
         if (t.decorations.empty())
             continue;
-        if (canonicalDecorations(t, options.fences, options.deps,
-                                 options.matchedFencesOnly)
+        if (canonicalDecorations(t, options.fences, options.deps)
             != t.decorations) {
             if (stats)
                 ++stats->decorationDuplicates;
@@ -539,11 +409,12 @@ canonicalCycleFull(const std::vector<CycleEdge> &edges, int numLocations)
 
     std::vector<CycleEdge> cur = canon->edges;
     int numLoc = canon->numLocations;
+    std::vector<int> locs;
     for (bool changed = true; changed;) {
         changed = false;
         for (;;) {
             const auto kinds = litmus::cycleEventKinds(cur);
-            const auto locs = eventLocs(cur, numLoc);
+            litmus::walkCycleLocations(cur, numLoc, locs);
             const int victim = contractibleEvent(cur, kinds, locs);
             if (victim < 0)
                 break;
@@ -551,16 +422,15 @@ canonicalCycleFull(const std::vector<CycleEdge> &edges, int numLocations)
             changed = true;
         }
         const auto kinds = litmus::cycleEventKinds(cur);
-        const auto locs = eventLocs(cur, numLoc);
+        litmus::walkCycleLocations(cur, numLoc, locs);
         for (const ThreadView &t : splitThreads(cur, kinds, locs)) {
             const std::vector<int> dec = canonicalDecorations(
-                t, /*allowFences=*/true, /*allowDeps=*/true,
-                /*matchedOnly=*/true);
+                t, /*allowFences=*/true, /*allowDeps=*/true);
             if (dec == t.decorations)
                 continue;
             for (size_t j = 0; j < dec.size(); ++j)
-                cur[t.start + j] =
-                    withDecoration(cur[t.start + j], dec[j]);
+                cur[t.start + j] = litmus::variantEdge(
+                    dec[j], cur[t.start + j].locStep);
             changed = true;
         }
     }

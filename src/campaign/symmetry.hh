@@ -28,7 +28,7 @@
  *       top of the GAM0 base, so equal closures imply equal ppo -- and
  *       hence equal verdicts -- for every ModelKind and the shipped
  *       .cat models.  The canonical member is the lexicographically
- *       least assignment (in enumeration variant order) achieving the
+ *       least assignment (in litmus::EdgeVariant order) achieving the
  *       thread's signature.  Example: between two loads, `addr` and
  *       `fll` collapse (the fence is lex-least and survives), and a
  *       bare `ctrl` (no later store to order) collapses with plain
@@ -108,10 +108,9 @@ struct ThreadOrderSignature
 /**
  * Signature of one thread of a cycle.  @p kinds / @p locs are the
  * thread's event kinds and (cycle-global) location labels in program
- * order; @p decorations the variant of each po-family edge between
- * consecutive events, as campaign/enumerate.cc numbers them relative
- * to V_PO (0 = plain po, 1..4 = FenceLL/LS/SL/SS, 5 = addr, 6 = data,
- * 7 = ctrl).
+ * order; @p decorations the litmus::EdgeVariant code of each po-family
+ * edge between consecutive events (V_PO, the fences V_FLL .. V_FSS,
+ * V_ADDR, V_DATA, V_CTRL).
  */
 ThreadOrderSignature
 threadOrderSignature(const std::vector<litmus::CycleEventKind> &kinds,
@@ -122,9 +121,10 @@ threadOrderSignature(const std::vector<litmus::CycleEventKind> &kinds,
  * Is @p edges the canonical member of its Full-equivalence class?
  * Assumes the spec is already rotation-canonical (as emitted by
  * enumerateCycles or returned by canonicalCycle).  The decoration
- * alphabet honours @p options.fences / options.deps so restricted
- * universes stay closed under the quotient.  @p stats, when given,
- * counts which rule rejected the cycle.
+ * alphabet is the enumeration's: fences only where they fit their
+ * events (litmus::fenceFits), and @p options.fences / options.deps
+ * honoured so restricted universes stay closed under the quotient.
+ * @p stats, when given, counts which rule rejected the cycle.
  */
 bool isFullCanonical(const std::vector<litmus::CycleEdge> &edges,
                      int numLocations, const EnumerateOptions &options,
@@ -136,9 +136,9 @@ bool isFullCanonical(const std::vector<litmus::CycleEdge> &edges,
  * per-thread lex-least redecorations until stable.  Isomorphic specs
  * and verdict-equivalent decorations map to byte-identical results.
  * The redecoration alphabet is the default universe's (fences, deps,
- * matched fence sides only), so in-universe specs map to in-universe
- * representatives; a spec using a mismatched fence normalizes within
- * its class but may keep the mismatched fence.  Returns nullopt
+ * fences only where they fit their events), so in-universe specs map
+ * to in-universe representatives; a spec using a fence that does not
+ * fit normalizes within its class but may keep that fence.  Returns nullopt
  * exactly when canonicalCycle() does (open walk, no communication
  * edge, bad location count).
  */

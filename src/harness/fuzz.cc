@@ -8,6 +8,7 @@
 #include "base/logging.hh"
 #include "base/thread_pool.hh"
 #include "harness/decision.hh"
+#include "litmus/generator.hh"
 #include "litmus/parser.hh"
 #include "model/engine.hh"
 #include "obs/registry.hh"
@@ -203,7 +204,7 @@ fuzzDifferential(const FuzzOptions &options)
     ThreadPool pool(options.threads);
     pool.parallelFor(options.tests, [&](size_t i) {
         const litmus::LitmusTest test =
-            litmus::generateTest(options.seed, i, options.generator);
+            litmus::generateTest(options.seed, i);
         if (test.check())
             return; // generator guarantees this; stay safe regardless
         axiomatic::CheckerStats local;
@@ -250,8 +251,7 @@ fuzzDifferential(const FuzzOptions &options)
         d.seed = options.seed;
         d.index = hit.index;
         d.model = hit.model;
-        d.test = litmus::generateTest(options.seed, hit.index,
-                                      options.generator);
+        d.test = litmus::generateTest(options.seed, hit.index);
         if (options.shrink) {
             d.test = shrinkDivergent(std::move(d.test), hit.model,
                                      options.maxStates, options.spec);

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "harness/decision.hh"
-#include "litmus/generator.hh"
 #include "litmus/test.hh"
 #include "model/engine.hh"
 #include "model/kind.hh"
@@ -41,7 +40,11 @@ struct FuzzOptions
 {
     /** Number of generated tests to cross-check. */
     uint64_t tests = 1000;
-    /** Generator stream seed; test i is generateTest(seed, i). */
+    /**
+     * Generator stream seed; test i is litmus::generateTest(seed, i),
+     * a random cycle within the generator's budgets (2-4 threads, 3-6
+     * edges, fences, dependencies and RMWs).
+     */
     uint64_t seed = 1;
     /** Worker count; 0 means hardware concurrency. */
     unsigned threads = 0;
@@ -59,7 +62,6 @@ struct FuzzOptions
         model::ModelKind::GAM0, model::ModelKind::GAM,
         model::ModelKind::ARM,
     };
-    litmus::GeneratorOptions generator;
     /** Minimise divergent tests before reporting. */
     bool shrink = true;
     /**

@@ -18,63 +18,13 @@ namespace
 using isa::ProgramBuilder;
 using isa::R;
 
-/** The relations a cycle edge can be drawn from. */
-enum class EdgeKind : uint8_t
-{
-    Rfe,       ///< store read by a load on another thread
-    Coe,       ///< coherence order between stores on different threads
-    Fre,       ///< load overwritten by a store on another thread
-    Po,        ///< plain program order
-    PoFence,   ///< program order through a basic fence
-    PoDepAddr, ///< program order through an address dependency
-    PoDepData, ///< program order through a data dependency
-    PoDepCtrl, ///< program order through a control dependency
-};
-
-bool
-isComm(EdgeKind k)
-{
-    return k == EdgeKind::Rfe || k == EdgeKind::Coe || k == EdgeKind::Fre;
-}
-
-/** Event-type requirement an edge imposes on one of its endpoints. */
-enum class Need : uint8_t { Free, Load, Store };
-
-/** Requirement on the edge's source event. */
-Need
-tailNeed(EdgeKind k)
-{
-    switch (k) {
-      case EdgeKind::Rfe: return Need::Store;
-      case EdgeKind::Coe: return Need::Store;
-      case EdgeKind::Fre: return Need::Load;
-      // A dependency must flow out of a produced value, i.e. a load.
-      case EdgeKind::PoDepAddr:
-      case EdgeKind::PoDepData:
-      case EdgeKind::PoDepCtrl: return Need::Load;
-      default: return Need::Free;
-    }
-}
-
-/** Requirement on the edge's destination event. */
-Need
-headNeed(EdgeKind k)
-{
-    switch (k) {
-      case EdgeKind::Rfe: return Need::Load;
-      case EdgeKind::Coe: return Need::Store;
-      case EdgeKind::Fre: return Need::Store;
-      // A data dependency must flow into store data.
-      case EdgeKind::PoDepData: return Need::Store;
-      default: return Need::Free;
-    }
-}
-
-enum class EvKind : uint8_t { Load, Store, Rmw };
+/** The random generator draws cycles of this many edges (== events). */
+constexpr int MinDrawnEdges = 3;
+constexpr int MaxDrawnEdges = 6;
 
 struct Event
 {
-    EvKind kind = EvKind::Load;
+    CycleEventKind kind = CycleEventKind::Load;
     int thread = 0;
     int loc = 0;
     /** The value this event's store side writes (stores and RMWs). */
@@ -85,144 +35,166 @@ struct Event
 
 struct Cycle
 {
-    std::vector<EdgeKind> edges;
+    /** Rotated so the closing edge (back to event 0) is communication. */
+    std::vector<CycleEdge> edges;
     std::vector<Event> events; ///< events[i] is the source of edges[i]
-    std::vector<isa::FenceKind> fences; ///< valid where edges[i] is PoFence
     int threads = 0;
 };
 
-/** One generation attempt; nullopt when the draw is not realisable. */
+/**
+ * The derivation the random draw and an explicit spec share, part
+ * one: within the thread budget, rotate @p edges so the cycle closes
+ * on a communication edge, then fix each event's kind and thread.  An
+ * event neither adjacent edge constrains gets a coin flip from @p rng,
+ * or is pinned as the lowering pins it when @p rng is null.
+ */
 std::optional<Cycle>
-tryCycle(Rng &rng, const GeneratorOptions &opts)
+shapeCycle(std::vector<CycleEdge> edges, Rng *rng)
 {
-    Cycle cy;
-    const int n = static_cast<int>(
-        rng.rangeInclusive(opts.minEdges, opts.maxEdges));
-
-    for (int i = 0; i < n; ++i) {
-        if (rng.chance(1, 2)) {
-            constexpr EdgeKind comm[] = {EdgeKind::Rfe, EdgeKind::Coe,
-                                         EdgeKind::Fre};
-            cy.edges.push_back(comm[rng.range(3)]);
-        } else if (opts.allowFences && rng.chance(1, 3)) {
-            cy.edges.push_back(EdgeKind::PoFence);
-        } else if (opts.allowDeps && rng.chance(1, 3)) {
-            constexpr EdgeKind dep[] = {EdgeKind::PoDepAddr,
-                                        EdgeKind::PoDepData,
-                                        EdgeKind::PoDepCtrl};
-            cy.edges.push_back(dep[rng.range(3)]);
-        } else {
-            cy.edges.push_back(EdgeKind::Po);
-        }
-    }
-
-    // Thread budget: one thread per communication edge.
+    const int n = static_cast<int>(edges.size());
     int comm_count = 0;
     int last_comm = -1;
     for (int i = 0; i < n; ++i) {
-        if (isComm(cy.edges[i])) {
+        if (isCommunication(edges[size_t(i)].kind)) {
             ++comm_count;
             last_comm = i;
         }
     }
-    if (comm_count < 2 || comm_count > opts.maxThreads)
+    if (comm_count < MinCycleThreads || comm_count > MaxCycleThreads)
         return std::nullopt;
+
+    Cycle cy;
     cy.threads = comm_count;
+    cy.edges = std::move(edges);
+    std::rotate(cy.edges.begin(), cy.edges.begin() + (last_comm + 1) % n,
+                cy.edges.end());
 
-    // Rotate so the cycle's closing edge (back to event 0) is external.
-    std::rotate(cy.edges.begin(),
-                cy.edges.begin() + (last_comm + 1) % n, cy.edges.end());
-
-    // Event kinds from the adjacent edges' requirements.
-    cy.events.resize(n);
-    int loads = 0, stores = 0;
+    cy.events.resize(size_t(n));
     for (int i = 0; i < n; ++i) {
-        const Need in = headNeed(cy.edges[(i + n - 1) % n]);
-        const Need out = tailNeed(cy.edges[i]);
-        EvKind kind;
-        if ((in == Need::Load && out == Need::Store)
-            || (in == Need::Store && out == Need::Load)) {
-            if (!opts.allowRmws)
-                return std::nullopt;
-            kind = EvKind::Rmw;
-        } else if (in == Need::Load || out == Need::Load) {
-            kind = EvKind::Load;
-        } else if (in == Need::Store || out == Need::Store) {
-            kind = EvKind::Store;
-        } else {
-            kind = rng.chance(1, 2) ? EvKind::Load : EvKind::Store;
-        }
-        cy.events[i].kind = kind;
-        loads += kind != EvKind::Store;
-        stores += kind != EvKind::Load;
+        const EventNeed in = headNeed(cy.edges[size_t((i + n - 1) % n)].kind);
+        const EventNeed out = tailNeed(cy.edges[size_t(i)].kind);
+        const bool coin = rng && !forcedEventKind(in, out);
+        cy.events[size_t(i)].kind = coin
+            ? (rng->chance(1, 2) ? CycleEventKind::Load
+                                 : CycleEventKind::Store)
+            : cycleEventKind(in, out);
     }
-    // Keep both engines cheap: bounded rf and coherence enumeration.
-    if (loads > 4 || stores > 4)
-        return std::nullopt;
-
-    // Threads: a communication edge moves to a fresh thread.
+    // A communication edge moves to a fresh thread.
     for (int i = 0; i + 1 < n; ++i) {
-        cy.events[i + 1].thread =
-            cy.events[i].thread + (isComm(cy.edges[i]) ? 1 : 0);
+        cy.events[size_t(i) + 1].thread = cy.events[size_t(i)].thread
+            + (isCommunication(cy.edges[size_t(i)].kind) ? 1 : 0);
     }
+    return cy;
+}
 
-    // Locations: communication needs same-address endpoints; program
-    // order usually changes address (keeping it sometimes exercises the
-    // same-address orderings that separate the GAM family).
-    const int nlocs = static_cast<int>(
-        rng.rangeInclusive(2, opts.maxLocations));
-    for (int i = 0; i + 1 < n; ++i) {
-        const int cur = cy.events[i].loc;
-        if (isComm(cy.edges[i]) || rng.chance(1, 4)) {
-            cy.events[i + 1].loc = cur;
-        } else {
-            const int step = 1 + static_cast<int>(
-                rng.range(uint64_t(nlocs - 1)));
-            cy.events[i + 1].loc = (cur + step) % nlocs;
-        }
-    }
-    // The closing edge is communication: it needs loc[n-1] == loc[0].
-    if (cy.events[n - 1].loc != cy.events[0].loc)
-        return std::nullopt;
+/**
+ * Part two: place the events along the edges' location walk over
+ * @p nlocs locations and give them store and witness values.  False
+ * when the walk does not close.
+ */
+bool
+placeEvents(Cycle &cy, int nlocs)
+{
+    std::vector<int> locs;
+    if (!walkCycleLocations(cy.edges, nlocs, locs))
+        return false;
+    const int n = static_cast<int>(cy.events.size());
 
     // Store values: distinct per location so rf is observable.
     std::vector<isa::Value> counter(size_t(nlocs), 0);
-    for (Event &ev : cy.events)
-        if (ev.kind != EvKind::Load)
+    for (int i = 0; i < n; ++i) {
+        Event &ev = cy.events[size_t(i)];
+        ev.loc = locs[size_t(i)];
+        if (writesMemory(ev.kind))
             ev.storeValue = ++counter[size_t(ev.loc)];
+    }
 
     // Witness values: an rf edge is observed exactly; an RMW whose
     // incoming edge is coherence must (by atomicity) read its co
     // predecessor; everything else reads the initial 0.
     for (int i = 0; i < n; ++i) {
-        Event &ev = cy.events[i];
-        if (ev.kind == EvKind::Store)
+        Event &ev = cy.events[size_t(i)];
+        if (!readsMemory(ev.kind))
             continue;
         const int prev = (i + n - 1) % n;
-        const EdgeKind in = cy.edges[prev];
-        if (in == EdgeKind::Rfe
-            || (ev.kind == EvKind::Rmw && in == EdgeKind::Coe)) {
-            ev.witnessValue = cy.events[prev].storeValue;
+        const CycleEdge::Kind in = cy.edges[size_t(prev)].kind;
+        if (in == CycleEdge::Kind::Rfe
+            || (ev.kind == CycleEventKind::Rmw
+                && in == CycleEdge::Kind::Coe)) {
+            ev.witnessValue = cy.events[size_t(prev)].storeValue;
+        }
+    }
+    return true;
+}
+
+/** One generation attempt; nullopt when the draw is not realisable. */
+std::optional<Cycle>
+tryCycle(Rng &rng)
+{
+    std::vector<CycleEdge> edges(
+        size_t(rng.rangeInclusive(MinDrawnEdges, MaxDrawnEdges)));
+    for (CycleEdge &edge : edges) {
+        if (rng.chance(1, 2)) {
+            constexpr CycleEdge::Kind comm[] = {CycleEdge::Kind::Rfe,
+                                                CycleEdge::Kind::Coe,
+                                                CycleEdge::Kind::Fre};
+            edge.kind = comm[rng.range(3)];
+        } else if (rng.chance(1, 3)) {
+            edge.kind = CycleEdge::Kind::PoFence;
+        } else if (rng.chance(1, 3)) {
+            constexpr CycleEdge::Kind dep[] = {CycleEdge::Kind::PoAddr,
+                                               CycleEdge::Kind::PoData,
+                                               CycleEdge::Kind::PoCtrl};
+            edge.kind = dep[rng.range(3)];
+        } else {
+            edge.kind = CycleEdge::Kind::Po;
         }
     }
 
-    // Fence kinds: match the adjacent events' access types (an RMW
-    // counts as either side; pick one).
-    cy.fences.assign(size_t(n), isa::FenceKind::LL);
+    auto cy = shapeCycle(std::move(edges), &rng);
+    if (!cy)
+        return std::nullopt;
+    int loads = 0, stores = 0;
+    for (const Event &ev : cy->events) {
+        loads += readsMemory(ev.kind);
+        stores += writesMemory(ev.kind);
+    }
+    if (loads > MaxCycleLoads || stores > MaxCycleStores)
+        return std::nullopt;
+
+    // A random location walk: program order usually changes address
+    // (keeping it sometimes exercises the same-address orderings that
+    // separate the GAM family).  The closing edge is communication.
+    const int nlocs = static_cast<int>(
+        rng.rangeInclusive(MinCycleLocations, MaxCycleLocations));
+    const int n = static_cast<int>(cy->edges.size());
+    for (int i = 0; i + 1 < n; ++i) {
+        CycleEdge &edge = cy->edges[size_t(i)];
+        edge.locStep = isCommunication(edge.kind) || rng.chance(1, 4)
+            ? 0
+            : 1 + static_cast<int>(rng.range(uint64_t(nlocs - 1)));
+    }
+    if (!placeEvents(*cy, nlocs))
+        return std::nullopt;
+
+    // Fence kinds: a fence that fits the adjacent events, with a coin
+    // flip for the side an RMW (which fits either) stands on.
+    auto side = [&](const Event &ev) {
+        return fitsFenceSide(isa::MemType::Load, ev.kind)
+                && (!fitsFenceSide(isa::MemType::Store, ev.kind)
+                    || rng.chance(1, 2))
+            ? isa::MemType::Load
+            : isa::MemType::Store;
+    };
     for (int i = 0; i < n; ++i) {
-        if (cy.edges[i] != EdgeKind::PoFence)
+        CycleEdge &edge = cy->edges[size_t(i)];
+        if (edge.kind != CycleEdge::Kind::PoFence)
             continue;
-        auto side = [&](const Event &ev) {
-            if (ev.kind == EvKind::Rmw)
-                return rng.chance(1, 2) ? isa::MemType::Load
-                                        : isa::MemType::Store;
-            return ev.kind == EvKind::Load ? isa::MemType::Load
-                                           : isa::MemType::Store;
-        };
-        const bool pre_load = side(cy.events[i]) == isa::MemType::Load;
+        const bool pre_load =
+            side(cy->events[size_t(i)]) == isa::MemType::Load;
         const bool post_load =
-            side(cy.events[(i + 1) % n]) == isa::MemType::Load;
-        cy.fences[size_t(i)] = pre_load
+            side(cy->events[size_t((i + 1) % n)]) == isa::MemType::Load;
+        edge.fence = pre_load
             ? (post_load ? isa::FenceKind::LL : isa::FenceKind::LS)
             : (post_load ? isa::FenceKind::SL : isa::FenceKind::SS);
     }
@@ -237,10 +209,10 @@ lowerCycle(const Cycle &cy, const std::string &name)
     LitmusBuilder builder(name, "generated");
 
     // Only the locations some event touches get named and observed.
-    bool loc_used[4] = {false, false, false, false};
+    bool loc_used[MaxCycleLocations] = {};
     for (const Event &ev : cy.events)
         loc_used[ev.loc] = true;
-    for (int loc = 0; loc < 4; ++loc) {
+    for (int loc = 0; loc < MaxCycleLocations; ++loc) {
         if (loc_used[loc]) {
             builder.location(std::string(1, char('a' + loc)),
                              LOC_A + 8 * loc);
@@ -258,7 +230,7 @@ lowerCycle(const Cycle &cy, const std::string &name)
     for (int tid = 0; tid < cy.threads; ++tid) {
         ProgramBuilder b;
         // Address prelude, one register per location (r8..r11).
-        for (int loc = 0; loc < 4; ++loc) {
+        for (int loc = 0; loc < MaxCycleLocations; ++loc) {
             bool used = false;
             for (int i = 0; i < n; ++i) {
                 used |= cy.events[i].thread == tid
@@ -277,20 +249,21 @@ lowerCycle(const Cycle &cy, const std::string &name)
             const Event &ev = cy.events[i];
             if (ev.thread != tid)
                 continue;
-            const EdgeKind in = cy.edges[(i + n - 1) % n];
-            const bool in_po = !isComm(in)
+            const CycleEdge &in_edge = cy.edges[size_t((i + n - 1) % n)];
+            const CycleEdge::Kind in = in_edge.kind;
+            const bool in_po = !isCommunication(in)
                 && cy.events[(i + n - 1) % n].thread == tid;
 
             isa::Reg addr_reg = R(8 + ev.loc);
-            if (in_po && in == EdgeKind::PoFence)
-                b.fence(cy.fences[size_t((i + n - 1) % n)]);
-            if (in_po && in == EdgeKind::PoDepCtrl) {
+            if (in_po && in == CycleEdge::Kind::PoFence)
+                b.fence(in_edge.fence);
+            if (in_po && in == CycleEdge::Kind::PoCtrl) {
                 const std::string label =
                     "d" + std::to_string(dep_label++);
                 b.beq(prev_obs, prev_obs, label);
                 b.label(label);
             }
-            if (in_po && in == EdgeKind::PoDepAddr) {
+            if (in_po && in == CycleEdge::Kind::PoAddr) {
                 const isa::Reg t = R(next_scratch++);
                 b.xorr(t, prev_obs, prev_obs);
                 b.add(t, t, addr_reg);
@@ -298,16 +271,16 @@ lowerCycle(const Cycle &cy, const std::string &name)
             }
 
             switch (ev.kind) {
-              case EvKind::Load: {
+              case CycleEventKind::Load: {
                 const isa::Reg dst = R(next_obs++);
                 b.ld(dst, addr_reg);
                 observed.push_back({i, tid, dst});
                 prev_obs = dst;
                 break;
               }
-              case EvKind::Store: {
+              case CycleEventKind::Store: {
                 const isa::Reg v = R(next_scratch++);
-                if (in_po && in == EdgeKind::PoDepData) {
+                if (in_po && in == CycleEdge::Kind::PoData) {
                     const isa::Reg t = R(next_scratch++);
                     b.xorr(t, prev_obs, prev_obs);
                     b.aluImm(isa::Opcode::ADDI, v, t, ev.storeValue);
@@ -317,9 +290,9 @@ lowerCycle(const Cycle &cy, const std::string &name)
                 b.st(addr_reg, v);
                 break;
               }
-              case EvKind::Rmw: {
+              case CycleEventKind::Rmw: {
                 const isa::Reg v = R(next_scratch++);
-                if (in_po && in == EdgeKind::PoDepData) {
+                if (in_po && in == CycleEdge::Kind::PoData) {
                     const isa::Reg t = R(next_scratch++);
                     b.xorr(t, prev_obs, prev_obs);
                     b.aluImm(isa::Opcode::ADDI, v, t, ev.storeValue);
@@ -345,11 +318,11 @@ lowerCycle(const Cycle &cy, const std::string &name)
 
     // ... and each written location ends on its coherence-final value.
     // Kahn's algorithm over the explicit co edges, index tie-break.
-    for (int loc = 0; loc < 4; ++loc) {
+    for (int loc = 0; loc < MaxCycleLocations; ++loc) {
         std::vector<int> writers;
         for (int i = 0; i < n; ++i) {
             if (cy.events[i].loc == loc
-                && cy.events[i].kind != EvKind::Load) {
+                && writesMemory(cy.events[i].kind)) {
                 writers.push_back(i);
             }
         }
@@ -357,7 +330,7 @@ lowerCycle(const Cycle &cy, const std::string &name)
             continue;
         std::vector<std::pair<int, int>> co_edges;
         for (int i = 0; i < n; ++i) {
-            if (cy.edges[i] == EdgeKind::Coe
+            if (cy.edges[i].kind == CycleEdge::Kind::Coe
                 && cy.events[i].loc == loc) {
                 co_edges.emplace_back(i, (i + 1) % n);
             }
@@ -423,149 +396,21 @@ fallbackTest(const std::string &name)
 }
 
 /**
- * Deterministically realise an explicit edge specification as a Cycle,
- * mirroring tryCycle()'s rules with every free choice pinned: an
- * unconstrained event becomes a load, and locations follow the spec's
- * locStep walk instead of a random one.
+ * Deterministically realise an explicit edge specification as a Cycle:
+ * tryCycle()'s derivation with every free choice pinned -- an
+ * unconstrained event is a load, locations follow the spec's locStep
+ * walk and fences are the spec's.
  */
 std::optional<Cycle>
 cycleFromSpec(const std::vector<CycleEdge> &spec, int nlocs)
 {
-    const int n = static_cast<int>(spec.size());
-    if (n < 3 || nlocs < 2 || nlocs > 4)
+    if (spec.size() < 3 || nlocs < MinCycleLocations
+        || nlocs > MaxCycleLocations)
         return std::nullopt;
-
-    std::vector<EdgeKind> kinds;
-    std::vector<isa::FenceKind> fences;
-    std::vector<int> steps;
-    for (const CycleEdge &e : spec) {
-        switch (e.kind) {
-          case CycleEdge::Kind::Rfe:
-            kinds.push_back(EdgeKind::Rfe);
-            break;
-          case CycleEdge::Kind::Coe:
-            kinds.push_back(EdgeKind::Coe);
-            break;
-          case CycleEdge::Kind::Fre:
-            kinds.push_back(EdgeKind::Fre);
-            break;
-          case CycleEdge::Kind::Po:
-            kinds.push_back(EdgeKind::Po);
-            break;
-          case CycleEdge::Kind::PoFence:
-            kinds.push_back(EdgeKind::PoFence);
-            break;
-          case CycleEdge::Kind::PoAddr:
-            kinds.push_back(EdgeKind::PoDepAddr);
-            break;
-          case CycleEdge::Kind::PoData:
-            kinds.push_back(EdgeKind::PoDepData);
-            break;
-          case CycleEdge::Kind::PoCtrl:
-            kinds.push_back(EdgeKind::PoDepCtrl);
-            break;
-        }
-        fences.push_back(e.fence);
-        steps.push_back(isComm(kinds.back()) ? 0 : e.locStep);
-    }
-
-    // Thread budget: one thread per communication edge; the closing
-    // edge (back to event 0) must be communication, so rotate the
-    // whole spec to put the last such edge at the end.
-    int comm_count = 0;
-    int last_comm = -1;
-    for (int i = 0; i < n; ++i) {
-        if (isComm(kinds[i])) {
-            ++comm_count;
-            last_comm = i;
-        }
-    }
-    if (comm_count < 2 || comm_count > 4)
+    auto cy = shapeCycle(spec, nullptr);
+    if (!cy || !placeEvents(*cy, nlocs))
         return std::nullopt;
-    const int shift = (last_comm + 1) % n;
-    std::rotate(kinds.begin(), kinds.begin() + shift, kinds.end());
-    std::rotate(fences.begin(), fences.begin() + shift, fences.end());
-    std::rotate(steps.begin(), steps.begin() + shift, steps.end());
-
-    Cycle cy;
-    cy.edges = kinds;
-    cy.fences = fences;
-    cy.threads = comm_count;
-
-    // Event kinds from the adjacent edges' requirements; a free event
-    // is a load (the deterministic pin of tryCycle's coin flip).
-    cy.events.resize(size_t(n));
-    for (int i = 0; i < n; ++i) {
-        const Need in = headNeed(cy.edges[size_t((i + n - 1) % n)]);
-        const Need out = tailNeed(cy.edges[size_t(i)]);
-        EvKind kind;
-        if ((in == Need::Load && out == Need::Store)
-            || (in == Need::Store && out == Need::Load)) {
-            kind = EvKind::Rmw;
-        } else if (in == Need::Store || out == Need::Store) {
-            kind = EvKind::Store;
-        } else {
-            kind = EvKind::Load;
-        }
-        cy.events[size_t(i)].kind = kind;
-    }
-
-    // Threads: a communication edge moves to a fresh thread.
-    for (int i = 0; i + 1 < n; ++i) {
-        cy.events[size_t(i) + 1].thread =
-            cy.events[size_t(i)].thread
-            + (isComm(cy.edges[size_t(i)]) ? 1 : 0);
-    }
-
-    // Locations along the spec's walk; the closing communication edge
-    // needs the walk to return to event 0's location.
-    for (int i = 0; i + 1 < n; ++i) {
-        const int cur = cy.events[size_t(i)].loc;
-        const int step = steps[size_t(i)];
-        cy.events[size_t(i) + 1].loc =
-            ((cur + step) % nlocs + nlocs) % nlocs;
-    }
-    if (cy.events[size_t(n) - 1].loc != cy.events[0].loc)
-        return std::nullopt;
-
-    // Store values: distinct per location so rf is observable.
-    std::vector<isa::Value> counter(size_t(nlocs), 0);
-    for (Event &ev : cy.events)
-        if (ev.kind != EvKind::Load)
-            ev.storeValue = ++counter[size_t(ev.loc)];
-
-    // Witness values: an rf edge is observed exactly; an RMW whose
-    // incoming edge is coherence must (by atomicity) read its co
-    // predecessor; everything else reads the initial 0.
-    for (int i = 0; i < n; ++i) {
-        Event &ev = cy.events[size_t(i)];
-        if (ev.kind == EvKind::Store)
-            continue;
-        const int prev = (i + n - 1) % n;
-        const EdgeKind in = cy.edges[size_t(prev)];
-        if (in == EdgeKind::Rfe
-            || (ev.kind == EvKind::Rmw && in == EdgeKind::Coe)) {
-            ev.witnessValue = cy.events[size_t(prev)].storeValue;
-        }
-    }
     return cy;
-}
-
-/** The internal edge relation a public CycleEdge::Kind names. */
-EdgeKind
-edgeKindOf(CycleEdge::Kind kind)
-{
-    switch (kind) {
-      case CycleEdge::Kind::Rfe: return EdgeKind::Rfe;
-      case CycleEdge::Kind::Coe: return EdgeKind::Coe;
-      case CycleEdge::Kind::Fre: return EdgeKind::Fre;
-      case CycleEdge::Kind::Po: return EdgeKind::Po;
-      case CycleEdge::Kind::PoFence: return EdgeKind::PoFence;
-      case CycleEdge::Kind::PoAddr: return EdgeKind::PoDepAddr;
-      case CycleEdge::Kind::PoData: return EdgeKind::PoDepData;
-      case CycleEdge::Kind::PoCtrl: return EdgeKind::PoDepCtrl;
-    }
-    return EdgeKind::Po;
 }
 
 } // anonymous namespace
@@ -573,22 +418,30 @@ edgeKindOf(CycleEdge::Kind kind)
 std::vector<CycleEventKind>
 cycleEventKinds(const std::vector<CycleEdge> &edges)
 {
-    const int n = static_cast<int>(edges.size());
-    std::vector<CycleEventKind> kinds(size_t(n), CycleEventKind::Load);
-    for (int i = 0; i < n; ++i) {
-        const Need in =
-            headNeed(edgeKindOf(edges[size_t((i + n - 1) % n)].kind));
-        const Need out = tailNeed(edgeKindOf(edges[size_t(i)].kind));
-        if ((in == Need::Load && out == Need::Store)
-            || (in == Need::Store && out == Need::Load)) {
-            kinds[size_t(i)] = CycleEventKind::Rmw;
-        } else if (in == Need::Store || out == Need::Store) {
-            kinds[size_t(i)] = CycleEventKind::Store;
-        } else {
-            kinds[size_t(i)] = CycleEventKind::Load;
-        }
+    const size_t n = edges.size();
+    std::vector<CycleEventKind> kinds(n);
+    for (size_t i = 0; i < n; ++i) {
+        kinds[i] = cycleEventKind(headNeed(edges[(i + n - 1) % n].kind),
+                                  tailNeed(edges[i].kind));
     }
     return kinds;
+}
+
+bool
+walkCycleLocations(const std::vector<CycleEdge> &edges, int numLocations,
+                   std::vector<int> &locs)
+{
+    const size_t n = edges.size();
+    locs.assign(n, 0);
+    int loc = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const int step =
+            isCommunication(edges[i].kind) ? 0 : edges[i].locStep;
+        loc = ((loc + step) % numLocations + numLocations) % numLocations;
+        if (i + 1 < n)
+            locs[i + 1] = loc;
+    }
+    return n == 0 || loc == locs[0];
 }
 
 std::optional<LitmusTest>
@@ -651,17 +504,8 @@ fourThreadSuite()
 }
 
 LitmusTest
-generateTest(uint64_t seed, uint64_t index,
-             const GeneratorOptions &options)
+generateTest(uint64_t seed, uint64_t index)
 {
-    // The lowering has exactly 4 location slots (names a..d, address
-    // registers r8..r11); clamp every knob to its supported range.
-    GeneratorOptions opts = options;
-    opts.maxThreads = std::clamp(opts.maxThreads, 2, 4);
-    opts.maxLocations = std::clamp(opts.maxLocations, 2, 4);
-    opts.minEdges = std::clamp(opts.minEdges, 3, 8);
-    opts.maxEdges = std::clamp(opts.maxEdges, opts.minEdges, 8);
-
     // Mix (seed, index) into one stream seed so tests are independent
     // and any single test can be regenerated in O(1).
     Rng rng(seed + 0x9e3779b97f4a7c15ull * (index + 1));
@@ -669,7 +513,7 @@ generateTest(uint64_t seed, uint64_t index,
         + std::to_string(index);
 
     for (int attempt = 0; attempt < 64; ++attempt) {
-        auto cycle = tryCycle(rng, opts);
+        auto cycle = tryCycle(rng);
         if (!cycle)
             continue;
         LitmusTest test = lowerCycle(*cycle, name);

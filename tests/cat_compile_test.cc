@@ -242,12 +242,9 @@ TEST(CatCompile, FuzzSmokeCompiledEngineAsSpec)
     constexpr uint64_t kSeed = 20260808;
     constexpr int kTests = 300;
     const cat::CatModel &m = cat::builtinCatModel(ModelKind::GAM);
-    litmus::GeneratorOptions gen;
-    gen.maxThreads = 3; // keep the smoke run fast; 4-thread parity is
-                        // covered by the builtin-suite tests above
     for (int i = 0; i < kTests; ++i) {
         const litmus::LitmusTest test =
-            litmus::generateTest(kSeed, uint64_t(i), gen);
+            litmus::generateTest(kSeed, uint64_t(i));
         SCOPED_TRACE(test.name);
         const litmus::OutcomeSet compiled =
             runCat(test, m, CatEngine::Mode::Compiled);

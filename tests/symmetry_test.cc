@@ -124,10 +124,10 @@ TEST(Symmetry, LoadLoadDecorationsCollapseBySignature)
     const std::vector<CycleEventKind> kinds = {CycleEventKind::Load,
                                                CycleEventKind::Load};
     const std::vector<int> locs = {0, 1};
-    const auto plain = threadOrderSignature(kinds, locs, {0});
-    const auto fll = threadOrderSignature(kinds, locs, {1});
-    const auto addr = threadOrderSignature(kinds, locs, {5});
-    const auto ctrl = threadOrderSignature(kinds, locs, {7});
+    const auto plain = threadOrderSignature(kinds, locs, {litmus::V_PO});
+    const auto fll = threadOrderSignature(kinds, locs, {litmus::V_FLL});
+    const auto addr = threadOrderSignature(kinds, locs, {litmus::V_ADDR});
+    const auto ctrl = threadOrderSignature(kinds, locs, {litmus::V_CTRL});
     EXPECT_EQ(fll, addr);
     EXPECT_EQ(plain, ctrl);
     EXPECT_NE(plain, fll);

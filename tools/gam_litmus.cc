@@ -58,9 +58,10 @@
  *       (campaign/symmetry.hh) before deciding.  --store appends
  *       every decision to a crash-safe persistent store consulted
  *       before the engines, so re-running with the same --store
- *       resumes a killed campaign; --verify N re-decides every Nth
- *       decision from scratch and compares it against the store
- *       (exit 1 on any mismatch);
+ *       resumes a killed campaign.  A missing store file is created;
+ *       one that is not a store is refused, untouched, with exit 2.
+ *       --verify N re-decides every Nth decision from scratch and
+ *       compares it against the store (exit 1 on any mismatch);
  *       --min-store-hit-rate P exits 1 when fewer than P percent of
  *       decisions were served by the store.  The run's registry delta
  *       is written as gam-metrics-v1 JSON to --metrics
@@ -70,6 +71,8 @@
  *   gam-litmus campaign status --store FILE [--json]
  *       Summarise a store: records and distinct tests per
  *       (model, engine), plus any torn tail dropped during recovery.
+ *       status, query and compact never create a store: a missing
+ *       file or one that is not a store exits 2.
  *
  *   gam-litmus campaign query --store FILE [--model M]
  *                             [--allowed|--forbidden]
@@ -1062,9 +1065,14 @@ cmdCampaignRun(int argc, char **argv)
     }
 
     std::unique_ptr<campaign::DecisionStore> store;
-    if (!store_path.empty())
-        store = std::make_unique<campaign::DecisionStore>(store_path);
-    if (store) {
+    if (!store_path.empty()) {
+        std::string error;
+        store = campaign::DecisionStore::open(
+            store_path, campaign::StoreOpen::Create, &error);
+        if (!store) {
+            std::fprintf(stderr, "gam-litmus: %s\n", error.c_str());
+            return 2;
+        }
         const auto s = store->stats();
         std::fprintf(stderr,
                      "store: %llu records recovered from %s (%llu "
@@ -1213,7 +1221,14 @@ cmdCampaignStatus(int argc, char **argv, bool query)
                      query ? "query" : "status");
         return 2;
     }
-    campaign::DecisionStore store(store_path);
+    std::string error;
+    const auto opened = campaign::DecisionStore::open(
+        store_path, campaign::StoreOpen::Existing, &error);
+    if (!opened) {
+        std::fprintf(stderr, "gam-litmus: %s\n", error.c_str());
+        return 2;
+    }
+    const campaign::DecisionStore &store = *opened;
     const auto s = store.stats();
     if (disagree) {
         const auto [a, b] = *disagree;
@@ -1299,14 +1314,18 @@ cmdCampaignCompact(int argc, char **argv)
                      "INPUT...\n");
         return 2;
     }
-    const campaign::CompactStats stats =
-        campaign::compactStores(inputs, output);
+    std::string error;
+    const auto stats = campaign::compactStores(inputs, output, &error);
+    if (!stats) {
+        std::fprintf(stderr, "gam-litmus: %s\n", error.c_str());
+        return 2;
+    }
     std::printf("compacted %llu inputs: %llu records scanned, %llu "
                 "merged, %llu duplicates dropped -> %s\n",
-                (unsigned long long)stats.inputs,
-                (unsigned long long)stats.scanned,
-                (unsigned long long)stats.merged,
-                (unsigned long long)stats.duplicates, output.c_str());
+                (unsigned long long)stats->inputs,
+                (unsigned long long)stats->scanned,
+                (unsigned long long)stats->merged,
+                (unsigned long long)stats->duplicates, output.c_str());
     return 0;
 }
 
