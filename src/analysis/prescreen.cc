@@ -523,17 +523,6 @@ delegates(const LitmusTest &test,
 
 } // anonymous namespace
 
-std::string
-prescreenVerdictName(PrescreenVerdict verdict)
-{
-    switch (verdict) {
-      case PrescreenVerdict::Forbidden: return "value-cover";
-      case PrescreenVerdict::ScEquivalent: return "sc-delegate";
-      case PrescreenVerdict::Unknown: break;
-    }
-    return "";
-}
-
 struct PrescreenAnalysis::Impl
 {
     explicit Impl(const LitmusTest &t) : test(t) {}

@@ -69,9 +69,6 @@ enum class PrescreenVerdict {
     ScEquivalent,
 };
 
-/** Display name ("value-cover" / "sc-delegate" / ""). */
-std::string prescreenVerdictName(PrescreenVerdict verdict);
-
 /** The result of prescreen(): a verdict and a short justification. */
 struct PrescreenResult
 {

@@ -1,5 +1,8 @@
 #include "base/thread_pool.hh"
 
+#include <algorithm>
+#include <atomic>
+
 namespace gam
 {
 
@@ -51,8 +54,17 @@ ThreadPool::wait()
 void
 ThreadPool::parallelFor(size_t n, const std::function<void(size_t)> &task)
 {
-    for (size_t i = 0; i < n; ++i)
-        submit([&task, i] { task(i); });
+    // One task per worker, each claiming indices from a shared
+    // counter: the queue holds at most threadCount() entries however
+    // large n is.
+    std::atomic<size_t> next{0};
+    const size_t runners = std::min<size_t>(n, threadCount());
+    for (size_t r = 0; r < runners; ++r) {
+        submit([&] {
+            for (size_t i = next++; i < n; i = next++)
+                task(i);
+        });
+    }
     wait();
 }
 

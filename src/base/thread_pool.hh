@@ -46,7 +46,10 @@ class ThreadPool
 
     /**
      * Run task(i) for every i in [0, n) on the pool and wait.  Results
-     * should be written to per-index slots for determinism.
+     * should be written to per-index slots for determinism.  Submits
+     * min(n, threadCount()) tasks that claim indices from one shared
+     * counter, so memory stays flat in n: every index runs exactly
+     * once, in no fixed order across workers.
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &task);
 

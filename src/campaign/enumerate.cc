@@ -377,8 +377,9 @@ enumerateCycles(const EnumerateOptions &options,
                 const std::function<bool(const CanonicalCycle &)> &sink)
 {
     EnumerateOptions opt = options;
-    opt.minLen = std::clamp(opt.minLen, 3, 8);
-    opt.maxLen = std::clamp(opt.maxLen, opt.minLen, 8);
+    opt.minLen = std::clamp(opt.minLen, litmus::MinCycleLength,
+                            litmus::MaxCycleLength);
+    opt.maxLen = std::clamp(opt.maxLen, opt.minLen, litmus::MaxCycleLength);
 
     EnumerateStats stats;
     // Determinism gate: emission must be a pure function of the
@@ -422,7 +423,7 @@ std::optional<CanonicalCycle>
 canonicalCycle(const std::vector<CycleEdge> &edges, int numLocations)
 {
     const int n = static_cast<int>(edges.size());
-    if (n < 3 || numLocations < litmus::MinCycleLocations
+    if (n < litmus::MinCycleLength || numLocations < litmus::MinCycleLocations
         || numLocations > litmus::MaxCycleLocations)
         return std::nullopt;
 

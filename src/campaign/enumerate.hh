@@ -106,7 +106,8 @@ enum class CanonicalForm : uint8_t { Rotation, Full };
  */
 struct EnumerateOptions
 {
-    /** Cycle length in edges (== events), 3..8. */
+    /** Cycle length in edges (== events), clamped to
+     *  litmus::MinCycleLength..MaxCycleLength. */
     int minLen = 3;
     int maxLen = 6;
     /** Include fence-decorated program-order edges. */
@@ -127,10 +128,12 @@ struct EnumerateStats
     uint64_t emitted = 0;
     /** Complete cycles discarded as non-minimal rotations. */
     uint64_t rotationDuplicates = 0;
-    /** Class representatives litmus::testFromCycle() rejected
-     *  (register or event-budget overflow in the lowering).  Only the
-     *  cycles the symmetry check keeps are lowered, so emitted +
-     *  unrealisable is the number of lowerings one sweep does. */
+    /** Class representatives litmus::testFromCycle() rejected.  The
+     *  search already keeps every cycle budget, so this counts only
+     *  lowered programs LitmusTest::check() refuses: 0 in every
+     *  universe the tests pin.  Only the cycles the symmetry check
+     *  keeps are lowered, so emitted + unrealisable is the number of
+     *  lowerings one sweep does. */
     uint64_t unrealisable = 0;
     /** CanonicalForm::Full only: rotation-canonical cycles rejected as
      *  non-canonical members of their verdict-equivalence class (see

@@ -142,6 +142,27 @@ failure(const char *what, const std::string &path)
     return std::string(what) + " " + quoted(path) + ": " + ec.message();
 }
 
+/**
+ * The header check an existing file must pass to be read as a store
+ * or overwritten by one.  Reads up to HeaderSize bytes of @p in; a
+ * store's full header passes, and so does a 0-15 byte file that is a
+ * prefix of it (a killed run's torn header, reported through
+ * @p torn).  Returns why the file is refused, to follow its name.
+ */
+const char *
+checkHeader(std::FILE *in, bool &torn)
+{
+    unsigned char header[HeaderSize];
+    const size_t got = std::fread(header, 1, HeaderSize, in);
+    torn = got < HeaderSize;
+    if (torn ? std::memcmp(header, storeHeader().data(), got) != 0
+             : getLe64(header + 0) != StoreMagic)
+        return "is not a campaign decision store";
+    if (!torn && uint32_t(getLe64(header + 8)) != StoreVersion)
+        return "is a campaign store of an unsupported version";
+    return nullptr;
+}
+
 } // namespace
 
 DecisionStore::DecisionStore(const std::string &path, StoreOptions opts,
@@ -190,18 +211,10 @@ DecisionStore::recover(StoreOpen mode)
         std::FILE *in = std::fopen(filePath.c_str(), "rb");
         if (!in)
             return failure("cannot read campaign store", filePath);
-        unsigned char header[HeaderSize];
-        const size_t got = std::fread(header, 1, HeaderSize, in);
-        // A file shorter than the header is a store's torn header
-        // exactly when it is a prefix of one.
-        const bool torn = got < HeaderSize;
-        const bool is_store = torn
-            ? std::memcmp(header, storeHeader().data(), got) == 0
-            : getLe64(header + 0) == StoreMagic;
-        const bool supported =
-            torn || uint32_t(getLe64(header + 8)) == StoreVersion;
+        bool torn = false;
+        const char *refused = checkHeader(in, torn);
         unsigned char buf[RecordSize];
-        while (is_store && supported && !torn
+        while (!refused && !torn
                && std::fread(buf, 1, RecordSize, in) == RecordSize) {
             auto r = decodeRecord(buf);
             if (!r)
@@ -212,10 +225,8 @@ DecisionStore::recover(StoreOpen mode)
                 ++counters.duplicates;
         }
         std::fclose(in);
-        if (!is_store)
-            return name + " is not a campaign decision store";
-        if (!supported)
-            return "campaign store " + name + ": unsupported version";
+        if (refused)
+            return name + " " + refused;
         file_size = fs::file_size(filePath, ec);
         if (ec)
             return "cannot size campaign store " + name + ": "
@@ -393,6 +404,17 @@ compactStores(const std::vector<std::string> &inputs,
     if (std::find(inputs.begin(), inputs.end(), output) != inputs.end()) {
         return fail("campaign compact: output " + quoted(output)
                     + " is also an input");
+    }
+    // Overwrite only a store (or a torn header): any other file is
+    // refused, byte for byte untouched.
+    if (std::FILE *existing = std::fopen(output.c_str(), "rb")) {
+        bool torn = false;
+        const char *refused = checkHeader(existing, torn);
+        std::fclose(existing);
+        if (refused) {
+            return fail("campaign compact: output " + quoted(output) + " "
+                        + refused);
+        }
     }
 
     CompactStats stats;

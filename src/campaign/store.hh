@@ -211,18 +211,21 @@ class DecisionStore final : public harness::DecisionBackend
 
 /**
  * Merge every valid record of @p inputs into a fresh store file at
- * @p output (overwritten), deduping by key -- the first input file
- * containing a key wins, matching the store's own first-write-wins
- * append rule.  Records are written in key order, so compacting the
- * same inputs always produces a byte-identical file.  Each input is
- * opened with full recovery (StoreOpen::Existing), so compaction also
- * heals torn tails.  Returns nullopt, with the reason in @p error when
- * given, if an input is missing or not a store, the output is also an
- * input, or the output cannot be written; no output is created when
- * an input is refused.  The `campaign compact` subcommand: campaigns
- * split across several stores and crashed runs leave multiple partial
- * logs behind; one compacted store serves a resume with a single
- * index.
+ * @p output, deduping by key -- the first input file containing a key
+ * wins, matching the store's own first-write-wins append rule.
+ * Records are written in key order, so compacting the same inputs
+ * always produces a byte-identical file.  Each input is opened with
+ * full recovery (StoreOpen::Existing), so compaction also heals torn
+ * tails.  An existing @p output is overwritten only if it passes the
+ * header check DecisionStore::open() applies (a store, or a 0-15 byte
+ * prefix of the header).  Returns nullopt, with the reason (naming the
+ * file) in @p error when given, if an input is missing or not a store,
+ * the output is also an input, an existing output is not a store, or
+ * the output cannot be written; a refused output is left untouched,
+ * and none is created when an input is refused.  The `campaign
+ * compact` subcommand: campaigns split across several stores and
+ * crashed runs leave multiple partial logs behind; one compacted
+ * store serves a resume with a single index.
  */
 std::optional<CompactStats>
 compactStores(const std::vector<std::string> &inputs,

@@ -437,13 +437,4 @@ canonicalCycleFull(const std::vector<CycleEdge> &edges, int numLocations)
     return canonicalCycle(cur, numLoc);
 }
 
-std::optional<CanonicalCycle>
-canonicalCycleAs(CanonicalForm form, const std::vector<CycleEdge> &edges,
-                 int numLocations)
-{
-    return form == CanonicalForm::Full
-        ? canonicalCycleFull(edges, numLocations)
-        : canonicalCycle(edges, numLocations);
-}
-
 } // namespace gam::campaign

@@ -146,12 +146,6 @@ std::optional<CanonicalCycle>
 canonicalCycleFull(const std::vector<litmus::CycleEdge> &edges,
                    int numLocations);
 
-/** canonicalCycle() or canonicalCycleFull() per @p form. */
-std::optional<CanonicalCycle>
-canonicalCycleAs(CanonicalForm form,
-                 const std::vector<litmus::CycleEdge> &edges,
-                 int numLocations);
-
 } // namespace gam::campaign
 
 #endif // GAM_CAMPAIGN_SYMMETRY_HH

@@ -46,7 +46,8 @@ struct Cycle
  * one: within the thread budget, rotate @p edges so the cycle closes
  * on a communication edge, then fix each event's kind and thread.  An
  * event neither adjacent edge constrains gets a coin flip from @p rng,
- * or is pinned as the lowering pins it when @p rng is null.
+ * or is pinned as the lowering pins it when @p rng is null.  nullopt
+ * when the cycle is outside the thread, load or store budget.
  */
 std::optional<Cycle>
 shapeCycle(std::vector<CycleEdge> edges, Rng *rng)
@@ -79,6 +80,13 @@ shapeCycle(std::vector<CycleEdge> edges, Rng *rng)
                                  : CycleEventKind::Store)
             : cycleEventKind(in, out);
     }
+    int loads = 0, stores = 0;
+    for (const Event &ev : cy.events) {
+        loads += readsMemory(ev.kind);
+        stores += writesMemory(ev.kind);
+    }
+    if (loads > MaxCycleLoads || stores > MaxCycleStores)
+        return std::nullopt;
     // A communication edge moves to a fresh thread.
     for (int i = 0; i + 1 < n; ++i) {
         cy.events[size_t(i) + 1].thread = cy.events[size_t(i)].thread
@@ -153,13 +161,6 @@ tryCycle(Rng &rng)
 
     auto cy = shapeCycle(std::move(edges), &rng);
     if (!cy)
-        return std::nullopt;
-    int loads = 0, stores = 0;
-    for (const Event &ev : cy->events) {
-        loads += readsMemory(ev.kind);
-        stores += writesMemory(ev.kind);
-    }
-    if (loads > MaxCycleLoads || stores > MaxCycleStores)
         return std::nullopt;
 
     // A random location walk: program order usually changes address
@@ -404,7 +405,7 @@ fallbackTest(const std::string &name)
 std::optional<Cycle>
 cycleFromSpec(const std::vector<CycleEdge> &spec, int nlocs)
 {
-    if (spec.size() < 3 || nlocs < MinCycleLocations
+    if (spec.size() < size_t(MinCycleLength) || nlocs < MinCycleLocations
         || nlocs > MaxCycleLocations)
         return std::nullopt;
     auto cy = shapeCycle(spec, nullptr);

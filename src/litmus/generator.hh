@@ -97,6 +97,16 @@ inline constexpr int MaxCycleLoads = 4;
 inline constexpr int MaxCycleStores = 4;
 
 /**
+ * The cycle lengths in edges (== events): testFromCycle() takes no
+ * shorter cycle, and as every event is a load, a store or both, the
+ * load and store budgets admit no longer one.  The campaign's
+ * enumerateCycles() clamps its length bounds to these, and
+ * `gam-litmus campaign run` refuses bounds outside them.
+ */
+inline constexpr int MinCycleLength = 3;
+inline constexpr int MaxCycleLength = MaxCycleLoads + MaxCycleStores;
+
+/**
  * Is @p kind a communication edge (rf, co, fr)?  It relates
  * same-location events on different threads; every other kind is
  * program order on one thread.
@@ -317,8 +327,9 @@ bool walkCycleLocations(const std::vector<CycleEdge> &edges,
  * the random generator's derivation with every free choice pinned --
  * 2..4 communication edges (one thread each) with the cycle rotated to
  * close on one, type conflicts become RMWs, an unconstrained event is
- * a load, locations follow the locStep walk, which must close -- and
- * returns nullopt when the specification violates it.  The result
+ * a load, at most 4 loads and 4 stores, locations follow the locStep
+ * walk, which must close -- and returns nullopt when the
+ * specification violates it.  The result
  * passes LitmusTest::check() and carries no expected verdicts (see
  * harness::annotateExpected).
  */

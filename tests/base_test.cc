@@ -207,6 +207,20 @@ TEST(ThreadPool, ParallelForCoversAllIndices)
     // Every index written exactly to its own slot: deterministic merge.
     for (size_t i = 0; i < slots.size(); ++i)
         ASSERT_EQ(slots[i], int(i));
+
+    // Every index is visited exactly once, whether n is below, at or
+    // far above the worker count.
+    for (unsigned workers : {1u, 4u}) {
+        ThreadPool sized(workers);
+        for (size_t n : {size_t(0), size_t(1), size_t(7), size_t(100000)}) {
+            std::vector<std::atomic<int>> visits(n);
+            sized.parallelFor(n, [&](size_t i) { ++visits[i]; });
+            for (size_t i = 0; i < n; ++i)
+                ASSERT_EQ(visits[i].load(), 1)
+                    << "index " << i << " of " << n << " on " << workers
+                    << " workers";
+        }
+    }
 }
 
 TEST(ThreadPool, ReusableAfterWait)

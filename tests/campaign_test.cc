@@ -1024,6 +1024,41 @@ TEST(CampaignStore, CompactRefusesANonStoreInputBeforeWriting)
     EXPECT_FALSE(fs::exists(output.str()));
 }
 
+TEST(CampaignStore, CompactRefusesToOverwriteAFileThatIsNotAStore)
+{
+    ScratchFile good("gam_campaign_compact_src.bin");
+    ScratchFile notes("gam_campaign_compact_out_notes.txt");
+    ScratchFile store_out("gam_campaign_compact_out_store.bin");
+    {
+        DecisionStore store(good.str());
+        craftRecord(store, 7, true);
+    }
+    // A text file (long or short) is refused and left byte-identical.
+    for (const std::string text : {"campaign notes, not a store\n",
+                                   "notes\n"}) {
+        writeFile(notes.str(), text);
+        std::string error;
+        EXPECT_FALSE(
+            compactStores({good.str()}, notes.str(), &error).has_value());
+        EXPECT_NE(error.find(notes.str()), std::string::npos) << error;
+        EXPECT_NE(error.find("not a campaign decision store"),
+                  std::string::npos)
+            << error;
+        EXPECT_EQ(fileBytes(notes.str()), text);
+    }
+
+    // An existing store, or a torn header, is overwritten.
+    for (size_t keep : {size_t(16), size_t(6), size_t(0)}) {
+        {
+            DecisionStore store(store_out.str());
+            craftRecord(store, 9, false);
+        }
+        fs::resize_file(store_out.str(), keep);
+        ASSERT_TRUE(compactStores({good.str()}, store_out.str()));
+        EXPECT_EQ(fileBytes(store_out.str()), fileBytes(good.str()));
+    }
+}
+
 TEST(CampaignStore, OpenReportsAPathThatCannotBeCreated)
 {
     const fs::path dir =

@@ -97,6 +97,25 @@ TEST(Generator, EveryTestIsRunnableAndBounded)
     EXPECT_GT(shapes.size(), 40u);
 }
 
+TEST(Generator, TestFromCycleRefusesSpecsPastTheLoadBudget)
+{
+    // po x8, fre, po, rfe at one location: thread 0 would run nine
+    // loads, the last two through address registers earlier loads
+    // overwrote.  The lowering keeps the random generator's budgets.
+    using Kind = litmus::CycleEdge::Kind;
+    const litmus::CycleEdge po{Kind::Po, isa::FenceKind::SS, 0};
+    const litmus::CycleEdge fre{Kind::Fre, isa::FenceKind::SS, 0};
+    const litmus::CycleEdge rfe{Kind::Rfe, isa::FenceKind::SS, 0};
+    std::vector<litmus::CycleEdge> spec(8, po);
+    spec.insert(spec.end(), {fre, po, rfe});
+    EXPECT_FALSE(litmus::testFromCycle("nine_loads", spec, 2));
+
+    // Four loads on thread 0 still lower.
+    std::vector<litmus::CycleEdge> within(3, po);
+    within.insert(within.end(), {fre, po, rfe});
+    EXPECT_TRUE(litmus::testFromCycle("four_loads", within, 2));
+}
+
 TEST(Generator, GeneratedTestsRoundTripThroughTheTextFormat)
 {
     for (uint64_t i = 0; i < 50; ++i) {

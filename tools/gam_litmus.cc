@@ -2,126 +2,40 @@
  * @file
  * gam-litmus: the litmus-test command line frontend.
  *
- *   gam-litmus list
- *       List the built-in suites (name, paper reference, description).
+ * Every command and option is declared once, in commands() below: one
+ * parser reads argv against that table and usage() prints it, so
+ * `gam-litmus` without arguments lists them all.  What the table does
+ * not say:
  *
- *   gam-litmus run <test|file.litmus>... [--model M]...
- *                  [--engine {axiomatic,operational,auto}]
- *                  [--threads N] [--budget M] [--stats] [--json]
- *                  [--trace FILE]
- *       Decide each test and print the verdict matrix.  By default
- *       every engine supporting the model runs; --engine restricts to
- *       one engine or lets the registry pick (auto).  --threads sets
- *       the decision pool width (MatrixOptions::poolThreads); --budget
- *       sets the explorer state budget (RunOptions::stateBudget);
- *       --stats appends decision-cache hit/miss counts; --json prints
- *       the run's metrics-registry delta (gam-metrics-v1 JSON) instead
- *       of the text output; --trace writes a Chrome trace_event JSON
- *       of every decide() pipeline span.
- *       Arguments naming a file (anything with a '.' or '/') are
- *       parsed from the litmus text format; anything else must be a
- *       built-in test name.  Exits 1 on a verdict mismatching a
- *       recorded expectation, 2 on bad input.
+ *  - A test or cat-model operand names a file when it contains a '.'
+ *    or a '/', and is parsed from that file (litmus text or cat
+ *    source); any other operand must be a built-in name, as listed by
+ *    `gam-litmus list` or `gam-litmus model list`.
  *
- *   gam-litmus print <test|file.litmus>...
- *       Re-emit tests in the canonical litmus text form (exports the
- *       built-in suites to text; normalises hand-written files).
- *
- *   gam-litmus gen [--tests N] [--seed S] [--out DIR] [--no-verdicts]
- *                  [--four-thread]
- *       Emit generated tests as litmus documents (stdout, or one file
- *       per test under DIR), annotated with axiomatically-derived
- *       expect verdicts unless --no-verdicts.  --four-thread replaces
- *       the random stream with the named IRIW/WRC+/W+RWC cycle
- *       families (litmus::fourThreadSuite), annotated for the four
- *       models the pinned corpus records.
- *
- *   gam-litmus fuzz [--tests N] [--seed S] [--threads N]
- *                   [--max-states M] [--no-shrink] [--engine E]
- *       Differential-fuzz the operational explorer against a spec
- *       engine (axiomatic by default, or the cat engine over the
- *       shipped model files) on generated tests.  Exits 1 if any
- *       divergence was found.
- *
- *   gam-litmus campaign run [--max-cycle-len N] [--min-cycle-len N]
- *                           [--models A,B,..] [--engines A,B,..]
- *                           [--canonical rotation|full]
- *                           [--threads N] [--limit N]
- *                           [--store FILE] [--verify N]
- *                           [--min-store-hit-rate P] [--quiet]
- *                           [--no-fences] [--no-deps] [--no-rmws]
- *                           [--metrics FILE] [--trace FILE]
- *       Decide the exhaustive canonical test universe up to the given
- *       cycle length under every requested (model, engine) pair, with
- *       batched decides work-stolen over a thread pool.  --canonical
- *       full shrinks the universe by the symmetry quotient
- *       (campaign/symmetry.hh) before deciding.  --store appends
- *       every decision to a crash-safe persistent store consulted
- *       before the engines, so re-running with the same --store
- *       resumes a killed campaign.  A missing store file is created;
- *       one that is not a store is refused, untouched, with exit 2.
- *       --verify N re-decides every Nth decision from scratch and
- *       compares it against the store (exit 1 on any mismatch);
- *       --min-store-hit-rate P exits 1 when fewer than P percent of
- *       decisions were served by the store.  The run's registry delta
- *       is written as gam-metrics-v1 JSON to --metrics
- *       (campaign_metrics.json by default); --trace exports the run's
- *       spans as Chrome trace_event JSON.
- *
- *   gam-litmus campaign status --store FILE [--json]
- *       Summarise a store: records and distinct tests per
- *       (model, engine), plus any torn tail dropped during recovery.
- *       status, query and compact never create a store: a missing
- *       file or one that is not a store exits 2.
- *
- *   gam-litmus campaign query --store FILE [--model M]
- *                             [--allowed|--forbidden]
- *                             [--disagree MODEL_A MODEL_B]
- *       The status summary restricted to matching records; with
- *       --disagree, the tests both models have persisted verdicts for
- *       that they decide differently.
- *
- *   gam-litmus campaign compact --output FILE INPUT...
- *       Merge store files into one fresh log, deduping by query key
- *       (first input wins) and healing torn tails; records are
- *       written in key order so the output is reproducible.
- *
- *   gam-litmus model list
- *       List the cat models shipped with the library.
- *
- *   gam-litmus model show <name|file.cat> [--plan]
- *       Print a model's source; with --plan, the compiled evaluation
- *       plan instead (cat/compile.hh): stratified definitions,
- *       per-epoch constant slots, and the incremental pass each axiom
- *       lowered to.
- *
- *   gam-litmus model check <name|file.cat>
- *       Parse and statically check a model, then run it over every
- *       built-in litmus test; when the model names a built-in
- *       ModelKind, cross-check each verdict against the hand-coded
- *       axiomatic checker.  Exits 1 on a diagnostic or mismatch.
- *
- *   gam-litmus model lint <name|file.cat>...
- *       Static analysis over the checked AST (analysis/lint.hh):
- *       unused definitions, shadowing, statically-empty relations,
- *       vacuous or redundant axioms, non-productive recursion.  Exits
- *       1 when any model produces a warning (CI lints the shipped
- *       models with exactly this), 2 on unparseable input.
- *
- * Every input error (unknown test, malformed file, bad flag) is
- * reported and turned into a nonzero exit; nothing aborts the process.
- * Unknown --engine/--model values list what is available.
+ *  - Exit codes: 0 on success.  1 when the work itself fails: a
+ *    verdict contradicting an expectation the test records, a fuzz
+ *    divergence, a model-check mismatch or lint warning, a campaign
+ *    verification mismatch or store hit rate below
+ *    --min-store-hit-rate, or a trace or metrics file that cannot be
+ *    written.  2 on bad input: an unknown command or option, a missing
+ *    or unacceptable value, a missing operand, an unknown name, an
+ *    unreadable or malformed file, or a file that is not a campaign
+ *    store.  Each is reported on one stderr line, and an argument error
+ *    stops the run before any work; nothing aborts the process.
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
-#include <initializer_list>
+#include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <unordered_set>
 #include <vector>
 
@@ -145,178 +59,160 @@ namespace
 using namespace gam;
 using model::ModelKind;
 
-int
-usage()
+/** Everything a command line sets; each command reads its own fields. */
+struct Args
 {
-    std::fprintf(stderr,
-                 "usage: gam-litmus <command> [options]\n"
-                 "\n"
-                 "commands:\n"
-                 "  list                      list built-in tests\n"
-                 "  run <test|file>...        decide tests and print "
-                 "the verdict matrix\n"
-                 "      [--model M]...        SC TSO GAM0 GAM ARM "
-                 "Alpha* PerLocSC\n"
-                 "      [--engine E]          axiomatic, operational, "
-                 "cat or auto (default: all)\n"
-                 "      [--threads N]         worker threads (0 = "
-                 "hardware)\n"
-                 "      [--budget M]          explorer visited-state "
-                 "budget\n"
-                 "      [--stats]             print decision-cache, "
-                 "prescreen and\n"
-                 "                            enumeration counters\n"
-                 "      [--json]              print this run's metrics "
-                 "registry delta as\n"
-                 "                            gam-metrics-v1 JSON "
-                 "instead of text output\n"
-                 "      [--trace FILE]        write a Chrome "
-                 "trace_event JSON of the run\n"
-                 "      [--no-prescreen]      disable the static "
-                 "pre-screen in decide()\n"
-                 "      [--no-cat-compile]    run cat queries through "
-                 "the interpreting\n"
-                 "                            evaluator instead of the "
-                 "compiled plan\n"
-                 "  print <test|file>...      re-emit tests in "
-                 "canonical text form\n"
-                 "  gen [--tests N] [--seed S] [--out DIR] "
-                 "[--no-verdicts] [--four-thread]\n"
-                 "                            emit generated litmus "
-                 "documents (--four-thread:\n"
-                 "                            the named IRIW/WRC+/W+RWC "
-                 "cycle families)\n"
-                 "  fuzz [--tests N] [--seed S] [--threads N]\n"
-                 "       [--max-states M] [--no-shrink] [--engine E]\n"
-                 "                            differential-fuzz a spec "
-                 "engine (axiomatic or\n"
-                 "                            cat) against the "
-                 "operational explorer\n"
-                 "  campaign run              decide the exhaustive "
-                 "canonical test universe\n"
-                 "      [--max-cycle-len N]   cycle length bound "
-                 "(default 6)\n"
-                 "      [--min-cycle-len N]   shortest cycle length "
-                 "(default 3)\n"
-                 "      [--canonical rotation|full]\n"
-                 "                            symmetry quotient of the "
-                 "universe\n"
-                 "                            (default rotation)\n"
-                 "      [--models A,B,..]     default SC,TSO,GAM0,GAM\n"
-                 "      [--engines A,B,..]    default axiomatic\n"
-                 "      [--threads N] [--limit N]\n"
-                 "      [--no-fences] [--no-deps] [--no-rmws]\n"
-                 "                            leave fences, "
-                 "dependencies or RMWs\n"
-                 "                            out of the edge "
-                 "vocabulary\n"
-                 "      [--store FILE]        persistent decision "
-                 "store (append-log);\n"
-                 "                            re-run with the same "
-                 "store to resume\n"
-                 "      [--verify N]          re-decide every Nth "
-                 "decision from scratch\n"
-                 "      [--min-store-hit-rate P]  exit 1 below P%% "
-                 "store hits\n"
-                 "      [--quiet]             no progress lines\n"
-                 "      [--metrics FILE]      write the run's registry "
-                 "delta as JSON\n"
-                 "                            (default "
-                 "campaign_metrics.json)\n"
-                 "      [--trace FILE]        write a Chrome "
-                 "trace_event JSON of the run\n"
-                 "  campaign status --store FILE [--json]\n"
-                 "                            summarise a decision "
-                 "store\n"
-                 "  campaign query --store FILE [--model M] "
-                 "[--allowed|--forbidden]\n"
-                 "                            summarise matching "
-                 "records\n"
-                 "      [--disagree MODEL_A MODEL_B]\n"
-                 "                            list the tests the two "
-                 "models decide\n"
-                 "                            differently\n"
-                 "  campaign compact --output FILE INPUT...\n"
-                 "                            merge stores into one "
-                 "deduped log\n"
-                 "  model list                list the shipped cat "
-                 "models\n"
-                 "  model show <name|file>    print a cat model's "
-                 "source\n"
-                 "      [--plan]              print the compiled plan "
-                 "instead: strata,\n"
-                 "                            constant slots and fused "
-                 "axiom passes\n"
-                 "  model check <name|file>   validate a cat model "
-                 "and cross-check its\n"
-                 "                            verdicts on the "
-                 "built-in tests\n"
-                 "  model lint <name|file>... lint cat models "
-                 "(unused/shadowed definitions,\n"
-                 "                            empty relations, vacuous/"
-                 "redundant axioms)\n");
-    return 2;
+    std::vector<std::string> operands;
+    // run
+    harness::MatrixOptions matrix;
+    std::vector<ModelKind> models;
+    bool stats = false;
+    // run, campaign status, campaign query
+    bool json = false;
+    // run, campaign run
+    std::string trace;
+    // gen
+    std::optional<uint64_t> tests;
+    std::optional<uint64_t> seed;
+    std::string outDir;
+    bool verdicts = true;
+    bool fourThread = false;
+    // fuzz
+    harness::FuzzOptions fuzz;
+    // campaign run
+    campaign::CampaignOptions campaign;
+    std::string metrics = "campaign_metrics.json";
+    double minStoreHitRate = -1.0;
+    bool quiet = false;
+    // campaign run, status, query
+    std::string store;
+    // campaign query
+    std::optional<ModelKind> modelFilter;
+    std::optional<bool> allowedFilter;
+    std::optional<std::pair<ModelKind, ModelKind>> disagree;
+    // campaign compact
+    std::string output;
+    // model show
+    bool plan = false;
+};
+
+/** The values given to one option, one per word of its placeholder. */
+using Values = std::vector<std::string>;
+
+/** One option of one command: the only place it is declared. */
+struct Option
+{
+    /** The spelling, e.g. "--threads". */
+    std::string name;
+    /** The value placeholder, one word per value; empty for a flag. */
+    std::string value;
+    std::string help;
+    /** The values it accepts, for the error line. */
+    std::string accepts;
+    /** Store the values; false if one is not accepted. */
+    std::function<bool(const Values &)> set;
+    /** A required option is part of the command's synopsis. */
+    bool required = false;
+};
+
+/** One command: its path, operands, one-line summary and options. */
+struct Command
+{
+    /** The words that select it, e.g. "campaign run". */
+    std::string path;
+    /** The operand placeholder; empty when it takes none, and
+     *  otherwise at least one is required. */
+    std::string operands;
+    std::string summary;
+    std::vector<Option> options;
+    int (*run)(Args &);
+};
+
+/** The widest worker pool a command line may ask for. */
+constexpr uint64_t MaxThreads = 1024;
+
+/** A flag: giving it stores @p value into @p field. */
+template <typename T>
+Option
+flag(const char *name, const char *help, T &field,
+     std::type_identity_t<T> value)
+{
+    return {name, "", help, "", [&field, value](const Values &) {
+                field = value;
+                return true;
+            }};
 }
 
-/** Print every engine name a frontend flag accepts. */
-void
-listEngines(bool include_auto = true)
+/** A file or directory name, stored into @p field; a @p required one
+ *  is part of the command's synopsis. */
+Option
+file(const char *name, const char *value, const char *help,
+     std::string &field, bool required = false)
 {
-    std::fprintf(stderr, "available engines:\n");
-    for (model::Engine engine : model::allEngines)
-        std::fprintf(stderr, "  %s\n",
-                     model::engineName(engine).c_str());
-    if (include_auto)
-        std::fprintf(stderr, "  auto\n");
+    return {name, value, help, "",
+            [&field](const Values &v) {
+                field = v[0];
+                return true;
+            },
+            required};
 }
 
-/** Print every memory-model name --model accepts. */
-void
-listModels()
+/** A decimal count in @p lo..@p hi, capped to what @p field holds. */
+template <typename Field>
+Option
+count(const char *name, const char *value, const char *help, Field &field,
+      uint64_t lo = 0, uint64_t hi = std::numeric_limits<uint64_t>::max())
 {
-    std::fprintf(stderr, "available models:\n");
-    for (ModelKind kind : model::allModelKinds)
-        std::fprintf(stderr, "  %s\n",
-                     model::modelName(kind).c_str());
+    // The field's type, or the type an optional field holds.
+    using T = std::decay_t<decltype(*std::optional(field))>;
+    hi = std::min<uint64_t>(hi, std::numeric_limits<T>::max());
+    return {name, value, help,
+            "a count in " + std::to_string(lo) + ".." + std::to_string(hi),
+            [&field, lo, hi](const Values &v) {
+                const char *end = v[0].data() + v[0].size();
+                uint64_t n = 0;
+                const auto [ptr, ec] = std::from_chars(v[0].data(), end, n);
+                if (ec != std::errc() || ptr != end || n < lo || n > hi)
+                    return false;
+                field = static_cast<T>(n);
+                return true;
+            }};
 }
 
-/** Print every shipped cat model name. */
-void
-listCatModels()
+/** A worker-thread count, 0 (hardware concurrency) to MaxThreads. */
+Option
+threads(unsigned &field)
 {
-    std::fprintf(stderr, "shipped cat models:\n");
-    for (const cat::CatModel *m : cat::builtinCatModels())
-        std::fprintf(stderr, "  %s\n", m->name.c_str());
+    return count("--threads", "N", "worker threads (0 = hardware)", field,
+                 0, MaxThreads);
 }
 
-std::optional<uint64_t>
-parseCount(const char *arg)
+/** The names of @p items, as @p name spells them, comma-separated. */
+template <typename Items, typename Name>
+std::string
+names(const Items &items, Name name)
 {
-    uint64_t value = 0;
-    std::istringstream is(arg);
-    is >> value;
-    if (!is || !is.eof())
-        return std::nullopt;
-    return value;
+    std::string out;
+    for (const auto &item : items)
+        out += (out.empty() ? "" : ", ") + name(item);
+    return out;
 }
 
-/** Is @p arg one of @p options? */
+/** Parse a comma-separated list of @p parse's names into @p out. */
+template <typename T, typename Parse>
 bool
-oneOf(const std::string &arg, std::initializer_list<const char *> options)
+parseList(const std::string &value, Parse parse, std::vector<T> &out)
 {
-    return std::any_of(options.begin(), options.end(),
-                       [&](const char *option) { return arg == option; });
-}
-
-/** Next flag value or nullptr (with a message) when it is missing. */
-const char *
-flagValue(int argc, char **argv, int &i, const char *flag)
-{
-    if (i + 1 >= argc) {
-        std::fprintf(stderr, "gam-litmus: %s needs a value\n", flag);
-        return nullptr;
+    out.clear();
+    std::istringstream is(value);
+    std::string name;
+    while (std::getline(is, name, ',')) {
+        std::optional<T> item = parse(name);
+        if (!item)
+            return false;
+        out.push_back(*item);
     }
-    return argv[++i];
+    return true;
 }
 
 /**
@@ -341,8 +237,102 @@ writeTrace(const std::string &path)
     return true;
 }
 
+/**
+ * The name-or-file loader: @p arg names a file when it contains a '.'
+ * or '/', and @p parse turns the file's text into the value (or sets
+ * the error); any other @p arg is a built-in @p what that @p find
+ * looks up and `gam-litmus @p lister` lists.  Each failure is reported
+ * on one stderr line and yields an empty result.
+ */
+template <typename Find, typename Parse>
+auto
+loadNamed(const std::string &arg, const char *what, const char *lister,
+          Find find, Parse parse) -> decltype(find(arg))
+{
+    if (arg.find_first_of("./") == std::string::npos) {
+        auto found = find(arg);
+        if (!found) {
+            std::fprintf(stderr,
+                         "gam-litmus: unknown %s '%s' (see gam-litmus %s)\n",
+                         what, arg.c_str(), lister);
+        }
+        return found;
+    }
+    std::ifstream in(arg);
+    std::ostringstream text;
+    text << in.rdbuf();
+    std::string error = "cannot open file";
+    auto parsed = decltype(find(arg)){};
+    if (in)
+        parsed = parse(text.str(), error);
+    if (!parsed)
+        std::fprintf(stderr, "gam-litmus: %s: %s\n", arg.c_str(),
+                     error.c_str());
+    return parsed;
+}
+
+std::optional<litmus::LitmusTest>
+loadTest(const std::string &arg)
+{
+    using Loaded = std::optional<litmus::LitmusTest>;
+    return loadNamed(
+        arg, "test", "list",
+        [](const std::string &name) {
+            const litmus::LitmusTest *t = litmus::findTest(name);
+            return t ? Loaded(*t) : std::nullopt;
+        },
+        [](const std::string &text, std::string &error) -> Loaded {
+            auto parsed = litmus::parseLitmus(text);
+            if (parsed)
+                return *std::move(parsed.test);
+            error = parsed.error.toString();
+            return std::nullopt;
+        });
+}
+
+/** A cat model: shipped ones alias the library's registry (no-op
+ *  deleter); one from a file is named after the file's stem. */
+std::shared_ptr<const cat::CatModel>
+loadCatModel(const std::string &arg)
+{
+    using Loaded = std::shared_ptr<const cat::CatModel>;
+    return loadNamed(
+        arg, "cat model", "model list",
+        [](const std::string &name) {
+            return Loaded(cat::findBuiltinCatModel(name),
+                          [](const cat::CatModel *) {});
+        },
+        [&arg](const std::string &text, std::string &error) -> Loaded {
+            const auto slash = arg.find_last_of('/');
+            const std::string base =
+                slash == std::string::npos ? arg : arg.substr(slash + 1);
+            cat::CatParseResult parsed =
+                cat::parseCat(text, base.substr(0, base.find_last_of('.')));
+            if (!parsed.ok()) {
+                error = parsed.error.toString();
+                return nullptr;
+            }
+            return std::make_shared<cat::CatModel>(
+                std::move(*parsed.model));
+        });
+}
+
+/** Every test operand, or nullopt once one does not load. */
+std::optional<std::vector<litmus::LitmusTest>>
+loadTests(const std::vector<std::string> &operands)
+{
+    std::vector<litmus::LitmusTest> tests;
+    for (const std::string &operand : operands) {
+        auto test = loadTest(operand);
+        if (!test)
+            return std::nullopt;
+        tests.push_back(*std::move(test));
+    }
+    return tests;
+}
+
 int
-cmdList()
+cmdList(Args &)
 {
     for (const auto &t : litmus::allTests()) {
         std::printf("  %-20s %-12s %s\n", t.name.c_str(),
@@ -351,132 +341,26 @@ cmdList()
     return 0;
 }
 
-/** Load one `run` argument: a built-in name or a .litmus file. */
-std::optional<litmus::LitmusTest>
-loadTest(const std::string &arg)
-{
-    const bool is_file =
-        arg.find('.') != std::string::npos
-        || arg.find('/') != std::string::npos;
-    if (!is_file) {
-        if (const litmus::LitmusTest *t = litmus::findTest(arg))
-            return *t;
-        std::fprintf(stderr,
-                     "gam-litmus: unknown test '%s'; available tests:\n",
-                     arg.c_str());
-        for (const auto &t : litmus::allTests())
-            std::fprintf(stderr, "  %s\n", t.name.c_str());
-        return std::nullopt;
-    }
-
-    std::ifstream in(arg);
-    if (!in) {
-        std::fprintf(stderr, "gam-litmus: cannot open '%s'\n",
-                     arg.c_str());
-        return std::nullopt;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    auto parsed = litmus::parseLitmus(text.str());
-    if (!parsed) {
-        std::fprintf(stderr, "gam-litmus: %s: %s\n", arg.c_str(),
-                     parsed.error.toString().c_str());
-        return std::nullopt;
-    }
-    return *std::move(parsed.test);
-}
-
 int
-cmdRun(int argc, char **argv)
+cmdRun(Args &a)
 {
-    std::vector<litmus::LitmusTest> tests;
-    std::vector<ModelKind> models;
-    harness::MatrixOptions options;
-    bool stats = false;
-    bool json = false;
-    std::string trace_path;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--model") {
-            const char *value = flagValue(argc, argv, i, "--model");
-            if (!value)
-                return 2;
-            auto kind = model::modelFromName(value);
-            if (!kind) {
-                std::fprintf(stderr, "gam-litmus: unknown model '%s'\n",
-                             value);
-                listModels();
-                return 2;
-            }
-            models.push_back(*kind);
-        } else if (arg == "--engine") {
-            const char *value = flagValue(argc, argv, i, "--engine");
-            if (!value)
-                return 2;
-            if (std::string(value) == "auto") {
-                options.engine = harness::EngineSelect::Auto;
-            } else if (auto engine = model::engineFromName(value)) {
-                options.engine = harness::engineSelectOf(*engine);
-            } else {
-                std::fprintf(stderr, "gam-litmus: unknown engine "
-                             "'%s'\n", value);
-                listEngines();
-                return 2;
-            }
-        } else if (arg == "--threads" || arg == "--budget") {
-            const char *value = flagValue(argc, argv, i, arg.c_str());
-            if (!value)
-                return 2;
-            auto n = parseCount(value);
-            if (!n) {
-                std::fprintf(stderr, "gam-litmus: bad %s value '%s'\n",
-                             arg.c_str(), value);
-                return 2;
-            }
-            if (arg == "--threads")
-                options.poolThreads = static_cast<unsigned>(*n);
-            else
-                options.run.stateBudget = *n;
-        } else if (arg == "--stats") {
-            stats = true;
-        } else if (arg == "--json") {
-            json = true;
-        } else if (arg == "--trace") {
-            const char *value = flagValue(argc, argv, i, "--trace");
-            if (!value)
-                return 2;
-            trace_path = value;
-        } else if (arg == "--no-prescreen") {
-            options.run.prescreen = false;
-        } else if (arg == "--no-cat-compile") {
-            options.run.catCompile = false;
-        } else {
-            auto test = loadTest(arg);
-            if (!test)
-                return 2;
-            tests.push_back(*std::move(test));
-        }
-    }
-    if (tests.empty()) {
-        std::fprintf(stderr, "gam-litmus: run needs at least one test "
-                             "name or .litmus file\n");
+    const auto tests = loadTests(a.operands);
+    if (!tests)
         return 2;
-    }
-    if (models.empty()) {
-        models = {ModelKind::SC, ModelKind::TSO, ModelKind::GAM0,
-                  ModelKind::GAM, ModelKind::ARM};
+    if (a.models.empty()) {
+        a.models = {ModelKind::SC, ModelKind::TSO, ModelKind::GAM0,
+                    ModelKind::GAM, ModelKind::ARM};
     }
 
     const auto before = harness::globalDecisionCache().stats();
     const obs::MetricSnapshot metrics_before = obs::metrics().snapshot();
-    if (!trace_path.empty())
+    if (!a.trace.empty())
         obs::TraceCollector::instance().enable();
-    auto verdicts = harness::runLitmusMatrix(tests, models, options);
-    if (!trace_path.empty()) {
+    auto verdicts = harness::runLitmusMatrix(*tests, a.models, a.matrix);
+    if (!a.trace.empty()) {
         // The matrix pool has drained: the rings are quiescent.
         obs::TraceCollector::instance().disable();
-        if (!writeTrace(trace_path))
+        if (!writeTrace(a.trace))
             return 1;
     }
     if (verdicts.empty()) {
@@ -486,7 +370,7 @@ cmdRun(int argc, char **argv)
                              "combination for the given tests\n");
         return 2;
     }
-    if (json) {
+    if (a.json) {
         // The machine-readable twin of the text output: exactly this
         // run's registry delta in the gam-metrics-v1 schema.
         std::printf("%s", obs::metrics()
@@ -494,13 +378,10 @@ cmdRun(int argc, char **argv)
                               .delta(metrics_before)
                               .toJson()
                               .c_str());
-        for (const auto &v : verdicts)
-            if (!v.matchesPaper())
-                return 1;
-        return 0;
+    } else {
+        std::printf("%s", harness::formatLitmusMatrix(verdicts).c_str());
     }
-    std::printf("%s", harness::formatLitmusMatrix(verdicts).c_str());
-    if (stats) {
+    if (a.stats && !a.json) {
         const auto after = harness::globalDecisionCache().stats();
         const size_t resident = harness::globalDecisionCache().size();
         const size_t capacity = harness::globalDecisionCache().capacity();
@@ -575,67 +456,25 @@ cmdRun(int argc, char **argv)
 }
 
 int
-cmdPrint(int argc, char **argv)
+cmdPrint(Args &a)
 {
+    const auto tests = loadTests(a.operands);
+    if (!tests)
+        return 2;
     bool first = true;
-    for (int i = 0; i < argc; ++i) {
-        auto test = loadTest(argv[i]);
-        if (!test)
-            return 2;
+    for (const litmus::LitmusTest &test : *tests) {
         if (!first)
             std::printf("\n");
         first = false;
-        std::printf("%s", litmus::printLitmus(*test).c_str());
-    }
-    if (first) {
-        std::fprintf(stderr, "gam-litmus: print needs at least one "
-                             "test name or .litmus file\n");
-        return 2;
+        std::printf("%s", litmus::printLitmus(test).c_str());
     }
     return 0;
 }
 
 int
-cmdGen(int argc, char **argv)
+cmdGen(Args &a)
 {
-    uint64_t tests = 10, seed = 1;
-    bool verdicts = true;
-    bool four_thread = false;
-    bool stream_flags = false;
-    std::string out_dir;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        const char *value = nullptr;
-        if (arg == "--four-thread") {
-            four_thread = true;
-        } else if (arg == "--tests" || arg == "--seed") {
-            value = flagValue(argc, argv, i, arg.c_str());
-            if (!value)
-                return 2;
-            auto n = parseCount(value);
-            if (!n) {
-                std::fprintf(stderr, "gam-litmus: bad %s value '%s'\n",
-                             arg.c_str(), value);
-                return 2;
-            }
-            (arg == "--tests" ? tests : seed) = *n;
-            stream_flags = true;
-        } else if (arg == "--out") {
-            value = flagValue(argc, argv, i, "--out");
-            if (!value)
-                return 2;
-            out_dir = value;
-        } else if (arg == "--no-verdicts") {
-            verdicts = false;
-        } else {
-            std::fprintf(stderr, "gam-litmus: unknown gen option "
-                                 "'%s'\n", arg.c_str());
-            return 2;
-        }
-    }
-
-    if (four_thread && stream_flags) {
+    if (a.fourThread && (a.tests || a.seed)) {
         std::fprintf(stderr,
                      "gam-litmus: --four-thread emits the fixed named "
                      "families; --tests/--seed do not apply\n");
@@ -645,154 +484,58 @@ cmdGen(int argc, char **argv)
     // Random-stream tests are annotated against every model; the
     // named four-thread families against the four models their corpus
     // copies pin (the satellite IRIW/WRC+/W+RWC verdicts).
-    const std::vector<ModelKind> models = four_thread
+    const std::vector<ModelKind> models = a.fourThread
         ? std::vector<ModelKind>{ModelKind::SC, ModelKind::TSO,
                                  ModelKind::GAM0, ModelKind::GAM}
         : std::vector<ModelKind>{ModelKind::SC, ModelKind::TSO,
                                  ModelKind::GAM0, ModelKind::GAM,
                                  ModelKind::ARM};
 
-    std::vector<litmus::LitmusTest> emitted;
-    if (four_thread) {
-        emitted = litmus::fourThreadSuite();
-    } else {
-        for (uint64_t i = 0; i < tests; ++i)
-            emitted.push_back(litmus::generateTest(seed, i));
-    }
-
+    // Each test is printed or written as soon as it is generated.
     bool first = true;
-    for (litmus::LitmusTest &test : emitted) {
-        if (verdicts)
+    auto emit = [&](litmus::LitmusTest test) {
+        if (a.verdicts)
             harness::annotateExpected(test, models);
         const std::string text = litmus::printLitmus(test);
-        if (out_dir.empty()) {
+        if (a.outDir.empty()) {
             if (!first)
                 std::printf("\n");
             first = false;
             std::printf("%s", text.c_str());
-            continue;
+            return true;
         }
-        const std::string path = out_dir + "/" + test.name + ".litmus";
+        const std::string path = a.outDir + "/" + test.name + ".litmus";
         std::ofstream out(path);
         if (!out) {
             std::fprintf(stderr, "gam-litmus: cannot write '%s'\n",
                          path.c_str());
-            return 2;
+            return false;
         }
         out << text;
+        return true;
+    };
+    if (a.fourThread) {
+        for (const litmus::LitmusTest &test : litmus::fourThreadSuite())
+            if (!emit(test))
+                return 2;
+        return 0;
     }
+    for (uint64_t i = 0; i < a.tests.value_or(10); ++i)
+        if (!emit(litmus::generateTest(a.seed.value_or(1), i)))
+            return 2;
     return 0;
 }
 
 int
-cmdFuzz(int argc, char **argv)
+cmdFuzz(Args &a)
 {
-    harness::FuzzOptions options;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--no-shrink") {
-            options.shrink = false;
-            continue;
-        }
-        if (arg == "--engine") {
-            const char *value = flagValue(argc, argv, i, "--engine");
-            if (!value)
-                return 2;
-            auto engine = model::engineFromName(value);
-            if (!engine || *engine == model::Engine::Operational) {
-                std::fprintf(stderr, "gam-litmus: fuzz --engine picks "
-                             "the spec side checked against the "
-                             "operational explorer; '%s' is not one\n",
-                             value);
-                std::fprintf(stderr, "available spec engines:\n");
-                for (model::Engine spec : model::allEngines) {
-                    if (spec != model::Engine::Operational) {
-                        std::fprintf(stderr, "  %s\n",
-                                     model::engineName(spec).c_str());
-                    }
-                }
-                return 2;
-            }
-            options.spec = *engine;
-            continue;
-        }
-        if (arg != "--tests" && arg != "--seed" && arg != "--threads"
-            && arg != "--max-states") {
-            std::fprintf(stderr, "gam-litmus: unknown fuzz option "
-                                 "'%s'\n", arg.c_str());
-            return 2;
-        }
-        const char *value = flagValue(argc, argv, i, arg.c_str());
-        if (!value)
-            return 2;
-        auto n = parseCount(value);
-        if (!n) {
-            std::fprintf(stderr, "gam-litmus: bad %s value '%s'\n",
-                         arg.c_str(), value);
-            return 2;
-        }
-        if (arg == "--tests")
-            options.tests = *n;
-        else if (arg == "--seed")
-            options.seed = *n;
-        else if (arg == "--threads")
-            options.threads = static_cast<unsigned>(*n);
-        else
-            options.maxStates = *n;
-    }
-
-    harness::FuzzReport report = harness::fuzzDifferential(options);
+    harness::FuzzReport report = harness::fuzzDifferential(a.fuzz);
     std::printf("%s", report.toString().c_str());
     return report.ok() ? 0 : 1;
 }
 
-/**
- * Load a cat model: a shipped name or (anything with a '.' or '/') a
- * file parsed from source.  Diagnoses failures and lists the shipped
- * models on an unknown name.  Returns nullptr on failure; shipped
- * models alias the library's registry (no-op deleter).
- */
-std::shared_ptr<const cat::CatModel>
-loadCatModel(const std::string &arg)
-{
-    const bool is_file = arg.find('.') != std::string::npos
-        || arg.find('/') != std::string::npos;
-    if (!is_file) {
-        if (const cat::CatModel *m = cat::findBuiltinCatModel(arg)) {
-            return std::shared_ptr<const cat::CatModel>(
-                m, [](const cat::CatModel *) {});
-        }
-        std::fprintf(stderr, "gam-litmus: unknown cat model '%s'\n",
-                     arg.c_str());
-        listCatModels();
-        return nullptr;
-    }
-    std::ifstream in(arg);
-    if (!in) {
-        std::fprintf(stderr, "gam-litmus: cannot open '%s'\n",
-                     arg.c_str());
-        return nullptr;
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    // Default the model name to the file stem.
-    std::string stem = arg;
-    if (auto slash = stem.find_last_of('/'); slash != std::string::npos)
-        stem = stem.substr(slash + 1);
-    if (auto dot = stem.find_last_of('.'); dot != std::string::npos)
-        stem = stem.substr(0, dot);
-    cat::CatParseResult parsed = cat::parseCat(text.str(), stem);
-    if (!parsed.ok()) {
-        std::fprintf(stderr, "gam-litmus: %s: %s\n", arg.c_str(),
-                     parsed.error.toString().c_str());
-        return nullptr;
-    }
-    return std::make_shared<cat::CatModel>(std::move(*parsed.model));
-}
-
 int
-cmdModelList()
+cmdModelList(Args &)
 {
     for (const cat::CatModel *m : cat::builtinCatModels()) {
         std::string axioms;
@@ -808,36 +551,51 @@ cmdModelList()
     return 0;
 }
 
+/** Run @p one on every model operand once all have loaded (2 if one
+ *  does not); the worst exit code wins. */
 int
-cmdModelShow(const std::string &arg, bool plan)
+forEachModel(const Args &a,
+             const std::function<int(const cat::CatModel &,
+                                     const std::string &)> &one)
 {
-    auto m = loadCatModel(arg);
-    if (!m)
-        return 2;
-    if (plan) {
-        // The compiler's own view of the model: what the incremental
-        // filter evaluates once per epoch, per push, and at leaves.
-        std::printf("%s", cat::compileCatModel(*m)->describe().c_str());
-        return 0;
+    std::vector<std::shared_ptr<const cat::CatModel>> models;
+    for (const std::string &operand : a.operands) {
+        models.push_back(loadCatModel(operand));
+        if (!models.back())
+            return 2;
     }
-    std::printf("%s", m->source.c_str());
-    return 0;
+    int rc = 0;
+    for (size_t i = 0; i < models.size(); ++i)
+        rc = std::max(rc, one(*models[i], a.operands[i]));
+    return rc;
 }
 
 int
-cmdModelCheck(const std::string &arg)
+cmdModelShow(Args &a)
 {
-    auto m = loadCatModel(arg);
-    if (!m)
-        return 2;
+    return forEachModel(a, [&](const cat::CatModel &m,
+                               const std::string &) {
+        // With --plan, the compiler's own view of the model: what the
+        // incremental filter evaluates once per epoch, per push, and
+        // at leaves.
+        std::printf("%s", a.plan
+                              ? cat::compileCatModel(m)->describe().c_str()
+                              : m.source.c_str());
+        return 0;
+    });
+}
+
+int
+checkModel(const cat::CatModel &m, const std::string &)
+{
     std::printf("model %s: parsed OK (%zu definitions, %zu axioms)\n",
-                m->name.c_str(), m->definitionNames.size(),
-                m->axiomNames.size());
+                m.name.c_str(), m.definitionNames.size(),
+                m.axiomNames.size());
 
     // Run every built-in litmus test under the model; when the model
     // names a built-in kind with an axiomatic definition, cross-check
     // verdict-for-verdict against the hand-coded checker.
-    const auto kind = cat::catModelKind(*m);
+    const auto kind = cat::catModelKind(m);
     const bool compare = kind.has_value()
         && model::supportsEngine(*kind, model::Engine::Axiomatic);
     if (compare) {
@@ -863,7 +621,7 @@ cmdModelCheck(const std::string &arg)
         query.test = &test;
         query.model = kind.value_or(model::ModelKind::GAM);
         query.engine = harness::EngineSelect::Cat;
-        query.catModel = m.get();
+        query.catModel = &m;
         const bool cat_allowed = harness::decide(query).allowed;
         const char *cat_text = cat_allowed ? "allowed" : "forbidden";
         if (!compare) {
@@ -890,12 +648,15 @@ cmdModelCheck(const std::string &arg)
 }
 
 int
-cmdModelLint(const std::string &arg)
+cmdModelCheck(Args &a)
 {
-    auto m = loadCatModel(arg);
-    if (!m)
-        return 2;
-    const auto diags = analysis::lint(*m);
+    return forEachModel(a, checkModel);
+}
+
+int
+lintModel(const cat::CatModel &m, const std::string &arg)
+{
+    const auto diags = analysis::lint(m);
     for (const auto &d : diags)
         std::printf("%s: %s\n", arg.c_str(), d.toString().c_str());
     bool warned = false;
@@ -906,44 +667,10 @@ cmdModelLint(const std::string &arg)
     return warned ? 1 : 0;
 }
 
-/** Parse one comma-separated --models value into ModelKinds. */
-std::optional<std::vector<ModelKind>>
-parseModelList(const char *value)
+int
+cmdModelLint(Args &a)
 {
-    std::vector<ModelKind> models;
-    std::istringstream is(value);
-    std::string name;
-    while (std::getline(is, name, ',')) {
-        auto kind = model::modelFromName(name);
-        if (!kind) {
-            std::fprintf(stderr, "gam-litmus: unknown model '%s'\n",
-                         name.c_str());
-            listModels();
-            return std::nullopt;
-        }
-        models.push_back(*kind);
-    }
-    return models;
-}
-
-/** Parse one comma-separated --engines value into Engines. */
-std::optional<std::vector<model::Engine>>
-parseEngineList(const char *value)
-{
-    std::vector<model::Engine> engines;
-    std::istringstream is(value);
-    std::string name;
-    while (std::getline(is, name, ',')) {
-        auto engine = model::engineFromName(name);
-        if (!engine) {
-            std::fprintf(stderr, "gam-litmus: unknown engine '%s'\n",
-                         name.c_str());
-            listEngines(false);
-            return std::nullopt;
-        }
-        engines.push_back(*engine);
-    }
-    return engines;
+    return forEachModel(a, lintModel);
 }
 
 std::string
@@ -959,116 +686,22 @@ formatEta(double seconds)
 }
 
 int
-cmdCampaignRun(int argc, char **argv)
+cmdCampaignRun(Args &a)
 {
-    campaign::CampaignOptions options;
-    std::string store_path;
-    std::string metrics_path = "campaign_metrics.json";
-    std::string trace_path;
-    double min_store_hit_rate = -1.0;
-    bool quiet = false;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--quiet") {
-            quiet = true;
-            continue;
-        }
-        if (arg == "--no-fences") {
-            options.enumerate.fences = false;
-            continue;
-        }
-        if (arg == "--no-deps") {
-            options.enumerate.deps = false;
-            continue;
-        }
-        if (arg == "--no-rmws") {
-            options.enumerate.rmws = false;
-            continue;
-        }
-        // Every other option takes a value: reject an unknown one
-        // before reading the next argument as its value.
-        if (!oneOf(arg, {"--canonical", "--models", "--engines",
-                         "--store", "--metrics", "--trace",
-                         "--min-store-hit-rate", "--max-cycle-len",
-                         "--min-cycle-len", "--threads", "--limit",
-                         "--verify"})) {
-            std::fprintf(stderr,
-                         "gam-litmus: unknown campaign run option "
-                         "'%s'\n",
-                         arg.c_str());
-            return 2;
-        }
-        const char *value = flagValue(argc, argv, i, arg.c_str());
-        if (!value)
-            return 2;
-        if (arg == "--canonical") {
-            const std::string form = value;
-            if (form == "rotation") {
-                options.enumerate.canonical =
-                    campaign::CanonicalForm::Rotation;
-            } else if (form == "full") {
-                options.enumerate.canonical =
-                    campaign::CanonicalForm::Full;
-            } else {
-                std::fprintf(stderr,
-                             "gam-litmus: --canonical wants 'rotation' "
-                             "or 'full', got '%s'\n",
-                             value);
-                return 2;
-            }
-        } else if (arg == "--models") {
-            auto models = parseModelList(value);
-            if (!models)
-                return 2;
-            options.models = *std::move(models);
-        } else if (arg == "--engines") {
-            auto engines = parseEngineList(value);
-            if (!engines)
-                return 2;
-            options.engines = *std::move(engines);
-        } else if (arg == "--store") {
-            store_path = value;
-        } else if (arg == "--metrics") {
-            metrics_path = value;
-        } else if (arg == "--trace") {
-            trace_path = value;
-        } else if (arg == "--min-store-hit-rate") {
-            char *end = nullptr;
-            min_store_hit_rate = std::strtod(value, &end);
-            if (end == value || *end != '\0' || min_store_hit_rate < 0
-                || min_store_hit_rate > 100) {
-                std::fprintf(stderr,
-                             "gam-litmus: --min-store-hit-rate wants a "
-                             "percentage, got '%s'\n",
-                             value);
-                return 2;
-            }
-        } else {
-            auto n = parseCount(value);
-            if (!n) {
-                std::fprintf(stderr, "gam-litmus: bad %s value '%s'\n",
-                             arg.c_str(), value);
-                return 2;
-            }
-            if (arg == "--max-cycle-len")
-                options.enumerate.maxLen = int(*n);
-            else if (arg == "--min-cycle-len")
-                options.enumerate.minLen = int(*n);
-            else if (arg == "--threads")
-                options.threads = unsigned(*n);
-            else if (arg == "--limit")
-                options.limit = *n;
-            else
-                options.verifySample = *n; // --verify
-        }
+    const campaign::EnumerateOptions &bounds = a.campaign.enumerate;
+    if (bounds.minLen > bounds.maxLen) {
+        std::fprintf(stderr,
+                     "gam-litmus: --min-cycle-len %d is above "
+                     "--max-cycle-len %d\n",
+                     bounds.minLen, bounds.maxLen);
+        return 2;
     }
 
     std::unique_ptr<campaign::DecisionStore> store;
-    if (!store_path.empty()) {
+    if (!a.store.empty()) {
         std::string error;
         store = campaign::DecisionStore::open(
-            store_path, campaign::StoreOpen::Create, &error);
+            a.store, campaign::StoreOpen::Create, &error);
         if (!store) {
             std::fprintf(stderr, "gam-litmus: %s\n", error.c_str());
             return 2;
@@ -1077,7 +710,7 @@ cmdCampaignRun(int argc, char **argv)
         std::fprintf(stderr,
                      "store: %llu records recovered from %s (%llu "
                      "torn-tail bytes dropped)\n",
-                     (unsigned long long)s.loaded, store_path.c_str(),
+                     (unsigned long long)s.loaded, a.store.c_str(),
                      (unsigned long long)s.droppedBytes);
     }
 
@@ -1096,29 +729,29 @@ cmdCampaignRun(int argc, char **argv)
                      rate > 0 ? formatEta(double(left) / rate).c_str()
                               : "--");
     };
-    if (!trace_path.empty())
+    if (!a.trace.empty())
         obs::TraceCollector::instance().enable();
     const campaign::CampaignResult result = campaign::runCampaign(
-        options, store.get(),
-        quiet ? std::function<void(const campaign::CampaignProgress &)>{}
-              : progress);
-    if (!trace_path.empty()) {
+        a.campaign, store.get(),
+        a.quiet ? std::function<void(const campaign::CampaignProgress &)>{}
+                : progress);
+    if (!a.trace.empty()) {
         // runCampaign() has joined its workers.
         obs::TraceCollector::instance().disable();
-        if (!writeTrace(trace_path))
+        if (!writeTrace(a.trace))
             return 1;
     }
-    if (!metrics_path.empty()) {
-        std::ofstream out(metrics_path, std::ios::trunc);
+    if (!a.metrics.empty()) {
+        std::ofstream out(a.metrics, std::ios::trunc);
         out << result.metrics.toJson();
         if (!out.good()) {
             std::fprintf(stderr,
                          "gam-litmus: cannot write metrics '%s'\n",
-                         metrics_path.c_str());
+                         a.metrics.c_str());
             return 1;
         }
         std::fprintf(stderr, "metrics: registry delta written to %s\n",
-                     metrics_path.c_str());
+                     a.metrics.c_str());
     }
 
     std::printf("%s", campaign::formatCampaign(result).c_str());
@@ -1137,115 +770,51 @@ cmdCampaignRun(int argc, char **argv)
                      (unsigned long long)result.verifyMismatches);
         return 1;
     }
-    if (min_store_hit_rate >= 0.0) {
+    if (a.minStoreHitRate >= 0.0) {
         const double rate = result.decisions
             ? 100.0 * double(result.storeHits) / double(result.decisions)
             : 0.0;
-        if (rate < min_store_hit_rate) {
+        if (rate < a.minStoreHitRate) {
             std::fprintf(stderr,
                          "gam-litmus: store hit rate %.2f%% below the "
                          "required %.2f%%\n",
-                         rate, min_store_hit_rate);
+                         rate, a.minStoreHitRate);
             return 1;
         }
     }
     return 0;
 }
 
+/** `campaign status` and `campaign query`: query's filters are unset
+ *  under status, whose table lacks them. */
 int
-cmdCampaignStatus(int argc, char **argv, bool query)
+cmdCampaignStatus(Args &a)
 {
-    std::string store_path;
-    std::optional<ModelKind> model_filter;
-    std::optional<bool> allowed_filter;
-    std::optional<std::pair<ModelKind, ModelKind>> disagree;
-    bool json = false;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (query && arg == "--disagree") {
-            const char *a = flagValue(argc, argv, i, "--disagree");
-            const char *b = a ? flagValue(argc, argv, i, "--disagree")
-                              : nullptr;
-            if (!a || !b)
-                return 2;
-            auto ka = model::modelFromName(a);
-            auto kb = model::modelFromName(b);
-            if (!ka || !kb) {
-                std::fprintf(stderr, "gam-litmus: unknown model '%s'\n",
-                             !ka ? a : b);
-                listModels();
-                return 2;
-            }
-            disagree = {{*ka, *kb}};
-            continue;
-        }
-        if (query && arg == "--allowed") {
-            allowed_filter = true;
-            continue;
-        }
-        if (query && arg == "--forbidden") {
-            allowed_filter = false;
-            continue;
-        }
-        if (arg == "--json") {
-            json = true;
-            continue;
-        }
-        // --store and query's --model take a value: reject anything
-        // else before reading the next argument as its value.
-        if (arg != "--store" && !(query && arg == "--model")) {
-            std::fprintf(stderr,
-                         "gam-litmus: unknown campaign %s option '%s'\n",
-                         query ? "query" : "status", arg.c_str());
-            return 2;
-        }
-        const char *value = flagValue(argc, argv, i, arg.c_str());
-        if (!value)
-            return 2;
-        if (arg == "--store") {
-            store_path = value;
-            continue;
-        }
-        auto kind = model::modelFromName(value);
-        if (!kind) {
-            std::fprintf(stderr, "gam-litmus: unknown model '%s'\n",
-                         value);
-            listModels();
-            return 2;
-        }
-        model_filter = *kind;
-    }
-    if (store_path.empty()) {
-        std::fprintf(stderr, "gam-litmus: campaign %s needs --store\n",
-                     query ? "query" : "status");
-        return 2;
-    }
     std::string error;
     const auto opened = campaign::DecisionStore::open(
-        store_path, campaign::StoreOpen::Existing, &error);
+        a.store, campaign::StoreOpen::Existing, &error);
     if (!opened) {
         std::fprintf(stderr, "gam-litmus: %s\n", error.c_str());
         return 2;
     }
     const campaign::DecisionStore &store = *opened;
     const auto s = store.stats();
-    if (disagree) {
-        const auto [a, b] = *disagree;
-        if (json) {
+    if (a.disagree) {
+        const auto [ma, mb] = *a.disagree;
+        if (a.json) {
             // Count-only JSON view: enough for CI gates to pin the
             // GAM-vs-GAM0 disagreement count without parsing text.
             obs::MetricRegistry reg;
-            const auto list = campaign::disagreeingTests(store, a, b);
+            const auto list = campaign::disagreeingTests(store, ma, mb);
             reg.counter("store.disagree.tests").inc(list.size());
             std::printf("%s", reg.snapshot().toJson().c_str());
             return 0;
         }
         std::printf("%s",
-                    campaign::formatDisagreements(store, a, b).c_str());
+                    campaign::formatDisagreements(store, ma, mb).c_str());
         return 0;
     }
-    if (json) {
+    if (a.json) {
         // The machine-readable twin of the text summary: a local
         // registry (not the process-wide one) holding per-(model,
         // engine) record counts, emitted in the gam-metrics-v1 schema.
@@ -1255,9 +824,9 @@ cmdCampaignStatus(int argc, char **argv, bool query)
         std::unordered_set<uint64_t> tests;
         uint64_t matched = 0;
         store.forEach([&](const campaign::StoreRecord &rec) {
-            if (model_filter && rec.model != *model_filter)
+            if (a.modelFilter && rec.model != *a.modelFilter)
                 return;
-            if (allowed_filter && rec.allowed != *allowed_filter)
+            if (a.allowedFilter && rec.allowed != *a.allowedFilter)
                 return;
             ++matched;
             tests.insert(rec.testFingerprint);
@@ -1277,8 +846,8 @@ cmdCampaignStatus(int argc, char **argv, bool query)
         std::printf("%s", reg.snapshot().toJson().c_str());
         return 0;
     }
-    std::printf("%s", campaign::formatStoreSummary(store, model_filter,
-                                                   allowed_filter)
+    std::printf("%s", campaign::formatStoreSummary(store, a.modelFilter,
+                                                   a.allowedFilter)
                           .c_str());
     if (s.droppedBytes)
         std::printf("recovery: %llu torn-tail bytes dropped at open\n",
@@ -1287,35 +856,11 @@ cmdCampaignStatus(int argc, char **argv, bool query)
 }
 
 int
-cmdCampaignCompact(int argc, char **argv)
+cmdCampaignCompact(Args &a)
 {
-    std::string output;
-    std::vector<std::string> inputs;
-    for (int i = 0; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--output" || arg == "-o") {
-            const char *value = flagValue(argc, argv, i, arg.c_str());
-            if (!value)
-                return 2;
-            output = value;
-        } else if (arg.rfind("--", 0) == 0) {
-            std::fprintf(stderr,
-                         "gam-litmus: unknown campaign compact option "
-                         "'%s'\n",
-                         arg.c_str());
-            return 2;
-        } else {
-            inputs.push_back(arg);
-        }
-    }
-    if (output.empty() || inputs.empty()) {
-        std::fprintf(stderr,
-                     "gam-litmus: campaign compact --output FILE "
-                     "INPUT...\n");
-        return 2;
-    }
     std::string error;
-    const auto stats = campaign::compactStores(inputs, output, &error);
+    const auto stats = campaign::compactStores(a.operands, a.output,
+                                               &error);
     if (!stats) {
         std::fprintf(stderr, "gam-litmus: %s\n", error.c_str());
         return 2;
@@ -1325,73 +870,315 @@ cmdCampaignCompact(int argc, char **argv)
                 (unsigned long long)stats->inputs,
                 (unsigned long long)stats->scanned,
                 (unsigned long long)stats->merged,
-                (unsigned long long)stats->duplicates, output.c_str());
+                (unsigned long long)stats->duplicates, a.output.c_str());
     return 0;
 }
 
-int
-cmdCampaign(int argc, char **argv)
+/**
+ * Every command, in usage order, with every option it accepts: the one
+ * place each is declared.  The options' setters store into @p a.
+ */
+std::vector<Command>
+commands(Args &a)
 {
-    if (argc < 1) {
-        std::fprintf(stderr, "gam-litmus: campaign needs a subcommand "
-                             "(run, status, query, compact)\n");
-        return 2;
+    const std::string models = names(model::allModelKinds, model::modelName);
+    const std::string engines = names(model::allEngines, model::engineName);
+    campaign::EnumerateOptions &cycles = a.campaign.enumerate;
+    const Option trace = file("--trace", "FILE",
+                              "write a Chrome trace_event JSON of the run",
+                              a.trace);
+    const Option store =
+        file("--store", "FILE", "the decision store to read", a.store, true);
+    const Option json = flag(
+        "--json", "print gam-metrics-v1 JSON instead of text", a.json, true);
+    return {
+        {"list", "", "list built-in tests", {}, cmdList},
+        {"run", "<test|file>...", "decide tests and print the verdict matrix",
+         {{"--model", "M",
+           "decide under memory model M, repeatable: " + models
+               + " (default SC, TSO, GAM0, GAM, ARM)",
+           "one of " + models,
+           [&a](const Values &v) {
+               const auto kind = model::modelFromName(v[0]);
+               if (kind)
+                   a.models.push_back(*kind);
+               return kind.has_value();
+           }},
+          {"--engine", "E",
+           "decide with one engine (" + engines
+               + "), or let the registry pick one (auto); default: all",
+           "one of " + engines + ", auto",
+           [&a](const Values &v) {
+               const auto engine = model::engineFromName(v[0]);
+               if (engine)
+                   a.matrix.engine = harness::engineSelectOf(*engine);
+               else if (v[0] == "auto")
+                   a.matrix.engine = harness::EngineSelect::Auto;
+               return engine || v[0] == "auto";
+           }},
+          threads(a.matrix.poolThreads),
+          count("--budget", "M", "explorer visited-state budget",
+                a.matrix.run.stateBudget),
+          flag("--stats",
+               "print decision-cache, prescreen and enumeration counters",
+               a.stats, true),
+          flag("--json",
+               "print this run's metrics registry delta as gam-metrics-v1 "
+               "JSON instead of text output",
+               a.json, true),
+          trace,
+          flag("--no-prescreen", "disable the static pre-screen in decide()",
+               a.matrix.run.prescreen, false),
+          flag("--no-cat-compile",
+               "run cat queries through the interpreting evaluator instead "
+               "of the compiled plan",
+               a.matrix.run.catCompile, false)},
+         cmdRun},
+        {"print", "<test|file>...", "re-emit tests in canonical text form",
+         {}, cmdPrint},
+        {"gen", "", "emit generated litmus documents with axiomatic verdicts",
+         {count("--tests", "N", "tests to emit (default 10)", a.tests),
+          count("--seed", "S", "generator stream seed (default 1)", a.seed),
+          file("--out", "DIR", "write DIR/<test>.litmus files instead",
+               a.outDir),
+          flag("--no-verdicts", "leave the expected verdicts out",
+               a.verdicts, false),
+          flag("--four-thread",
+               "emit the named IRIW/WRC+/W+RWC cycle families instead of "
+               "the random stream",
+               a.fourThread, true)},
+         cmdGen},
+        {"fuzz", "",
+         "differential-fuzz a spec engine against the operational explorer",
+         {count("--tests", "N", "generated tests (default 1000)",
+                a.fuzz.tests),
+          count("--seed", "S", "generator stream seed (default 1)",
+                a.fuzz.seed),
+          threads(a.fuzz.threads),
+          count("--max-states", "M", "explorer state budget per check",
+                a.fuzz.maxStates),
+          flag("--no-shrink", "report divergences unshrunk", a.fuzz.shrink,
+               false),
+          {"--engine", "E", "spec engine: axiomatic (default) or cat",
+           "axiomatic or cat",
+           [&a](const Values &v) {
+               const auto engine = model::engineFromName(v[0]);
+               if (engine && *engine != model::Engine::Operational)
+                   a.fuzz.spec = *engine;
+               return engine && *engine != model::Engine::Operational;
+           }}},
+         cmdFuzz},
+        {"campaign run", "", "decide the exhaustive canonical test universe",
+         {count("--max-cycle-len", "N", "cycle length bound (default 6)",
+                cycles.maxLen, litmus::MinCycleLength,
+                litmus::MaxCycleLength),
+          count("--min-cycle-len", "N", "shortest cycle length (default 3)",
+                cycles.minLen, litmus::MinCycleLength,
+                litmus::MaxCycleLength),
+          {"--canonical", "rotation|full",
+           "symmetry quotient of the universe (default rotation)",
+           "rotation or full",
+           [&cycles](const Values &v) {
+               cycles.canonical = v[0] == "full"
+                   ? campaign::CanonicalForm::Full
+                   : campaign::CanonicalForm::Rotation;
+               return v[0] == "full" || v[0] == "rotation";
+           }},
+          {"--models", "A,B,..", "default SC,TSO,GAM0,GAM",
+           "models from " + models,
+           [&a](const Values &v) {
+               return parseList(v[0], model::modelFromName,
+                                a.campaign.models);
+           }},
+          {"--engines", "A,B,..", "default axiomatic",
+           "engines from " + engines,
+           [&a](const Values &v) {
+               return parseList(v[0], model::engineFromName,
+                                a.campaign.engines);
+           }},
+          threads(a.campaign.threads),
+          count("--limit", "N", "decide at most N tests (0 = all)",
+                a.campaign.limit),
+          flag("--no-fences", "leave fences out of the edge vocabulary",
+               cycles.fences, false),
+          flag("--no-deps", "leave dependencies out of the edge vocabulary",
+               cycles.deps, false),
+          flag("--no-rmws", "leave RMWs out of the edge vocabulary",
+               cycles.rmws, false),
+          file("--store", "FILE",
+               "persistent decision store (append-log); re-run with the "
+               "same store to resume",
+               a.store),
+          count("--verify", "N", "re-decide every Nth decision from scratch",
+                a.campaign.verifySample),
+          {"--min-store-hit-rate", "P", "exit 1 below P% store hits",
+           "a percentage in 0..100",
+           [&a](const Values &v) {
+               char *end = nullptr;
+               a.minStoreHitRate = std::strtod(v[0].c_str(), &end);
+               return end != v[0].c_str() && *end == '\0'
+                   && a.minStoreHitRate >= 0 && a.minStoreHitRate <= 100;
+           }},
+          flag("--quiet", "no progress lines", a.quiet, true),
+          file("--metrics", "FILE",
+               "write the run's registry delta as JSON (default "
+               "campaign_metrics.json; '' for none)",
+               a.metrics),
+          trace},
+         cmdCampaignRun},
+        {"campaign status", "", "summarise a decision store", {store, json},
+         cmdCampaignStatus},
+        {"campaign query", "", "summarise matching records",
+         {store,
+          {"--model", "M", "only records of memory model M",
+           "one of " + models,
+           [&a](const Values &v) {
+               a.modelFilter = model::modelFromName(v[0]);
+               return a.modelFilter.has_value();
+           }},
+          flag("--allowed", "only allowed verdicts", a.allowedFilter, true),
+          flag("--forbidden", "only forbidden verdicts", a.allowedFilter,
+               false),
+          {"--disagree", "MODEL_A MODEL_B",
+           "list the tests the two models decide differently",
+           "two of " + models,
+           [&a](const Values &v) {
+               const auto ma = model::modelFromName(v[0]);
+               const auto mb = model::modelFromName(v[1]);
+               if (ma && mb)
+                   a.disagree = {{*ma, *mb}};
+               return ma && mb;
+           }},
+          json},
+         cmdCampaignStatus},
+        {"campaign compact", "INPUT...",
+         "merge stores into one deduped log; an existing output must be a "
+         "store",
+         {file("--output", "FILE", "the merged store", a.output, true)},
+         cmdCampaignCompact},
+        {"model list", "", "list the shipped cat models", {}, cmdModelList},
+        {"model show", "<name|file>...", "print a cat model's source",
+         {flag("--plan",
+               "print the compiled plan instead: strata, constant slots and "
+               "fused axiom passes",
+               a.plan, true)},
+         cmdModelShow},
+        {"model check", "<name|file>...",
+         "validate a cat model and cross-check its verdicts on the built-in "
+         "tests",
+         {}, cmdModelCheck},
+        {"model lint", "<name|file>...",
+         "lint cat models (unused/shadowed definitions, empty relations, "
+         "vacuous/redundant axioms)",
+         {}, cmdModelLint},
+    };
+}
+
+/** @p option as the synopsis spells it: its name and placeholder. */
+std::string
+spelled(const Option &option)
+{
+    return option.value.empty() ? option.name
+                                : option.name + " " + option.value;
+}
+
+/**
+ * @p left, then @p right word-wrapped into a column from 28 to 79 (on
+ * the next line when @p left reaches into the column).
+ */
+std::string
+columns(const std::string &left, const std::string &right)
+{
+    constexpr size_t Column = 28, Width = 79;
+    std::string out = left, word;
+    size_t line = left.size() + 2 > Column ? Width : left.size();
+    std::istringstream words(right);
+    while (words >> word) {
+        if (line > Column && line + 1 + word.size() > Width) {
+            out += "\n";
+            line = 0;
+        }
+        out += std::string(line < Column ? Column - line : 1, ' ') + word;
+        line = std::max(line, Column - 1) + 1 + word.size();
     }
-    const std::string sub = argv[0];
-    if (sub == "run")
-        return cmdCampaignRun(argc - 1, argv + 1);
-    if (sub == "status")
-        return cmdCampaignStatus(argc - 1, argv + 1, false);
-    if (sub == "query")
-        return cmdCampaignStatus(argc - 1, argv + 1, true);
-    if (sub == "compact")
-        return cmdCampaignCompact(argc - 1, argv + 1);
-    std::fprintf(stderr, "gam-litmus: unknown campaign subcommand '%s' "
-                         "(expected run, status, query or compact)\n",
-                 sub.c_str());
-    return 2;
+    return out + "\n";
 }
 
 int
-cmdModel(int argc, char **argv)
+usage()
 {
-    if (argc < 1) {
-        std::fprintf(stderr, "gam-litmus: model needs a subcommand "
-                             "(list, show, check, lint)\n");
-        return 2;
+    std::string out = "usage: gam-litmus <command> [options]\n\n"
+                      "commands:\n";
+    Args unused;
+    for (const Command &cmd : commands(unused)) {
+        std::string synopsis = "  " + cmd.path;
+        for (const Option &option : cmd.options)
+            if (option.required)
+                synopsis += " " + spelled(option);
+        if (!cmd.operands.empty())
+            synopsis += " " + cmd.operands;
+        out += columns(synopsis, cmd.summary);
+        for (const Option &option : cmd.options)
+            if (!option.required)
+                out += columns("      [" + spelled(option) + "]",
+                               option.help);
     }
-    const std::string sub = argv[0];
-    if (sub == "list")
-        return cmdModelList();
-    if (sub == "show" || sub == "check" || sub == "lint") {
-        bool plan = false;
-        std::vector<std::string> names;
-        for (int i = 1; i < argc; ++i) {
-            if (std::string(argv[i]) == "--plan" && sub == "show")
-                plan = true;
-            else
-                names.push_back(argv[i]);
-        }
-        if (names.empty()) {
-            std::fprintf(stderr, "gam-litmus: model %s needs a model "
-                         "name or .cat file\n", sub.c_str());
-            listCatModels();
-            return 2;
-        }
-        int rc = 0;
-        for (const std::string &name : names) {
-            const int one = sub == "show"
-                ? cmdModelShow(name, plan)
-                : sub == "check" ? cmdModelCheck(name)
-                                 : cmdModelLint(name);
-            rc = std::max(rc, one);
-        }
-        return rc;
-    }
-    std::fprintf(stderr, "gam-litmus: unknown model subcommand '%s' "
-                         "(expected list, show, check or lint)\n",
-                 sub.c_str());
+    std::fputs(out.c_str(), stderr);
     return 2;
+}
+
+/**
+ * Parse @p argc words of @p argv against @p cmd's options into
+ * @p args.  False, after one stderr line, on an unknown option, a
+ * missing or unaccepted value, or a missing required option or
+ * operand.
+ */
+bool
+parseArgs(const Command &cmd, int argc, char **argv, Args &args)
+{
+    auto fail = [](const std::string &line) {
+        std::fprintf(stderr, "gam-litmus: %s\n", line.c_str());
+        return false;
+    };
+    std::vector<const Option *> missing;
+    for (const Option &option : cmd.options)
+        if (option.required)
+            missing.push_back(&option);
+    for (int i = 0; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (arg.empty() || arg[0] != '-') {
+            if (cmd.operands.empty())
+                return fail(cmd.path + " takes no operands, got '" + arg
+                            + "'");
+            args.operands.push_back(arg);
+            continue;
+        }
+        const auto option =
+            std::find_if(cmd.options.begin(), cmd.options.end(),
+                         [&](const Option &o) { return o.name == arg; });
+        if (option == cmd.options.end())
+            return fail("unknown " + cmd.path + " option '" + arg + "'");
+        const int arity = option->value.empty()
+            ? 0
+            : 1 + int(std::count(option->value.begin(),
+                                 option->value.end(), ' '));
+        if (argc - 1 - i < arity)
+            return fail(arg + " needs " + option->value);
+        const Values values(argv + i + 1, argv + i + 1 + arity);
+        i += arity;
+        if (!option->set(values)) {
+            std::string line = arg + " wants " + option->accepts + ", got '";
+            for (size_t k = 0; k < values.size(); ++k)
+                line += (k ? " " : "") + values[k];
+            return fail(line + "'");
+        }
+        std::erase(missing, &*option);
+    }
+    if (!missing.empty())
+        return fail(cmd.path + " needs " + spelled(*missing.front()));
+    if (!cmd.operands.empty() && args.operands.empty())
+        return fail(cmd.path + " needs " + cmd.operands);
+    return true;
 }
 
 } // namespace
@@ -1401,22 +1188,31 @@ main(int argc, char **argv)
 {
     if (argc < 2)
         return usage();
-    const std::string command = argv[1];
-    if (command == "list")
-        return cmdList();
-    if (command == "run")
-        return cmdRun(argc - 2, argv + 2);
-    if (command == "print")
-        return cmdPrint(argc - 2, argv + 2);
-    if (command == "gen")
-        return cmdGen(argc - 2, argv + 2);
-    if (command == "fuzz")
-        return cmdFuzz(argc - 2, argv + 2);
-    if (command == "campaign")
-        return cmdCampaign(argc - 2, argv + 2);
-    if (command == "model")
-        return cmdModel(argc - 2, argv + 2);
-    std::fprintf(stderr, "gam-litmus: unknown command '%s'\n",
-                 command.c_str());
-    return usage();
+    // A command path is one word, or a group and its subcommand.
+    const std::string group = argv[1];
+    const std::string sub = argc > 2 ? group + " " + argv[2] : group;
+    std::string subcommands;
+    Args args;
+    for (const Command &cmd : commands(args)) {
+        if (cmd.path == group || cmd.path == sub) {
+            const int words = cmd.path == group ? 2 : 3;
+            if (!parseArgs(cmd, argc - words, argv + words, args))
+                return 2;
+            return cmd.run(args);
+        }
+        if (cmd.path.rfind(group + " ", 0) == 0)
+            subcommands += (subcommands.empty() ? "" : ", ")
+                + cmd.path.substr(group.size() + 1);
+    }
+    if (!subcommands.empty()) {
+        std::fprintf(stderr, "gam-litmus: %s wants one of %s, got '%s'\n",
+                     group.c_str(), subcommands.c_str(),
+                     argc > 2 ? argv[2] : "");
+        return 2;
+    }
+    std::fprintf(stderr,
+                 "gam-litmus: unknown command '%s' (see gam-litmus without "
+                 "arguments)\n",
+                 group.c_str());
+    return 2;
 }
