@@ -101,8 +101,6 @@ perQueryPass(const campaign::CampaignOptions &options,
             if (model::supportsEngine(m, e))
                 pairs.emplace_back(m, e);
 
-    harness::RunOptions run = options.run;
-    run.threads = 1;
     harness::DecisionCache cache(options.cacheEntries);
     std::atomic<uint64_t> decisions{0};
     ThreadPool pool(options.threads);
@@ -117,7 +115,7 @@ perQueryPass(const campaign::CampaignOptions &options,
                     q.test = &*test;
                     q.model = m;
                     q.engine = harness::engineSelectOf(e);
-                    q.options = run;
+                    q.options = options.run;
                     harness::decide(q, &cache, store);
                     decisions.fetch_add(1, std::memory_order_relaxed);
                 }

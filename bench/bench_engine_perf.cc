@@ -57,8 +57,8 @@ BM_OperationalExplorer(benchmark::State &state)
 BENCHMARK(BM_OperationalExplorer)->DenseRange(0, 4);
 
 /**
- * The seed's explorer: serial, memoising full string encodings.  The
- * baseline every other explorer variant is compared against.
+ * The explorer memoising full string encodings: the baseline the
+ * interned explorer is compared against.
  */
 void
 BM_ExplorerStringSetBaseline(benchmark::State &state)
@@ -74,7 +74,7 @@ BM_ExplorerStringSetBaseline(benchmark::State &state)
 }
 BENCHMARK(BM_ExplorerStringSetBaseline)->DenseRange(0, 4);
 
-/** Serial exploration with 64-bit interned states. */
+/** Exploration with 64-bit interned states. */
 void
 BM_ExplorerInterned(benchmark::State &state)
 {
@@ -88,27 +88,6 @@ BM_ExplorerInterned(benchmark::State &state)
     state.SetLabel(test.name);
 }
 BENCHMARK(BM_ExplorerInterned)->DenseRange(0, 4);
-
-/**
- * Interned states on a worker team.  range(0) picks the litmus test,
- * range(1) the thread count: serial-vs-parallel on the same workload.
- */
-void
-BM_ExplorerParallel(benchmark::State &state)
-{
-    const litmus::LitmusTest &test =
-        litmus::testByName(kExplorerTests[size_t(state.range(0))]);
-    const unsigned threads = unsigned(state.range(1));
-    for (auto _ : state) {
-        auto result = operational::exploreAllParallel(
-            operational::GamMachine(test, {}), threads);
-        benchmark::DoNotOptimize(result.outcomes.size());
-    }
-    state.SetLabel(test.name + (" threads="
-                                + std::to_string(threads)));
-}
-BENCHMARK(BM_ExplorerParallel)
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {1, 2, 4, 8}});
 
 void
 BM_CycleSimulator(benchmark::State &state)

@@ -99,8 +99,6 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
 
     // ---- decide ---------------------------------------------------
     harness::DecisionCache cache(options.cacheEntries);
-    harness::RunOptions run = options.run;
-    run.threads = 1; // parallelism lives across units, not inside engines
 
     std::atomic<uint64_t> done{0};
     std::atomic<uint64_t> store_hits{0};
@@ -172,7 +170,7 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
                         q.test = &test;
                         q.model = m;
                         q.engine = harness::engineSelectOf(e);
-                        q.options = run;
+                        q.options = options.run;
                         batch.push_back(q);
                     }
                 }

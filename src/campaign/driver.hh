@@ -83,8 +83,7 @@ struct CampaignOptions
      *  cache keeps 100k-test runs from holding every outcome set in
      *  memory (the store keeps compact records instead). */
     size_t cacheEntries = 1 << 16;
-    /** Engine knobs for every decision (threads forced to 1: the
-     *  campaign parallelises across units, not within engines). */
+    /** Engine knobs for every decision. */
     harness::RunOptions run;
 };
 

@@ -485,22 +485,21 @@ void
 runOperational(const Query &query, Decision &d)
 {
     operational::ExploreResult r;
-    const unsigned threads = query.options.threads;
     const uint64_t budget = query.options.stateBudget;
     switch (query.model) {
       case ModelKind::SC:
-        r = operational::exploreAllParallel(
-            operational::ScMachine(*query.test), threads, budget);
+        r = operational::exploreAll(operational::ScMachine(*query.test),
+                                    budget);
         break;
       case ModelKind::TSO:
-        r = operational::exploreAllParallel(
-            operational::TsoMachine(*query.test), threads, budget);
+        r = operational::exploreAll(operational::TsoMachine(*query.test),
+                                    budget);
         break;
       default: {
         operational::GamOptions opts;
         opts.kind = query.model;
-        r = operational::exploreAllParallel(
-            operational::GamMachine(*query.test, opts), threads, budget);
+        r = operational::exploreAll(
+            operational::GamMachine(*query.test, opts), budget);
         break;
       }
     }

@@ -20,8 +20,8 @@
  * placements over the same base test.  decide() therefore memoizes
  * complete decisions in a sharded, thread-safe DecisionCache keyed by
  * (test fingerprint, model, engine, options fingerprint); truncated
- * (incomplete) results are never cached, which also makes the cached
- * value independent of the explorer's thread count.
+ * (incomplete) results are never cached, so a cached value never
+ * depends on the budget it was decided under.
  */
 
 #ifndef GAM_HARNESS_DECISION_HH
@@ -98,10 +98,10 @@ std::string prescreenKindName(PrescreenKind kind);
 struct RunOptions
 {
     /**
-     * The operational explorer's frontier workers (1 = serial, 0 =
-     * hardware concurrency).  The enumerating engines always walk
-     * serially.  Does not affect the decision: the explorer's merge is
-     * deterministic, and truncated runs are never cached.
+     * Read by nothing: every engine decides a query on the calling
+     * thread, and callers parallelise across queries (the matrix pool,
+     * the fuzz pool, the campaign workers).  Never affected a
+     * decision; kept only because pipebench still assigns it.
      */
     unsigned threads = 1;
     /**
@@ -134,8 +134,8 @@ struct RunOptions
     bool catCompile = true;
 
     /**
-     * 64-bit digest of the option fields (threads excluded, see its
-     * comment).  queryKey() canonicalizes result-irrelevant knobs
+     * 64-bit digest of the option fields (threads excluded: nothing
+     * reads it).  queryKey() canonicalizes result-irrelevant knobs
      * away before calling this -- the budget always (cached decisions
      * are complete, hence budget-independent), and the checker knobs
      * for operational queries -- so frontends differing only in those

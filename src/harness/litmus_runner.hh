@@ -69,7 +69,7 @@ struct MatrixOptions
      * engine) pairs are skipped.
      */
     std::optional<EngineSelect> engine;
-    /** Per-query knobs (state budget, explorer threads, ...). */
+    /** Per-query knobs (state budget, prescreen, ...). */
     RunOptions run;
     /** Thread-pool workers deciding jobs; 0 = hardware concurrency. */
     unsigned poolThreads = 0;

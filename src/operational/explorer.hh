@@ -6,64 +6,40 @@
  * interleavings (and all speculation choices), memoising visited states
  * compactly: each state is interned as a 64-bit fingerprint in a
  * StateSet instead of storing its full text encoding (see
- * state_set.hh for the collision analysis).  Machines that provide
- * hashInto(StateHasher&) are fingerprinted directly from their state
- * words with no string construction at all; any machine with encode()
- * still works via string hashing.
+ * state_set.hh for the collision analysis).  Machines stream their
+ * state words into the fingerprint through hashInto(StateHasher&), so
+ * no string is built per state.
  *
- * exploreAll() is the serial engine; exploreAllParallel() runs the same
- * enumeration on a team of workers sharing a work queue and a sharded
- * concurrent visited-set.  Because the full reachable space is covered
- * and outcome sets are ordered, the parallel merge is deterministic:
- * both engines return exactly the same OutcomeSet.
- *
- * Any machine type with enabledRules()/fire()/terminal()/outcome()/
- * encode()/stuck() can be explored; randomWalk() provides bounded
- * outcome sampling for programs too large to exhaust.
+ * exploreAll() is the engine; exploreAllStringSet() walks the same
+ * states memoising full encode() strings, the exact reference the
+ * interning is held to.  Any machine type with enabledRules()/fire()/
+ * terminal()/outcome()/encode()/hashInto() can be explored.
  */
 
 #ifndef GAM_OPERATIONAL_EXPLORER_HH
 #define GAM_OPERATIONAL_EXPLORER_HH
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <thread>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "base/hashing.hh"
 #include "base/logging.hh"
-#include "base/rng.hh"
 #include "litmus/outcome.hh"
 #include "operational/state_set.hh"
 
 namespace gam::operational
 {
 
-/** Machines that can stream their state words into a hasher. */
-template <typename Machine>
-concept DirectlyHashable = requires(const Machine &m, StateHasher &h) {
-    m.hashInto(h);
-};
-
-/**
- * 64-bit fingerprint of a machine state: direct field hashing when the
- * machine supports it, hash of the text encoding otherwise.
- */
+/** 64-bit fingerprint of a machine state, hashed from its state words. */
 template <typename Machine>
 uint64_t
 stateFingerprint(const Machine &m)
 {
-    if constexpr (DirectlyHashable<Machine>) {
-        StateHasher h;
-        m.hashInto(h);
-        return h.digest();
-    } else {
-        return hashString(m.encode());
-    }
+    StateHasher h;
+    m.hashInto(h);
+    return h.digest();
 }
 
 /** Result of an exploration. */
@@ -80,84 +56,17 @@ namespace detail
 {
 
 /**
- * Expand one state: enumerate its successors, pushing unseen ones, or
- * record its outcome when terminal.  Shared by the serial and parallel
- * engines; @p Visited is StateSet or ConcurrentStateSet.
+ * Depth-first walk from @p initial; @p remember(state) records a state
+ * and returns true when it was not yet visited.
  */
-template <typename Machine, typename Visited>
-void
-expandState(Machine &&m, Visited &visited, std::vector<Machine> &out,
-            litmus::OutcomeSet &outcomes)
-{
-    auto rules = m.enabledRules();
-    if (rules.empty()) {
-        if (m.terminal()) {
-            outcomes.insert(m.outcome());
-        } else {
-            panic("abstract machine deadlocked in a non-terminal "
-                  "state: %s", m.encode().c_str());
-        }
-        return;
-    }
-    for (const auto &rule : rules) {
-        Machine next = m;
-        next.fire(rule);
-        if (visited.insert(stateFingerprint(next)))
-            out.push_back(std::move(next));
-    }
-}
-
-} // namespace detail
-
-/**
- * Exhaustively explore @p initial.
- *
- * Truncation is exact: when the budget runs out no further state is
- * expanded, statesVisited never exceeds @p max_states, and complete is
- * false iff unexpanded states were dropped.
- *
- * @param initial    the machine's start state (copied per transition)
- * @param max_states visited-state budget
- */
-template <typename Machine>
+template <typename Machine, typename Remember>
 ExploreResult
-exploreAll(const Machine &initial, uint64_t max_states = 20'000'000)
+explore(const Machine &initial, uint64_t max_states, Remember remember)
 {
     ExploreResult result;
-    StateSet visited;
     std::vector<Machine> stack;
     stack.push_back(initial);
-    visited.insert(stateFingerprint(initial));
-
-    while (!stack.empty()) {
-        if (result.statesVisited >= max_states) {
-            result.complete = false;
-            break;
-        }
-        Machine m = std::move(stack.back());
-        stack.pop_back();
-        ++result.statesVisited;
-        detail::expandState(std::move(m), visited, stack,
-                            result.outcomes);
-    }
-    return result;
-}
-
-/**
- * The seed's serial explorer, memoising full text encodings in a
- * std::unordered_set<std::string>.  Kept as the benchmark baseline the
- * interned engines are measured against; not used on any hot path.
- */
-template <typename Machine>
-ExploreResult
-exploreAllStringSet(const Machine &initial,
-                    uint64_t max_states = 20'000'000)
-{
-    ExploreResult result;
-    std::unordered_set<std::string> visited;
-    std::vector<Machine> stack;
-    stack.push_back(initial);
-    visited.insert(initial.encode());
+    remember(initial);
 
     while (!stack.empty()) {
         if (result.statesVisited >= max_states) {
@@ -181,191 +90,50 @@ exploreAllStringSet(const Machine &initial,
         for (const auto &rule : rules) {
             Machine next = m;
             next.fire(rule);
-            if (visited.insert(next.encode()).second)
+            if (remember(next))
                 stack.push_back(std::move(next));
         }
     }
     return result;
 }
 
+} // namespace detail
+
 /**
- * Exhaustively explore @p initial on @p threads workers.
+ * Exhaustively explore @p initial.
  *
- * Workers share a global frontier queue and a sharded concurrent
- * visited-set; each keeps a local DFS stack and offloads half of it to
- * the queue whenever it grows past a threshold, so the frontier spreads
- * across the team.  On full (untruncated) exploration the merged
- * outcome set is identical to exploreAll()'s regardless of scheduling;
- * under truncation *which* states fall outside the budget depends on
- * timing, but statesVisited still never exceeds the budget.
+ * Truncation is exact: when the budget runs out no further state is
+ * expanded, statesVisited never exceeds @p max_states, and complete is
+ * false iff unexpanded states were dropped.
  *
- * @param threads worker count; 0 means hardware concurrency
+ * @param initial    the machine's start state (copied per transition)
+ * @param max_states visited-state budget
  */
 template <typename Machine>
 ExploreResult
-exploreAllParallel(const Machine &initial, unsigned threads = 0,
-                   uint64_t max_states = 20'000'000)
+exploreAll(const Machine &initial, uint64_t max_states = 20'000'000)
 {
-    if (threads == 0) {
-        unsigned hw = std::thread::hardware_concurrency();
-        threads = hw == 0 ? 1 : hw;
-    }
-    if (threads == 1)
-        return exploreAll(initial, max_states);
-
-    struct Shared
-    {
-        std::mutex mu;
-        std::condition_variable work;
-        std::deque<Machine> queue;
-        unsigned active = 0;
-        /** Estimate of queue.size(), readable without taking mu. */
-        std::atomic<size_t> queueSize{0};
-        std::atomic<uint64_t> visitedCount{0};
-        std::atomic<bool> truncated{false};
-    } shared;
-
-    ConcurrentStateSet visited;
-    visited.insert(stateFingerprint(initial));
-    shared.queue.push_back(initial);
-    shared.queueSize.store(1, std::memory_order_relaxed);
-
-    std::vector<litmus::OutcomeSet> workerOutcomes(threads);
-
-    auto workerFn = [&](unsigned wid) {
-        // Keep the local stack bounded so surplus frontier states flow
-        // back to the queue for idle workers.
-        constexpr size_t OffloadThreshold = 128;
-        std::vector<Machine> local;
-        litmus::OutcomeSet &outcomes = workerOutcomes[wid];
-
-        for (;;) {
-            {
-                std::unique_lock<std::mutex> lock(shared.mu);
-                shared.work.wait(lock, [&] {
-                    return !shared.queue.empty() || shared.active == 0
-                        || shared.truncated.load();
-                });
-                if (shared.queue.empty() || shared.truncated.load())
-                    return; // exploration finished or budget exhausted
-                local.push_back(std::move(shared.queue.front()));
-                shared.queue.pop_front();
-                shared.queueSize.store(shared.queue.size(),
-                                       std::memory_order_relaxed);
-                ++shared.active;
-            }
-
-            while (!local.empty() && !shared.truncated.load()) {
-                const uint64_t prior =
-                    shared.visitedCount.fetch_add(1,
-                                                  std::memory_order_relaxed);
-                if (prior >= max_states) {
-                    shared.visitedCount.fetch_sub(
-                        1, std::memory_order_relaxed);
-                    shared.truncated.store(true);
-                    shared.work.notify_all();
-                    break;
-                }
-                Machine m = std::move(local.back());
-                local.pop_back();
-                detail::expandState(std::move(m), visited, local,
-                                    outcomes);
-
-                // The lock-free queueSize probe keeps a saturated
-                // queue from turning every expansion into a mutex
-                // round-trip; the cap is rechecked under the lock.
-                if (local.size() > OffloadThreshold
-                    && shared.queueSize.load(std::memory_order_relaxed)
-                           < threads * 4) {
-                    // Machines are move-constructible but not
-                    // assignable (const-reference member), so donate
-                    // by pop_back rather than erasing a prefix.
-                    std::unique_lock<std::mutex> lock(shared.mu);
-                    if (shared.queue.size() < threads * 4) {
-                        const size_t half = local.size() / 2;
-                        for (size_t i = 0; i < half; ++i) {
-                            shared.queue.push_back(
-                                std::move(local.back()));
-                            local.pop_back();
-                        }
-                        shared.queueSize.store(
-                            shared.queue.size(),
-                            std::memory_order_relaxed);
-                        lock.unlock();
-                        shared.work.notify_all();
-                    }
-                }
-            }
-            local.clear();
-
-            {
-                std::unique_lock<std::mutex> lock(shared.mu);
-                --shared.active;
-                if (shared.active == 0 && shared.queue.empty())
-                    shared.work.notify_all();
-            }
-        }
-    };
-
-    std::vector<std::thread> team;
-    team.reserve(threads);
-    for (unsigned i = 0; i < threads; ++i)
-        team.emplace_back(workerFn, i);
-    for (auto &t : team)
-        t.join();
-
-    ExploreResult result;
-    result.statesVisited = shared.visitedCount.load();
-    result.complete = !shared.truncated.load();
-    for (auto &outcomes : workerOutcomes)
-        result.outcomes.merge(outcomes);
-    return result;
+    StateSet visited;
+    return detail::explore(initial, max_states, [&](const Machine &m) {
+        return visited.insert(stateFingerprint(m));
+    });
 }
 
-/** Result of a random-walk sampling run. */
-struct RandomWalkResult
-{
-    litmus::OutcomeSet outcomes;
-    /** Trajectories that reached a terminal state. */
-    uint64_t completed = 0;
-    /** Trajectories cut off by the step cap before terminating. */
-    uint64_t truncated = 0;
-};
-
 /**
- * Sample random trajectories of @p initial: cheap outcome sampling for
- * programs whose full state space is too large.  Each trajectory is
- * capped at @p max_steps rule firings so a non-terminating machine (or
- * one with a livelock cycle) cannot hang the walker; capped walks are
- * counted in RandomWalkResult::truncated instead of contributing an
- * outcome.
+ * exploreAll() memoising full text encodings in a
+ * std::unordered_set<std::string> instead of fingerprints: the exact
+ * reference the interned engine is tested and benchmarked against; not
+ * used on any hot path.
  */
 template <typename Machine>
-RandomWalkResult
-randomWalk(const Machine &initial, uint64_t trajectories, uint64_t seed,
-           uint64_t max_steps = 100'000)
+ExploreResult
+exploreAllStringSet(const Machine &initial,
+                    uint64_t max_states = 20'000'000)
 {
-    Rng rng(seed);
-    RandomWalkResult result;
-    for (uint64_t t = 0; t < trajectories; ++t) {
-        Machine m = initial;
-        uint64_t steps = 0;
-        for (;;) {
-            auto rules = m.enabledRules();
-            if (rules.empty()) {
-                GAM_ASSERT(m.terminal(), "machine deadlocked");
-                result.outcomes.insert(m.outcome());
-                ++result.completed;
-                break;
-            }
-            if (steps++ >= max_steps) {
-                ++result.truncated;
-                break;
-            }
-            m.fire(rules[rng.range(rules.size())]);
-        }
-    }
-    return result;
+    std::unordered_set<std::string> visited;
+    return detail::explore(initial, max_states, [&](const Machine &m) {
+        return visited.insert(m.encode()).second;
+    });
 }
 
 } // namespace gam::operational

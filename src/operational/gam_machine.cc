@@ -253,11 +253,8 @@ GamMachine::enabledRules() const
     for (size_t p = 0; p < procs.size(); ++p) {
         const Proc &proc = procs[p];
         const auto &prog = test.threads[p];
-        if (proc.pc >= prog.size()
-            || prog[proc.pc].op == Opcode::HALT
-            || proc.rob.size() >= size_t(options.robCap)) {
+        if (proc.pc >= prog.size() || prog[proc.pc].op == Opcode::HALT)
             continue;
-        }
         const Instruction &in = prog[proc.pc];
         if (in.isCondBranch()) {
             rules.push_back({uint8_t(p), GamRule::Fetch, 0, 0});

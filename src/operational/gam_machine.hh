@@ -22,7 +22,9 @@
  *
  * Instructions are never removed from the ROB except by squashes, so a
  * terminal state (every instruction fetched and done) contains the
- * whole committed execution.
+ * whole committed execution.  The ROB needs no capacity bound:
+ * LitmusTest::check() admits forward branches only, so a ROB holds at
+ * most one entry per instruction of its thread.
  *
  * A note on the ARM variant: the paper defines no abstract machine for
  * SALdLdARM, and Figure 17's early store execution is only compatible
@@ -59,8 +61,6 @@ namespace gam::operational
 struct GamOptions
 {
     model::ModelKind kind = model::ModelKind::GAM;
-    /** Per-processor in-flight instruction cap (bounds speculation). */
-    int robCap = 48;
     /**
      * Exploration reduction: when a *local* rule is enabled -- Fetch,
      * Execute-Reg-to-Reg, Compute-Store-Data or Execute-Fence -- offer
@@ -130,9 +130,6 @@ class GamMachine
      * allocation-free fingerprint path.
      */
     void hashInto(StateHasher &h) const;
-
-    /** The machine deadlocked without completing (a machine bug). */
-    bool stuck() const { return !terminal() && enabledRules().empty(); }
 
   private:
     /** One ROB entry (Figure 16's fields). */

@@ -40,7 +40,6 @@ class ScMachine
     std::string encode() const;
     /** Allocation-free fingerprint path (same state as encode()). */
     void hashInto(StateHasher &h) const;
-    bool stuck() const { return false; }
 
   private:
     struct Proc

@@ -16,19 +16,14 @@
  * subtree.  The equivalence tests compare interned exploration against
  * the axiomatic checker on every suite test, which would surface any
  * outcome-changing collision.
- *
- * ConcurrentStateSet shards the table by fingerprint so parallel workers
- * contend only on 1/NumShards of the keyspace.
  */
 
 #ifndef GAM_OPERATIONAL_STATE_SET_HH
 #define GAM_OPERATIONAL_STATE_SET_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
-
-#include "base/hashing.hh"
 
 namespace gam::operational
 {
@@ -82,7 +77,6 @@ class StateSet
     }
 
     size_t size() const { return count; }
-    size_t capacity() const { return slots.size(); }
 
   private:
     static constexpr uint64_t EMPTY = 0;
@@ -105,65 +99,6 @@ class StateSet
 
     std::vector<uint64_t> slots;
     size_t count = 0;
-};
-
-/**
- * Thread-safe StateSet, sharded by the fingerprint's top bits.  Sharding
- * keeps the per-insert critical section to a single probe sequence and
- * lets workers inserting different shards proceed in parallel.
- */
-class ConcurrentStateSet
-{
-  public:
-    explicit ConcurrentStateSet(size_t initial_capacity = 1024)
-    {
-        // Shards default to small tables; only re-allocate them when
-        // the requested capacity actually needs bigger ones.
-        const size_t per_shard = initial_capacity / NumShards + 16;
-        if (per_shard > 32) {
-            for (auto &shard : shards)
-                shard.set = StateSet(per_shard);
-        }
-    }
-
-    /** @return true when @p key was not yet present (atomic). */
-    bool
-    insert(uint64_t key)
-    {
-        Shard &shard = shards[shardOf(key)];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        return shard.set.insert(key);
-    }
-
-    size_t
-    size() const
-    {
-        size_t total = 0;
-        for (auto &shard : shards) {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            total += shard.set.size();
-        }
-        return total;
-    }
-
-  private:
-    static constexpr size_t NumShards = 64;
-
-    static size_t
-    shardOf(uint64_t key)
-    {
-        // Top bits: the probe index uses the bottom bits, so the two
-        // choices stay independent.
-        return size_t(key >> 58) & (NumShards - 1);
-    }
-
-    struct Shard
-    {
-        mutable std::mutex mu;
-        StateSet set{32};
-    };
-
-    Shard shards[NumShards];
 };
 
 } // namespace gam::operational

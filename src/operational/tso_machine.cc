@@ -120,12 +120,6 @@ TsoMachine::terminal() const
     return true;
 }
 
-bool
-TsoMachine::stuck() const
-{
-    return !terminal() && enabledRules().empty();
-}
-
 litmus::Outcome
 TsoMachine::outcome() const
 {

@@ -48,7 +48,6 @@ class TsoMachine
     std::string encode() const;
     /** Allocation-free fingerprint path (same state as encode()). */
     void hashInto(StateHasher &h) const;
-    bool stuck() const;
 
   private:
     struct BufferedStore

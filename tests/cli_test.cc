@@ -2,8 +2,10 @@
  * The gam-litmus command line contract, checked against the built
  * binary: bad arguments exit 2 with one stderr line and nothing on
  * stdout before any work, counts stay within their ranges, the usage
- * text names every option of every command, and `campaign compact`
- * refuses to overwrite a file that is not a store.
+ * text names every option of every command, a directory is refused
+ * where a file is expected, `campaign compact` refuses to overwrite a
+ * file that is not a store, and a thread longer than 48 instructions
+ * is decided by every model and engine.
  *
  * Thread-count caps are only ever probed with values that do not fit
  * an unsigned, so a build without the cap cannot start that many
@@ -251,6 +253,59 @@ TEST_F(Cli, CompactRefusesToOverwriteAFileThatIsNotAStore)
         EXPECT_EQ(run("campaign status --json --store merged.store").out,
                   run("campaign status --json --store good.store").out);
     }
+}
+
+TEST_F(Cli, ADirectoryOperandIsRefused)
+{
+    // A directory opens as an empty stream; it must not be read as an
+    // empty litmus document or an empty model.
+    fs::create_directories(work() / "d");
+    for (const char *command :
+         {"run", "print", "model show", "model check", "model lint"}) {
+        SCOPED_TRACE(command);
+        const Outcome r = run(std::string(command) + " d/");
+        expectRefused(r, "d/");
+        EXPECT_NE(r.err.find("not a regular file"), std::string::npos)
+            << r.err;
+    }
+    // A missing file keeps its own complaint.
+    const Outcome missing = run("print missing.litmus");
+    expectRefused(missing, "missing.litmus");
+    EXPECT_NE(missing.err.find("cannot open file"), std::string::npos)
+        << missing.err;
+}
+
+TEST_F(Cli, AThreadLongerThanFortyEightInstructionsIsDecided)
+{
+    // Message passing with 50 register-only instructions between the
+    // writer's stores: 55 instructions on thread 0.
+    std::ofstream litmus(work() / "mp_long.litmus");
+    litmus << "litmus mp_long\nlocation a 0x1000\nlocation b 0x1008\n"
+           << "thread 0 {\n  li r8, 4096\n  li r9, 4104\n  li r7, 1\n"
+           << "  st [r8], r7\n";
+    for (int i = 0; i < 50; ++i)
+        litmus << "  addi r10, r10, 1\n";
+    litmus << "  st [r9], r7\n}\n"
+           << "thread 1 {\n  li r8, 4096\n  li r9, 4104\n"
+           << "  ld r1, [r9]\n  ld r2, [r8]\n}\n"
+           << "condition 1:r1=1 & 1:r2=0\n";
+    litmus.close();
+
+    // Every model under every engine that decides it: 16 rows.
+    const Outcome r = run("run mp_long.litmus --model SC --model TSO "
+                          "--model GAM0 --model GAM --model ARM "
+                          "--model 'Alpha*' --model PerLocSC");
+    EXPECT_EQ(r.status, 0) << r.err;
+    EXPECT_NE(r.out.find("16 verdicts, 0 mismatches"), std::string::npos)
+        << r.out;
+    // The GAM0, GAM, ARM and Alpha* machines reach the MP outcome.
+    std::istringstream rows(r.out);
+    int operational_allowed = 0;
+    for (std::string row; std::getline(rows, row);) {
+        operational_allowed += row.find(" operational ") != std::string::npos
+            && row.find(" allowed ") != std::string::npos;
+    }
+    EXPECT_EQ(operational_allowed, 4) << r.out;
 }
 
 } // namespace

@@ -117,11 +117,9 @@ TEST(DecisionParity, MatchesLegacyEntryPointsOnAllBuiltins)
 {
     // Every builtin under every model: decide() dispatching to an
     // engine against the engines invoked directly -- the checker's
-    // verdict and the serial explorer's outcome set -- and the
-    // 4-worker explorer (RunOptions::threads) against the serial one,
-    // uncached so that it really runs.  The axiomatic verdict keeps
-    // the prescreen on, so a screened answer is held to the checker
-    // too; the outcome-set comparisons turn it off, because a
+    // verdict and the explorer's outcome set.  The axiomatic verdict
+    // keeps the prescreen on, so a screened answer is held to the
+    // checker too; the outcome-set comparison turns it off, because a
     // value-cover answer carries no outcomes.
     DecisionCache cache;
     for (const auto &test : litmus::allTests()) {
@@ -139,18 +137,13 @@ TEST(DecisionParity, MatchesLegacyEntryPointsOnAllBuiltins)
                 EXPECT_TRUE(d.complete);
             }
             if (model::supportsEngine(model, Engine::Operational)) {
-                const litmus::OutcomeSet serial =
+                const litmus::OutcomeSet direct =
                     directOperationalOutcomes(test, model);
                 Query q = queryFor(test, model, EngineSelect::Operational);
                 q.options.prescreen = false;
                 const Decision d = decide(q, &cache);
-                EXPECT_EQ(d.outcomes, serial) << what;
+                EXPECT_EQ(d.outcomes, direct) << what;
                 EXPECT_EQ(d.engine, Engine::Operational);
-
-                q.options.threads = 4;
-                const Decision parallel = decide(q, nullptr);
-                EXPECT_EQ(parallel.outcomes, serial) << what;
-                EXPECT_EQ(parallel.allowed, d.allowed) << what;
             }
         }
     }
@@ -339,8 +332,7 @@ TEST(DecisionCache, KeysSeparateModelEngineAndOptions)
     EXPECT_EQ(queryKey(base, Engine::Operational),
               queryKey(other_axioms, Engine::Operational));
 
-    // threads must NOT affect the key: complete results are
-    // scheduling-independent, so serial and parallel queries share.
+    // threads must NOT affect the key: no engine reads it.
     Query other_threads = base;
     other_threads.options.threads = 8;
     EXPECT_EQ(k, queryKey(other_threads, Engine::Axiomatic));

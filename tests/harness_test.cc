@@ -13,17 +13,16 @@ namespace
 
 using model::ModelKind;
 
-/** decide()'s verdict on @p test under @p model by @p engine, with
- *  @p threads explorer workers and no cache. */
+/** decide()'s verdict on @p test under @p model by @p engine, with no
+ *  cache. */
 bool
 allowedBy(const litmus::LitmusTest &test, ModelKind model,
-          EngineSelect engine, unsigned threads = 1)
+          EngineSelect engine)
 {
     Query query;
     query.test = &test;
     query.model = model;
     query.engine = engine;
-    query.options.threads = threads;
     return decide(query, nullptr).allowed;
 }
 
@@ -166,19 +165,6 @@ TEST(LitmusRunner, ParallelMatrixMatchesSerial)
             EXPECT_EQ(parallel[i].engine, serial[i].engine);
             EXPECT_EQ(parallel[i].allowed, serial[i].allowed);
             EXPECT_EQ(parallel[i].expected, serial[i].expected);
-        }
-    }
-}
-
-TEST(LitmusRunner, OperationalParallelAgreesOnVerdicts)
-{
-    for (const char *name : {"dekker", "mp", "sb_fenced"}) {
-        const auto &t = litmus::testByName(name);
-        for (ModelKind kind : {ModelKind::SC, ModelKind::TSO,
-                               ModelKind::GAM}) {
-            EXPECT_EQ(allowedBy(t, kind, EngineSelect::Operational, 4),
-                      allowedBy(t, kind, EngineSelect::Operational))
-                << name << " under " << model::modelName(kind);
         }
     }
 }

@@ -3,7 +3,8 @@
  * (campaign/symmetry.hh): isomorphic and decoration-equivalent specs
  * canonicalize to byte-identical representatives, the quotient's
  * universe counts are pinned next to the rotation-only counts, every
- * emitted representative is a canonicalCycleFull() fixpoint, and the
+ * emitted representative is a canonicalCycleFull() fixpoint, the
+ * per-thread ordering signature agrees with model/ppo.cc, and the
  * quotient preserves verdicts -- exactly up to the pre-existing
  * rotation-witness orientation artifact, which is pinned too.
  */
@@ -15,12 +16,14 @@
 #include <string>
 #include <vector>
 
+#include "axiomatic/enumerate.hh"
 #include "campaign/enumerate.hh"
 #include "campaign/symmetry.hh"
 #include "harness/decision.hh"
 #include "litmus/generator.hh"
 #include "litmus/test.hh"
 #include "model/engine.hh"
+#include "model/ppo.hh"
 
 namespace gam::campaign
 {
@@ -247,6 +250,96 @@ TEST(Symmetry, EveryEmittedRepresentativeIsAFixpoint)
         return true;
     });
     EXPECT_EQ(checked, 397u);
+}
+
+// ------------------------------------------- signature vs model ppo
+
+/**
+ * preservedProgramOrder(@p trace, @p kind) projected onto the trace's
+ * memory events: bit i*8+j set when the i-th memory event is ordered
+ * before the j-th, as in ThreadOrderSignature.
+ */
+uint64_t
+memoryPpo(const model::Trace &trace, ModelKind kind)
+{
+    std::vector<size_t> mem;
+    for (size_t i = 0; i < trace.size(); ++i)
+        if (trace[i].isMem())
+            mem.push_back(i);
+    const model::Relation ppo = model::preservedProgramOrder(trace, kind);
+    uint64_t bits = 0;
+    for (size_t i = 0; i < mem.size(); ++i)
+        for (size_t j = 0; j < mem.size(); ++j)
+            if (ppo(mem[i], mem[j]))
+                bits |= 1ull << (i * 8 + j);
+    return bits;
+}
+
+TEST(Symmetry, OrderSignatureAgreesWithModelPpo)
+{
+    // The quotient merges decorations by threadOrderSignature(), which
+    // restates model/ppo.cc's GAM-family and TSO cases over cycle
+    // decorations.  Hold that copy to the model: lower every
+    // rotation-canonical cycle of length 3-5, execute it with every
+    // load reading the initial value, and compare each thread's
+    // signature with its trace's GAM0 and TSO ppo.
+    EnumerateOptions o;
+    o.minLen = 3;
+    o.maxLen = 5;
+    o.canonical = CanonicalForm::Rotation;
+    uint64_t cycles = 0, threads = 0, differences = 0;
+    std::string first;
+    enumerateCycles(o, [&](const CanonicalCycle &c) {
+        ++cycles;
+        const auto test =
+            litmus::testFromCycle(c.name, c.edges, c.numLocations);
+        EXPECT_TRUE(test.has_value()) << c.name;
+        if (!test)
+            return true;
+        const axiomatic::CandidateBuilder builder(*test, {});
+        const std::vector<model::StoreId> initial(
+            builder.loadSites().size(), model::InitStore);
+        std::vector<axiomatic::CandidateBuilder::ThreadExec> exec;
+        axiomatic::CandidateBuilder::Scratch scratch;
+        EXPECT_TRUE(builder.computeExecution(initial, exec, scratch))
+            << c.name;
+
+        const auto kinds = litmus::cycleEventKinds(c.edges);
+        std::vector<int> locs;
+        litmus::walkCycleLocations(c.edges, c.numLocations, locs);
+        // The t-th po segment of the cycle is thread t.
+        size_t tid = 0, start = 0;
+        for (size_t end = 0; end < c.edges.size(); ++end) {
+            if (!litmus::isCommunication(c.edges[end].kind))
+                continue;
+            std::vector<int> decorations;
+            for (size_t e = start; e < end; ++e)
+                decorations.push_back(litmus::edgeVariant(c.edges[e]));
+            const ThreadOrderSignature sig = threadOrderSignature(
+                {kinds.begin() + long(start), kinds.begin() + long(end) + 1},
+                {locs.begin() + long(start), locs.begin() + long(end) + 1},
+                decorations);
+            const model::Trace &trace = exec.at(tid).trace;
+            for (auto [kind, bits] : {std::pair{ModelKind::GAM0,
+                                                sig.gamFamily},
+                                      std::pair{ModelKind::TSO, sig.tso}}) {
+                if (memoryPpo(trace, kind) == bits)
+                    continue;
+                if (differences++ == 0) {
+                    first = c.name + " thread " + std::to_string(tid)
+                        + " under " + model::modelName(kind);
+                }
+            }
+            ++threads;
+            ++tid;
+            start = end + 1;
+        }
+        EXPECT_EQ(tid, exec.size()) << c.name;
+        return true;
+    });
+    EXPECT_EQ(cycles, 14'061u);
+    EXPECT_EQ(threads, 31'252u);
+    EXPECT_EQ(differences, 0u) << "first: " << first;
 }
 
 // ------------------------------------------------- verdict parity

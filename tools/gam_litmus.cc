@@ -28,6 +28,7 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
@@ -241,8 +242,9 @@ writeTrace(const std::string &path)
  * The name-or-file loader: @p arg names a file when it contains a '.'
  * or '/', and @p parse turns the file's text into the value (or sets
  * the error); any other @p arg is a built-in @p what that @p find
- * looks up and `gam-litmus @p lister` lists.  Each failure is reported
- * on one stderr line and yields an empty result.
+ * looks up and `gam-litmus @p lister` lists.  A path that exists but
+ * is not a regular file (a directory, say) is refused unread.  Each
+ * failure is reported on one stderr line and yields an empty result.
  */
 template <typename Find, typename Parse>
 auto
@@ -258,13 +260,19 @@ loadNamed(const std::string &arg, const char *what, const char *lister,
         }
         return found;
     }
-    std::ifstream in(arg);
-    std::ostringstream text;
-    text << in.rdbuf();
+    std::error_code ec;
+    const auto type = std::filesystem::status(arg, ec).type();
     std::string error = "cannot open file";
     auto parsed = decltype(find(arg)){};
-    if (in)
-        parsed = parse(text.str(), error);
+    if (type == std::filesystem::file_type::regular) {
+        std::ifstream in(arg);
+        std::ostringstream text;
+        text << in.rdbuf();
+        if (in)
+            parsed = parse(text.str(), error);
+    } else if (!ec) {
+        error = "not a regular file";
+    }
     if (!parsed)
         std::fprintf(stderr, "gam-litmus: %s: %s\n", arg.c_str(),
                      error.c_str());
