@@ -58,7 +58,7 @@ BENCHMARK(BM_OperationalExplorer)->DenseRange(0, 4);
 
 /**
  * The explorer memoising full string encodings: the baseline the
- * interned explorer is compared against.
+ * interned explorer (BM_OperationalExplorer) is compared against.
  */
 void
 BM_ExplorerStringSetBaseline(benchmark::State &state)
@@ -73,21 +73,6 @@ BM_ExplorerStringSetBaseline(benchmark::State &state)
     state.SetLabel(test.name);
 }
 BENCHMARK(BM_ExplorerStringSetBaseline)->DenseRange(0, 4);
-
-/** Exploration with 64-bit interned states. */
-void
-BM_ExplorerInterned(benchmark::State &state)
-{
-    const litmus::LitmusTest &test =
-        litmus::testByName(kExplorerTests[size_t(state.range(0))]);
-    for (auto _ : state) {
-        auto result = operational::exploreAll(
-            operational::GamMachine(test, {}));
-        benchmark::DoNotOptimize(result.outcomes.size());
-    }
-    state.SetLabel(test.name);
-}
-BENCHMARK(BM_ExplorerInterned)->DenseRange(0, 4);
 
 void
 BM_CycleSimulator(benchmark::State &state)

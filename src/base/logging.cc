@@ -1,91 +1,16 @@
 #include "base/logging.hh"
 
-#include <atomic>
 #include <chrono>
+#include <cstdarg>
 #include <cstdio>
-#include <mutex>
+#include <cstdlib>
 #include <vector>
 
 namespace gam
 {
 
-uint64_t
-monotonicNanos()
-{
-    using Clock = std::chrono::steady_clock;
-    static const Clock::time_point epoch = Clock::now();
-    return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                        Clock::now() - epoch)
-                        .count());
-}
-
-const char *
-logLevelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::Debug: return "debug";
-      case LogLevel::Info: return "info";
-      case LogLevel::Warn: return "warn";
-      case LogLevel::Error: return "error";
-    }
-    return "?";
-}
-
 namespace
 {
-
-void
-defaultLogSink(const LogRecord &rec)
-{
-    // The historical format: warnings to stderr, status to stdout.
-    if (rec.level >= LogLevel::Warn) {
-        std::fprintf(stderr, "%s: %s\n", logLevelName(rec.level),
-                     rec.message.c_str());
-    } else {
-        std::fprintf(stdout, "%s: %s\n", logLevelName(rec.level),
-                     rec.message.c_str());
-    }
-}
-
-std::mutex sinkMutex;
-LogSink currentSink; // empty = default
-std::atomic<int> minLevel{int(LogLevel::Debug)};
-
-} // namespace
-
-LogSink
-setLogSink(LogSink sink)
-{
-    std::lock_guard<std::mutex> lock(sinkMutex);
-    LogSink prev = std::move(currentSink);
-    currentSink = std::move(sink);
-    return prev;
-}
-
-void
-setLogMinLevel(LogLevel level)
-{
-    minLevel.store(int(level), std::memory_order_relaxed);
-}
-
-LogLevel
-logMinLevel()
-{
-    return LogLevel(minLevel.load(std::memory_order_relaxed));
-}
-
-void
-logMessage(LogLevel level, std::string message)
-{
-    if (int(level) < minLevel.load(std::memory_order_relaxed))
-        return;
-    LogRecord rec{level, monotonicNanos(), std::move(message)};
-    std::lock_guard<std::mutex> lock(sinkMutex);
-    if (currentSink)
-        currentSink(rec);
-    else
-        defaultLogSink(rec);
-}
 
 std::string
 vformatString(const char *fmt, va_list ap)
@@ -99,6 +24,18 @@ vformatString(const char *fmt, va_list ap)
     std::vector<char> buf(static_cast<size_t>(len) + 1);
     std::vsnprintf(buf.data(), buf.size(), fmt, ap);
     return std::string(buf.data(), static_cast<size_t>(len));
+}
+
+} // namespace
+
+uint64_t
+monotonicNanos()
+{
+    using Clock = std::chrono::steady_clock;
+    static const Clock::time_point epoch = Clock::now();
+    return uint64_t(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        Clock::now() - epoch)
+                        .count());
 }
 
 std::string
@@ -131,26 +68,6 @@ fatal(const char *fmt, ...)
     va_end(ap);
     std::fprintf(stderr, "fatal: %s\n", s.c_str());
     std::exit(1);
-}
-
-void
-warn(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string s = vformatString(fmt, ap);
-    va_end(ap);
-    logMessage(LogLevel::Warn, std::move(s));
-}
-
-void
-inform(const char *fmt, ...)
-{
-    va_list ap;
-    va_start(ap, fmt);
-    std::string s = vformatString(fmt, ap);
-    va_end(ap);
-    logMessage(LogLevel::Info, std::move(s));
 }
 
 } // namespace gam

@@ -1,32 +1,22 @@
 /**
  * @file
- * Status and error reporting helpers, in the spirit of gem5's
- * base/logging.hh.
+ * Error reporting helpers, in the spirit of gem5's base/logging.hh.
  *
- * panic()  - an internal invariant was violated (a bug in this library);
- *            aborts so a debugger or core dump can capture the state.
- * fatal()  - the simulation cannot continue because of a user error
- *            (bad configuration, malformed program); exits with code 1.
- * warn()   - something suspicious happened but execution continues.
- * inform() - plain status output.
+ * panic() - an internal invariant was violated (a bug in this library);
+ *           aborts so a debugger or core dump can capture the state.
+ * fatal() - the run cannot continue because of a user error (bad
+ *           configuration, malformed program); exits with code 1.
  *
- * warn() and inform() route through a pluggable, level-filtered log
- * sink (setLogSink / setLogMinLevel): tests capture records instead of
- * scraping stderr, and frontends can tag or silence library chatter.
- * Every record carries a monotonic timestamp from the same epoch the
- * tracing layer uses, so log lines and trace spans line up.  panic()
- * and fatal() terminate the process and stay hard-wired to stderr.
+ * Both write one line to stderr and end the process.  Library code
+ * writes nothing to stdout, which belongs to the frontends; counts and
+ * timings go to the metric registry and the tracer (obs/), whose spans
+ * are stamped with monotonicNanos().
  */
 
 #ifndef GAM_BASE_LOGGING_HH
 #define GAM_BASE_LOGGING_HH
 
-#include <cstdarg>
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <functional>
-#include <sstream>
 #include <string>
 
 namespace gam
@@ -34,45 +24,9 @@ namespace gam
 
 /**
  * Nanoseconds on the steady clock since a process-wide epoch (the
- * first call).  Shared by log records and trace spans.
+ * first call).  The trace spans' clock.
  */
 uint64_t monotonicNanos();
-
-/** Severity of a log record, in increasing order. */
-enum class LogLevel { Debug, Info, Warn, Error };
-
-/** Lowercase name of @p level ("debug", "info", "warn", "error"). */
-const char *logLevelName(LogLevel level);
-
-/** One emitted log message. */
-struct LogRecord
-{
-    LogLevel level = LogLevel::Info;
-    /** monotonicNanos() at emission. */
-    uint64_t monotonicNs = 0;
-    std::string message;
-};
-
-/** Receives every record at or above the minimum level. */
-using LogSink = std::function<void(const LogRecord &)>;
-
-/**
- * Install @p sink as the process-wide log sink and return the previous
- * one.  A null sink restores the default (warn/error to stderr as
- * "warn: ...", info/debug to stdout as "info: ..." / "debug: ...").
- */
-LogSink setLogSink(LogSink sink);
-
-/** Drop records below @p level before they reach the sink. */
-void setLogMinLevel(LogLevel level);
-
-LogLevel logMinLevel();
-
-/** Emit @p message at @p level through the installed sink. */
-void logMessage(LogLevel level, std::string message);
-
-/** Render a printf-style format string into a std::string. */
-std::string vformatString(const char *fmt, va_list ap);
 
 /** Render a printf-style format string into a std::string. */
 std::string formatString(const char *fmt, ...)
@@ -85,12 +39,6 @@ std::string formatString(const char *fmt, ...)
 /** Report an unrecoverable user error and exit(1). */
 [[noreturn]] void fatal(const char *fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** Report a suspicious condition; execution continues. */
-void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Report normal operating status. */
-void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /**
  * Assert-like helper carrying a formatted message.  Unlike assert() this

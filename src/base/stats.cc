@@ -1,49 +1,9 @@
 #include "base/stats.hh"
 
-#include <cmath>
-#include <sstream>
+#include <algorithm>
 
 namespace gam
 {
-
-void
-Distribution::sample(double v)
-{
-    ++_count;
-    _sum += v;
-    _sumSq += v * v;
-    _min = std::min(_min, v);
-    _max = std::max(_max, v);
-}
-
-double
-Distribution::stddev() const
-{
-    if (_count == 0)
-        return 0.0;
-    double m = mean();
-    double var = _sumSq / _count - m * m;
-    return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-void
-Distribution::reset()
-{
-    _count = 0;
-    _sum = 0.0;
-    _sumSq = 0.0;
-    _min = std::numeric_limits<double>::infinity();
-    _max = -std::numeric_limits<double>::infinity();
-}
-
-std::string
-StatGroup::format() const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : values)
-        os << name << " = " << value << "\n";
-    return os.str();
-}
 
 Summary
 Summary::of(const std::vector<double> &values)

@@ -1,103 +1,17 @@
 /**
  * @file
- * A small statistics package: named scalar counters, distributions and
- * formula-style derived values, plus the avg/max summaries the paper's
- * Tables II and III report.
+ * The avg/max summaries the paper's Tables II and III report.  Every
+ * other count and distribution lives in the metric registry
+ * (obs/registry.hh).
  */
 
 #ifndef GAM_BASE_STATS_HH
 #define GAM_BASE_STATS_HH
 
-#include <algorithm>
-#include <cstdint>
-#include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace gam
 {
-
-/** A named monotonically increasing counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-    explicit Counter(std::string name) : _name(std::move(name)) {}
-
-    void operator++() { ++_value; }
-    void operator++(int) { ++_value; }
-    void operator+=(uint64_t delta) { _value += delta; }
-
-    uint64_t value() const { return _value; }
-    const std::string &name() const { return _name; }
-    void reset() { _value = 0; }
-
-  private:
-    std::string _name;
-    uint64_t _value = 0;
-};
-
-/** Accumulates samples and reports count/min/max/mean/stddev. */
-class Distribution
-{
-  public:
-    Distribution() = default;
-    explicit Distribution(std::string name) : _name(std::move(name)) {}
-
-    void sample(double v);
-
-    uint64_t count() const { return _count; }
-    double min() const { return _count ? _min : 0.0; }
-    double max() const { return _count ? _max : 0.0; }
-    double sum() const { return _sum; }
-    double mean() const { return _count ? _sum / _count : 0.0; }
-    /** Population standard deviation. */
-    double stddev() const;
-    void reset();
-
-    const std::string &name() const { return _name; }
-
-  private:
-    std::string _name;
-    uint64_t _count = 0;
-    double _sum = 0.0;
-    double _sumSq = 0.0;
-    double _min = std::numeric_limits<double>::infinity();
-    double _max = -std::numeric_limits<double>::infinity();
-};
-
-/**
- * A flat registry of named scalar statistics.  Pipeline components dump
- * their counters here; the harness reads them back by name.
- */
-class StatGroup
-{
-  public:
-    /** Set (or overwrite) a named scalar value. */
-    void set(const std::string &name, double value) { values[name] = value; }
-
-    /** Add to a named scalar value (default-initialised to 0). */
-    void add(const std::string &name, double delta) { values[name] += delta; }
-
-    /** Read a named scalar; returns 0 for unknown names. */
-    double
-    get(const std::string &name) const
-    {
-        auto it = values.find(name);
-        return it == values.end() ? 0.0 : it->second;
-    }
-
-    bool has(const std::string &name) const { return values.count(name); }
-
-    const std::map<std::string, double> &all() const { return values; }
-
-    /** Render "name = value" lines, sorted by name. */
-    std::string format() const;
-
-  private:
-    std::map<std::string, double> values;
-};
 
 /**
  * avg/max summary across a set of per-benchmark observations, the exact

@@ -639,18 +639,18 @@ struct PendingEngine
 };
 
 /**
- * Stamp @p d with its wall time since @p start and its span id, and
- * take the request's one decide.wall_us sample.
+ * Stamp @p d with its span id and take the request's one
+ * decide.wall_us sample: its wall time since @p start.
  */
 void
 stampDecision(Decision &d, std::chrono::steady_clock::time_point start,
               uint64_t spanId)
 {
-    d.wallSeconds = std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - start)
-                        .count();
+    const double wallSeconds = std::chrono::duration<double>(
+                                   std::chrono::steady_clock::now() - start)
+                                   .count();
     d.traceSpanId = spanId;
-    decideMetrics().wallUs.sample(uint64_t(d.wallSeconds * 1e6));
+    decideMetrics().wallUs.sample(uint64_t(wallSeconds * 1e6));
 }
 
 /**

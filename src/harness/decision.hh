@@ -193,8 +193,6 @@ struct Decision
      * only a lower bound (a "forbidden" answer is *not* conclusive).
      */
     bool complete = true;
-    /** Engine wall time; ~0 on a cache hit. */
-    double wallSeconds = 0.0;
     /**
      * The cat engine decided this query through a compiled plan
      * (RunOptions::catCompile); false for every other engine.  Cached

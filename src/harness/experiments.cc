@@ -2,13 +2,11 @@
 
 #include <cstdio>
 
-#include <algorithm>
+#include <map>
 
 #include "base/logging.hh"
 #include "base/stats.hh"
 #include "base/table.hh"
-#include "base/thread_pool.hh"
-#include "model/engine.hh"
 #include "sim/trace_gen.hh"
 
 namespace gam::harness
@@ -191,97 +189,6 @@ formatTable1(const sim::CoreParams &core, const mem::MemSystemParams &mem)
                                   (unsigned long long)mem.dramLatency,
                                   mem.dramBytesPerCycle)});
     return "Table I: simulated processor parameters\n" + t.render();
-}
-
-std::vector<EquivalenceRow>
-runEquivalenceExperiment(const std::vector<litmus::LitmusTest> &tests,
-                         const std::vector<model::ModelKind> &models,
-                         const RunOptions &run, unsigned pool_threads)
-{
-    struct Job
-    {
-        const litmus::LitmusTest *test;
-        ModelKind model;
-    };
-    std::vector<Job> jobs;
-    for (const auto &test : tests) {
-        for (ModelKind model : models) {
-            if (model::hasEnginePair(model))
-                jobs.push_back({&test, model});
-        }
-    }
-
-    std::vector<EquivalenceRow> rows(jobs.size());
-    ThreadPool pool(pool_threads);
-    pool.parallelFor(jobs.size(), [&](size_t i) {
-        Query query;
-        query.test = jobs[i].test;
-        query.model = jobs[i].model;
-        query.options = run;
-        // The experiment compares outcome sets of the two engines; the
-        // static pre-screen would answer for both sides with the same
-        // (SC-delegated) set and mask a genuine divergence.
-        query.options.prescreen = false;
-
-        EquivalenceRow &row = rows[i];
-        row.test = jobs[i].test->name;
-        row.model = jobs[i].model;
-        query.engine = EngineSelect::Axiomatic;
-        row.axiomatic = decide(query);
-        query.engine = EngineSelect::Operational;
-        row.operational = decide(query);
-
-        const auto &ax = row.axiomatic.outcomes;
-        const auto &op = row.operational.outcomes;
-        if (model::operationalOutcomesExact(row.model)) {
-            row.agree = row.operational.complete && ax == op;
-        } else {
-            row.agree = row.operational.complete
-                && std::all_of(op.begin(), op.end(),
-                               [&](const litmus::Outcome &o) {
-                                   return ax.count(o) != 0;
-                               });
-        }
-    });
-    return rows;
-}
-
-std::string
-formatEquivalence(const std::vector<EquivalenceRow> &rows)
-{
-    Table t;
-    t.header({"test", "model", "ax outcomes", "op outcomes",
-              "op states", "relation", "agree"});
-    int disagreements = 0;
-    int truncated = 0;
-    for (const auto &row : rows) {
-        // A budget-truncated exploration cannot witness a
-        // disagreement; keep it out of the refutation count.
-        const bool inconclusive = !row.operational.complete;
-        if (inconclusive)
-            ++truncated;
-        else if (!row.agree)
-            ++disagreements;
-        t.row({row.test, model::modelName(row.model),
-               formatString("%zu", row.axiomatic.outcomes.size()),
-               formatString("%zu", row.operational.outcomes.size()),
-               formatString("%llu", (unsigned long long)
-                                        row.operational.statesVisited),
-               model::operationalOutcomesExact(row.model) ? "equal"
-                                                          : "subset",
-               inconclusive ? "truncated"
-                            : row.agree ? "yes" : "DISAGREE"});
-    }
-    std::string out = "Equivalence of the axiomatic and operational "
-                      "definitions (Section IV)\n";
-    out += t.render();
-    out += formatString("\n%d pairs, %d disagreements\n",
-                        int(rows.size()), disagreements);
-    if (truncated > 0) {
-        out += formatString("%d pairs truncated by the state budget "
-                            "(inconclusive)\n", truncated);
-    }
-    return out;
 }
 
 } // namespace gam::harness

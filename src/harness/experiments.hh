@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "harness/decision.hh"
-#include "litmus/test.hh"
 #include "model/kind.hh"
 #include "sim/core.hh"
 #include "workload/workloads.hh"
@@ -64,41 +62,6 @@ std::string formatTable3(const std::vector<RunResult> &results);
 /** Table I: the simulated processor configuration. */
 std::string formatTable1(const sim::CoreParams &core,
                          const mem::MemSystemParams &mem);
-
-/** One (test, model) pair decided by both engines. */
-struct EquivalenceRow
-{
-    std::string test;
-    model::ModelKind model;
-    Decision axiomatic;
-    Decision operational;
-    /**
-     * Outcome sets agree: equality where the operational machine is
-     * exact, inclusion where it is conservative (see
-     * model::operationalOutcomesExact).  Also false when the
-     * operational run was truncated by the state budget -- then the
-     * comparison is inconclusive, not a disagreement, and
-     * formatEquivalence() renders it as "truncated".
-     */
-    bool agree = false;
-};
-
-/**
- * The paper's equivalence theorem as a regenerable artifact: decide
- * every test under every model with *both* engines through the
- * Decision API and compare their outcome sets.  Models lacking either
- * engine are skipped.  Jobs run concurrently on a thread pool with one
- * pre-assigned slot per row, so the output order is deterministic.
- */
-std::vector<EquivalenceRow>
-runEquivalenceExperiment(const std::vector<litmus::LitmusTest> &tests,
-                         const std::vector<model::ModelKind> &models,
-                         const RunOptions &run = {},
-                         unsigned pool_threads = 0);
-
-/** Render the equivalence rows with per-engine work columns. */
-std::string
-formatEquivalence(const std::vector<EquivalenceRow> &rows);
 
 } // namespace gam::harness
 

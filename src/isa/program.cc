@@ -39,13 +39,6 @@ Program::check() const
     return std::nullopt;
 }
 
-void
-Program::validate() const
-{
-    if (auto err = check())
-        fatal("%s", err->c_str());
-}
-
 ProgramBuilder &
 ProgramBuilder::nop()
 {
@@ -77,12 +70,6 @@ ProgramBuilder &
 ProgramBuilder::sub(Reg dst, Reg src1, Reg src2)
 {
     return alu(Opcode::SUB, dst, src1, src2);
-}
-
-ProgramBuilder &
-ProgramBuilder::mul(Reg dst, Reg src1, Reg src2)
-{
-    return alu(Opcode::MUL, dst, src1, src2);
 }
 
 ProgramBuilder &

@@ -34,9 +34,6 @@ struct Program
      * violation, nullopt when the program is well-formed.
      */
     std::optional<std::string> check() const;
-
-    /** check(), but calls fatal() with the diagnostic on error. */
-    void validate() const;
 };
 
 /**
@@ -61,7 +58,6 @@ class ProgramBuilder
     ProgramBuilder &aluImm(Opcode op, Reg dst, Reg src1, int64_t imm);
     ProgramBuilder &add(Reg dst, Reg src1, Reg src2);
     ProgramBuilder &sub(Reg dst, Reg src1, Reg src2);
-    ProgramBuilder &mul(Reg dst, Reg src1, Reg src2);
     ProgramBuilder &xorr(Reg dst, Reg src1, Reg src2);
     ProgramBuilder &addi(Reg dst, Reg src1, int64_t imm);
     ProgramBuilder &li(Reg dst, int64_t imm);

@@ -55,13 +55,4 @@ outcomeSetHash(const OutcomeSet &outcomes)
     return h.digest();
 }
 
-std::string
-toString(const OutcomeSet &outcomes)
-{
-    std::ostringstream os;
-    for (const auto &o : outcomes)
-        os << o.toString() << "\n";
-    return os.str();
-}
-
 } // namespace gam::litmus

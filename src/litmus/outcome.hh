@@ -68,9 +68,6 @@ using OutcomeSet = std::set<Outcome>;
  */
 uint64_t outcomeSetHash(const OutcomeSet &outcomes);
 
-/** Multi-line rendering of an outcome set. */
-std::string toString(const OutcomeSet &outcomes);
-
 } // namespace gam::litmus
 
 #endif // GAM_LITMUS_OUTCOME_HH

@@ -227,13 +227,6 @@ LitmusBuilder::location(const std::string &name, isa::Addr addr)
 }
 
 LitmusBuilder &
-LitmusBuilder::initMem(isa::Addr addr, isa::Value value)
-{
-    test.initialMem.store(addr, value);
-    return *this;
-}
-
-LitmusBuilder &
 LitmusBuilder::thread(isa::Program program)
 {
     test.threads.push_back(std::move(program));

@@ -121,7 +121,6 @@ class LitmusBuilder
                   std::string description = "");
 
     LitmusBuilder &location(const std::string &name, isa::Addr addr);
-    LitmusBuilder &initMem(isa::Addr addr, isa::Value value);
     LitmusBuilder &thread(isa::Program program);
     LitmusBuilder &requireReg(int tid, isa::Reg reg, isa::Value value);
     LitmusBuilder &requireMem(isa::Addr addr, isa::Value value);

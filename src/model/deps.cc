@@ -20,39 +20,6 @@ Relation::transitiveClose()
     }
 }
 
-bool
-Relation::hasCycle() const
-{
-    // After closure a cycle shows as a self-edge; without closure do a
-    // small DFS.  We accept either closed or raw relations here.
-    std::vector<int> state(n, 0); // 0 = unvisited, 1 = on stack, 2 = done
-    std::vector<size_t> stack;
-    for (size_t root = 0; root < n; ++root) {
-        if (state[root])
-            continue;
-        stack.push_back(root);
-        while (!stack.empty()) {
-            size_t v = stack.back();
-            if (state[v] == 0) {
-                state[v] = 1;
-                for (size_t w = 0; w < n; ++w) {
-                    if (!(*this)(v, w))
-                        continue;
-                    if (state[w] == 1)
-                        return true;
-                    if (state[w] == 0)
-                        stack.push_back(w);
-                }
-            } else {
-                if (state[v] == 1)
-                    state[v] = 2;
-                stack.pop_back();
-            }
-        }
-    }
-    return false;
-}
-
 std::vector<std::pair<size_t, size_t>>
 Relation::pairs() const
 {

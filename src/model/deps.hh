@@ -31,9 +31,6 @@ class Relation
     /** In-place transitive closure (Floyd-Warshall). */
     void transitiveClose();
 
-    /** True if the relation (viewed as a digraph) has a cycle. */
-    bool hasCycle() const;
-
     /** All (i, j) pairs with i related to j. */
     std::vector<std::pair<size_t, size_t>> pairs() const;
 

@@ -24,15 +24,4 @@ engineFromName(const std::string &name)
     return std::nullopt;
 }
 
-std::vector<Engine>
-engines(ModelKind model)
-{
-    std::vector<Engine> out;
-    for (Engine engine : allEngines) {
-        if (supportsEngine(model, engine))
-            out.push_back(engine);
-    }
-    return out;
-}
-
 } // namespace gam::model

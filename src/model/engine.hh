@@ -9,8 +9,8 @@
  * can decide which model -- and how faithfully -- is a property of the
  * *model*, so it lives here, next to ModelKind, as the single source
  * of truth.  Frontends (litmus runner, fuzzer, CLI, fence synthesis)
- * must consult supportsEngine()/engines() instead of hand-rolling
- * their own switches.
+ * must consult supportsEngine() instead of hand-rolling their own
+ * switches.
  */
 
 #ifndef GAM_MODEL_ENGINE_HH
@@ -18,7 +18,6 @@
 
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "model/kind.hh"
 
@@ -86,9 +85,6 @@ supportsEngine(ModelKind model, Engine engine)
     return false;
 }
 
-/** The engines that can decide @p model, in registry order. */
-std::vector<Engine> engines(ModelKind model);
-
 /**
  * Does @p engine decide by enumerating (rf, co) candidate executions
  * through the shared incremental pruned search
@@ -105,18 +101,6 @@ constexpr bool
 engineUsesCandidateEnumeration(Engine engine)
 {
     return engine == Engine::Axiomatic || engine == Engine::Cat;
-}
-
-/**
- * Do *both* engines support @p model -- i.e. is there an
- * operational/axiomatic pair to cross-check?  False for Alpha* (no
- * axioms) and PerLocSC (no machine), which only one engine decides.
- */
-constexpr bool
-hasEnginePair(ModelKind model)
-{
-    return supportsEngine(model, Engine::Axiomatic)
-        && supportsEngine(model, Engine::Operational);
 }
 
 /**

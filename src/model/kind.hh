@@ -71,11 +71,6 @@ constexpr ModelKind axiomaticModels[] = {
     ModelKind::GAM,  ModelKind::ARM, ModelKind::PerLocSC,
 };
 
-/** The four models compared in the paper's evaluation (Section V). */
-constexpr ModelKind simulatedModels[] = {
-    ModelKind::GAM, ModelKind::ARM, ModelKind::GAM0, ModelKind::AlphaStar,
-};
-
 } // namespace gam::model
 
 #endif // GAM_MODEL_KIND_HH

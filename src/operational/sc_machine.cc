@@ -13,12 +13,6 @@ using isa::Instruction;
 using isa::Opcode;
 using isa::Value;
 
-std::string
-ScRule::toString() const
-{
-    return "P" + std::to_string(int(proc)) + ".Step";
-}
-
 ScMachine::ScMachine(const litmus::LitmusTest &test)
     : test(test), memory(test.initialMem)
 {

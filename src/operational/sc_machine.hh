@@ -23,8 +23,6 @@ namespace gam::operational
 struct ScRule
 {
     uint8_t proc;
-
-    std::string toString() const;
 };
 
 /** Lamport's SC multiprocessor. */

@@ -13,13 +13,6 @@ using isa::Instruction;
 using isa::Opcode;
 using isa::Value;
 
-std::string
-TsoRule::toString() const
-{
-    return "P" + std::to_string(int(proc))
-        + (kind == Step ? ".Step" : ".Drain");
-}
-
 TsoMachine::TsoMachine(const litmus::LitmusTest &test)
     : test(test), memory(test.initialMem)
 {

@@ -31,8 +31,6 @@ struct TsoRule
 
     uint8_t proc;
     Kind kind;
-
-    std::string toString() const;
 };
 
 /** SC + per-processor FIFO store buffers. */

@@ -45,37 +45,9 @@ fuClassOf(const Instruction &in)
 
 } // anonymous namespace
 
-StatGroup
-SimStats::toStatGroup() const
-{
-    StatGroup g;
-    g.set("cycles", double(cycles));
-    g.set("committed_uops", double(committedUops));
-    g.set("upc", upc());
-    g.set("branch_mispredicts", double(branchMispredicts));
-    g.set("cond_branches", double(condBranches));
-    g.set("mem_order_squashes", double(memOrderSquashes));
-    g.set("sa_ldld_kills", double(saLdLdKills));
-    g.set("sa_ldld_stalls", double(saLdLdStalls));
-    g.set("sa_ldld_kills_per_kuops", perKuops(saLdLdKills));
-    g.set("sa_ldld_stalls_per_kuops", perKuops(saLdLdStalls));
-    g.set("ll_forwards", double(llForwards));
-    g.set("ll_forwards_per_kuops", perKuops(llForwards));
-    g.set("ll_forwards_saved_miss", double(llForwardsSavedMiss));
-    g.set("store_forwards", double(storeForwards));
-    g.set("loads_committed", double(loadsExecuted));
-    g.set("stores_committed", double(storesCommitted));
-    g.set("l1d_load_accesses", double(l1dLoadAccesses));
-    g.set("l1d_load_misses", double(l1dLoadMisses));
-    g.set("l1d_load_misses_per_kuops", perKuops(l1dLoadMisses));
-    g.set("l2_misses", double(l2Misses));
-    g.set("l3_misses", double(l3Misses));
-    return g;
-}
-
 Core::Core(const DynTrace &trace, model::ModelKind kind, CoreParams params,
            mem::MemSystemParams mem_params)
-    : trace(trace), kind(kind), params(params),
+    : trace(trace), params(params),
       policy(LsqPolicy::forModel(kind)), memsys(mem_params),
       bpred(params.bpredBits)
 {
@@ -87,16 +59,6 @@ Core::Core(const DynTrace &trace, model::ModelKind kind, CoreParams params,
                   "machines for RMW programs");
         }
     }
-}
-
-Core::InFlight *
-Core::bySeq(int64_t seq)
-{
-    if (seq < int64_t(headSeq)
-        || seq >= int64_t(headSeq + rob.size())) {
-        return nullptr;
-    }
-    return &rob[size_t(seq - int64_t(headSeq))];
 }
 
 bool

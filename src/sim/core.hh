@@ -28,7 +28,6 @@
 #include <deque>
 #include <optional>
 
-#include "base/stats.hh"
 #include "mem/mem_system.hh"
 #include "sim/bpred.hh"
 #include "sim/params.hh"
@@ -71,7 +70,6 @@ struct SimStats
                                    / double(committedUops)
                              : 0.0;
     }
-    StatGroup toStatGroup() const;
 };
 
 /** One out-of-order core driven by a dynamic trace. */
@@ -87,8 +85,6 @@ class Core
      */
     SimStats run(uint64_t warmup_uops = 0,
                  uint64_t max_cycles = UINT64_MAX);
-
-    model::ModelKind modelKind() const { return kind; }
 
   private:
     struct InFlight
@@ -126,11 +122,7 @@ class Core
         uint64_t doneCycle = 0;
     };
 
-    InFlight *bySeq(int64_t seq);
-    const DynUop &uopAt(uint64_t seq) const { return trace.uops[seq]; }
-
     bool producerReady(int64_t seq) const;
-    uint64_t producerReadyCycle(int64_t seq) const;
 
     void doFetch();
     void doRename();
@@ -147,7 +139,6 @@ class Core
     bool tryIssueLoad(InFlight &ld);
 
     const DynTrace &trace;
-    model::ModelKind kind;
     CoreParams params;
     LsqPolicy policy;
     mem::MemSystem memsys;

@@ -240,50 +240,6 @@ TEST(ThreadPool, WaitWithNoTasksReturns)
     EXPECT_EQ(pool.threadCount(), 1u);
 }
 
-TEST(Counter, IncrementAndAdd)
-{
-    Counter c("test");
-    ++c;
-    c += 4;
-    EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
-
-TEST(Distribution, Moments)
-{
-    Distribution d("d");
-    for (double v : {1.0, 2.0, 3.0, 4.0})
-        d.sample(v);
-    EXPECT_EQ(d.count(), 4u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.5);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 4.0);
-    EXPECT_NEAR(d.stddev(), 1.1180, 1e-3);
-}
-
-TEST(Distribution, EmptyIsSafe)
-{
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-    EXPECT_DOUBLE_EQ(d.min(), 0.0);
-}
-
-TEST(StatGroup, SetAddGet)
-{
-    StatGroup g;
-    g.set("a", 1.5);
-    g.add("a", 2.5);
-    g.add("b", 1.0);
-    EXPECT_DOUBLE_EQ(g.get("a"), 4.0);
-    EXPECT_DOUBLE_EQ(g.get("b"), 1.0);
-    EXPECT_DOUBLE_EQ(g.get("missing"), 0.0);
-    EXPECT_TRUE(g.has("a"));
-    EXPECT_FALSE(g.has("missing"));
-}
-
 TEST(SummaryStat, AvgMax)
 {
     Summary s = Summary::of({1.0, 5.0, 3.0});

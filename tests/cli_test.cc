@@ -4,8 +4,9 @@
  * stdout before any work, counts stay within their ranges, the usage
  * text names every option of every command, a directory is refused
  * where a file is expected, `campaign compact` refuses to overwrite a
- * file that is not a store, and a thread longer than 48 instructions
- * is decided by every model and engine.
+ * file that is not a store, every --json mode prints one
+ * gam-metrics-v1 document and nothing else, and a thread longer than
+ * 48 instructions is decided by every model and engine.
  *
  * Thread-count caps are only ever probed with values that do not fit
  * an unsigned, so a build without the cap cannot start that many
@@ -26,6 +27,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "obs/registry.hh"
 
 namespace
 {
@@ -252,6 +255,27 @@ TEST_F(Cli, CompactRefusesToOverwriteAFileThatIsNotAStore)
         EXPECT_EQ(merged.status, 0) << merged.err;
         EXPECT_EQ(run("campaign status --json --store merged.store").out,
                   run("campaign status --json --store good.store").out);
+    }
+}
+
+TEST_F(Cli, EveryJsonModePrintsOneMetricsDocumentAndNothingElse)
+{
+    ASSERT_EQ(run("campaign run --max-cycle-len 3 --store s.store --quiet "
+                  "--metrics ''")
+                  .status,
+              0);
+    for (const char *args :
+         {"run --json mp", "run --json --stats --trace t.json mp",
+          "campaign status --json --store s.store",
+          "campaign query --json --store s.store --model GAM",
+          "campaign query --json --store s.store --disagree GAM GAM0"}) {
+        SCOPED_TRACE(args);
+        const Outcome r = run(args);
+        EXPECT_EQ(r.status, 0) << r.err;
+        // fromJson() refuses anything before or after the document.
+        const auto doc = gam::obs::MetricSnapshot::fromJson(r.out);
+        ASSERT_TRUE(doc.has_value()) << r.out;
+        EXPECT_FALSE(doc->counters.empty()) << r.out;
     }
 }
 

@@ -13,7 +13,6 @@
 #include "base/hashing.hh"
 #include "base/thread_pool.hh"
 #include "harness/decision.hh"
-#include "harness/experiments.hh"
 #include "harness/litmus_runner.hh"
 #include "litmus/suite.hh"
 #include "model/engine.hh"
@@ -76,14 +75,7 @@ TEST(EngineRegistry, CapabilitiesMatchTheEngines)
                   model == ModelKind::SC || model == ModelKind::TSO
                       || model == ModelKind::GAM0
                       || model == ModelKind::GAM);
-        const auto engines = model::engines(model);
-        EXPECT_FALSE(engines.empty());
-        for (Engine engine : engines)
-            EXPECT_TRUE(model::supportsEngine(model, engine));
     }
-    EXPECT_TRUE(model::hasEnginePair(ModelKind::GAM));
-    EXPECT_FALSE(model::hasEnginePair(ModelKind::AlphaStar));
-    EXPECT_FALSE(model::hasEnginePair(ModelKind::PerLocSC));
     EXPECT_FALSE(model::operationalOutcomesExact(ModelKind::ARM));
     EXPECT_TRUE(model::operationalOutcomesExact(ModelKind::GAM));
 }
@@ -517,43 +509,6 @@ TEST(DecisionParity, TruncatedVerdictsRenderAsInconclusive)
     const std::string rendered = formatLitmusMatrix(verdicts);
     EXPECT_NE(rendered.find("truncated"), std::string::npos);
     EXPECT_EQ(rendered.find("MISMATCH"), std::string::npos);
-}
-
-TEST(Equivalence, TruncatedRowsAreNotDisagreements)
-{
-    const std::vector<litmus::LitmusTest> tests{
-        litmus::testByName("dekker")};
-    // Cache keys ignore the budget: flush any complete decision other
-    // tests left behind so the tiny budget actually truncates.
-    globalDecisionCache().clear();
-    RunOptions run;
-    run.stateBudget = 10;
-    const auto rows =
-        runEquivalenceExperiment(tests, {ModelKind::GAM}, run);
-    ASSERT_EQ(rows.size(), 1u);
-    EXPECT_FALSE(rows[0].operational.complete);
-    EXPECT_FALSE(rows[0].agree);
-    const std::string rendered = formatEquivalence(rows);
-    EXPECT_NE(rendered.find("truncated"), std::string::npos);
-    EXPECT_NE(rendered.find("0 disagreements"), std::string::npos);
-}
-
-TEST(Equivalence, ExperimentAgreesOnTheClassicSuite)
-{
-    const std::vector<litmus::LitmusTest> tests{
-        litmus::testByName("mp"), litmus::testByName("dekker")};
-    const std::vector<ModelKind> models{
-        ModelKind::SC, ModelKind::GAM, ModelKind::ARM,
-        ModelKind::AlphaStar, // skipped: no axiomatic engine
-    };
-    const auto rows = runEquivalenceExperiment(tests, models);
-    ASSERT_EQ(rows.size(), 6u); // 2 tests x 3 paired models
-    for (const auto &row : rows)
-        EXPECT_TRUE(row.agree)
-            << row.test << " " << model::modelName(row.model);
-    const std::string rendered = formatEquivalence(rows);
-    EXPECT_NE(rendered.find("0 disagreements"), std::string::npos);
-    EXPECT_NE(rendered.find("subset"), std::string::npos); // ARM rows
 }
 
 } // namespace

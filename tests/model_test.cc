@@ -42,16 +42,6 @@ TEST(RelationTest, TransitiveClosure)
     EXPECT_FALSE(r(2, 0));
 }
 
-TEST(RelationTest, CycleDetection)
-{
-    Relation r(3);
-    r.set(0, 1);
-    r.set(1, 2);
-    EXPECT_FALSE(r.hasCycle());
-    r.set(2, 0);
-    EXPECT_TRUE(r.hasCycle());
-}
-
 TEST(DataDeps, DirectRaw)
 {
     // I0 writes r1; I1 reads r1.

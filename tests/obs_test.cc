@@ -3,8 +3,8 @@
  * gauges, log-scale histograms), snapshot exposition and parsing
  * (JSON golden + round-trip), the trace collector
  * (Chrome JSON round-trip with span nesting, ring overflow, the
- * campaign's prepare span), the pluggable log sink, and the metric
- * invariant of the decide() and decideBatch() pipelines.
+ * campaign's prepare span), and the metric invariant of the decide()
+ * and decideBatch() pipelines.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <thread>
 #include <vector>
 
-#include "base/logging.hh"
 #include "campaign/driver.hh"
 #include "harness/decision.hh"
 #include "litmus/suite.hh"
@@ -390,44 +389,6 @@ TEST(Trace, CampaignPrepareIsOneSpanBeforeTheWorkers)
     EXPECT_LE(run->ts, prepare->ts + eps);
     EXPECT_LE(prepare->ts + prepare->dur, run->ts + run->dur + eps);
     EXPECT_LE(prepare->ts + prepare->dur, first_worker + eps);
-}
-
-// ----------------------------------------------------------- log sink
-
-TEST(LogSink, CapturesRecordsWithLevelsAndMonotonicTimestamps)
-{
-    std::vector<LogRecord> records;
-    LogSink previous = setLogSink([&records](const LogRecord &r) {
-        records.push_back(r);
-    });
-
-    warn("watch out %d", 7);
-    inform("status: %s", "ok");
-    logMessage(LogLevel::Debug, "very chatty");
-
-    ASSERT_EQ(records.size(), 3u);
-    EXPECT_EQ(records[0].level, LogLevel::Warn);
-    EXPECT_EQ(records[0].message, "watch out 7");
-    EXPECT_EQ(records[1].level, LogLevel::Info);
-    EXPECT_EQ(records[1].message, "status: ok");
-    EXPECT_EQ(records[2].level, LogLevel::Debug);
-    EXPECT_LE(records[0].monotonicNs, records[1].monotonicNs);
-    EXPECT_LE(records[1].monotonicNs, records[2].monotonicNs);
-
-    // Below-minimum levels are dropped before the sink.
-    setLogMinLevel(LogLevel::Warn);
-    inform("suppressed");
-    warn("still heard");
-    EXPECT_EQ(records.size(), 4u);
-    EXPECT_EQ(records.back().message, "still heard");
-
-    setLogMinLevel(LogLevel::Debug);
-    LogSink mine = setLogSink(std::move(previous));
-    EXPECT_TRUE(mine != nullptr);
-    EXPECT_EQ(logMinLevel(), LogLevel::Debug);
-
-    EXPECT_STREQ(logLevelName(LogLevel::Debug), "debug");
-    EXPECT_STREQ(logLevelName(LogLevel::Error), "error");
 }
 
 // ------------------------------------------- the decide() instrument

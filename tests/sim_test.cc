@@ -313,16 +313,6 @@ TEST(CoreTest, MemoryLatencyVisible)
     EXPECT_GT(far_s.cycles, near_s.cycles * 3);
 }
 
-TEST(CoreTest, StatGroupExport)
-{
-    DynTrace t = traceOf("li r1, 1\nhalt\n");
-    SimStats s = simulate(t);
-    StatGroup g = s.toStatGroup();
-    EXPECT_TRUE(g.has("upc"));
-    EXPECT_TRUE(g.has("sa_ldld_kills_per_kuops"));
-    EXPECT_DOUBLE_EQ(g.get("committed_uops"), double(s.committedUops));
-}
-
 TEST(CoreTest, PerKuopsNormalization)
 {
     SimStats s;
