@@ -16,8 +16,7 @@
 #include "litmus/suite.hh"
 #include "operational/explorer.hh"
 #include "operational/gam_machine.hh"
-#include "operational/sc_machine.hh"
-#include "operational/tso_machine.hh"
+#include "operational/inorder_machine.hh"
 
 namespace
 {
@@ -46,12 +45,9 @@ explore(const litmus::LitmusTest &test, ModelKind kind)
     }
 
     litmus::OutcomeSet op;
-    if (kind == ModelKind::SC) {
-        op = operational::exploreAll(operational::ScMachine(test))
-                 .outcomes;
-    } else if (kind == ModelKind::TSO) {
-        op = operational::exploreAll(operational::TsoMachine(test))
-                 .outcomes;
+    if (kind == ModelKind::SC || kind == ModelKind::TSO) {
+        op = operational::exploreAll(
+                 operational::InOrderMachine(test, kind)).outcomes;
     } else if (kind == ModelKind::PerLocSC) {
         std::printf("operational : (per-location SC is a property, "
                     "not a machine)\n\n");

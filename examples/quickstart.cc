@@ -15,7 +15,7 @@
 #include "litmus/test.hh"
 #include "operational/explorer.hh"
 #include "operational/gam_machine.hh"
-#include "operational/sc_machine.hh"
+#include "operational/inorder_machine.hh"
 
 int
 main()
@@ -54,13 +54,13 @@ main()
         bool ax = checker.isAllowed();
 
         // Engine 2: exhaustive exploration of the abstract machine
-        // (Section IV-B).  SC is explored with the GAM machine too --
-        // it is sound here because we only compare the condition.
+        // (Section IV-B): the in-order machine for SC, the GAM machine
+        // for GAM.
         bool op;
         if (kind == ModelKind::SC) {
             op = false;
             for (const auto &o : operational::exploreAll(
-                     operational::ScMachine(test)).outcomes)
+                     operational::InOrderMachine(test, kind)).outcomes)
                 op |= test.conditionMatches(o);
         } else {
             operational::GamOptions opts;

@@ -61,7 +61,7 @@ class BuiltinAxiomFilter final : public IncrementalFilter
                     const int v = cand.tables.eventAt(int(tid), int(j));
                     if (u < 0 || v < 0)
                         continue;
-                    if (!addEdge(size_t(u), size_t(v)))
+                    if (!reach.addClosedEdge(size_t(u), size_t(v)))
                         return false;
                 }
             }
@@ -83,12 +83,12 @@ class BuiltinAxiomFilter final : public IncrementalFilter
                         continue;
                     if (poBefore(cand, s, l))
                         return false; // rejected: C(L) nonempty
-                    if (!addEdge(l, s))
+                    if (!reach.addClosedEdge(l, s))
                         return false;
                 }
             } else {
                 const size_t s = rfSource(cand, ld);
-                if (!poBefore(cand, s, l) && !addEdge(s, l))
+                if (!poBefore(cand, s, l) && !reach.addClosedEdge(s, l))
                     return false;
             }
         }
@@ -106,7 +106,7 @@ class BuiltinAxiomFilter final : public IncrementalFilter
         // Coherence edge from the previous store in this address's
         // order.
         if (p.size() >= 2
-            && !addEdge(size_t(p[p.size() - 2]), v))
+            && !reach.addClosedEdge(size_t(p[p.size() - 2]), v))
             return false;
 
         // Atomicity (Section III-C): an RMW's read source must be its
@@ -140,7 +140,7 @@ class BuiltinAxiomFilter final : public IncrementalFilter
                 continue;
             if (poBefore(cand, v, l))
                 return false; // rejected: a newer po-before store
-            if (!addEdge(l, v))
+            if (!reach.addClosedEdge(l, v))
                 return false;
         }
         return true;
@@ -210,29 +210,6 @@ class BuiltinAxiomFilter final : public IncrementalFilter
         return it->second;
     }
 
-    /**
-     * Add u -> v to the closed reachability relation.  False when the
-     * edge closes a cycle (including u == v); the relation is left
-     * unchanged in that case only up to the snapshot discipline --
-     * pushStore() snapshots before any mutation, so a failed push is
-     * rolled back wholesale by popStore().
-     */
-    bool
-    addEdge(size_t u, size_t v)
-    {
-        if (u == v || reach.test(v, u))
-            return false;
-        if (reach.test(u, v))
-            return true; // already implied
-        for (size_t x = 0; x < n; ++x) {
-            if (x != u && !reach.test(x, u))
-                continue;
-            reach.orRowInto(v, x);
-            reach.set(x, v);
-        }
-        return true;
-    }
-
     const model::ModelKind model;
     const bool enforceInstOrder;
     PpoCache *ppoShapes;
@@ -241,6 +218,9 @@ class BuiltinAxiomFilter final : public IncrementalFilter
     std::vector<std::pair<size_t, size_t>> ppoScratch;
 
     size_t n = 0;
+    /** Transitively closed reachability over the edges added so far.
+     *  pushStore() snapshots it first, so popStore() also rolls back
+     *  a push that failed after some of its edges went in. */
     cat::Rel reach;
     std::vector<cat::Rel> snapshots;
 };

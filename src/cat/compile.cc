@@ -900,7 +900,7 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
             for (size_t i = 0; i < plan->axioms.size(); ++i) {
                 const CompiledAxiom &ax = plan->axioms[i];
                 if (ax.pass == Pass::FusedAcyclic && ax.usesCo
-                    && !addEdge(axState[i].reach, prev, vv))
+                    && !axState[i].reach.addClosedEdge(prev, vv))
                     return false;
             }
         }
@@ -945,35 +945,13 @@ class CompiledFilter final : public axiomatic::IncrementalFilter
         return true;
     }
 
-    /**
-     * u -> v into the closed reachability @p reach; false when it
-     * closes a cycle.  Identical to the hand-written filter's edge
-     * insertion (checker.cc): OR the successor row into every
-     * predecessor of u.
-     */
-    bool
-    addEdge(Rel &reach, size_t u, size_t v) const
-    {
-        if (u == v || reach.test(v, u))
-            return false;
-        if (reach.test(u, v))
-            return true; // already implied
-        for (size_t x = 0; x < n; ++x) {
-            if (x != u && !reach.test(x, u))
-                continue;
-            reach.orRowInto(v, x);
-            reach.set(x, v);
-        }
-        return true;
-    }
-
     bool
     addFrEdge(size_t l, size_t s)
     {
         for (size_t i = 0; i < plan->axioms.size(); ++i) {
             const CompiledAxiom &ax = plan->axioms[i];
             if (ax.pass == Pass::FusedAcyclic && ax.usesFr
-                && !addEdge(axState[i].reach, l, s))
+                && !axState[i].reach.addClosedEdge(l, s))
                 return false;
         }
         if (needFrRel) {

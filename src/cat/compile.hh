@@ -30,8 +30,9 @@
  *       Stable        co/fr-Independent: decided once per epoch.
  *       FusedAcyclic  acyclic over (constants | co | fr): maintained
  *                     as one incrementally-closed reachability
- *                     relation via cat::Rel::orRowInto -- the exact
- *                     shape of the hand-written BuiltinAxiomFilter.
+ *                     relation via cat::Rel::addClosedEdge -- the
+ *                     same call the hand-written BuiltinAxiomFilter
+ *                     makes.
  *       EdgeGuard     irreflexive (A; B) rewritten to
  *                     empty (A & B^-1): each new co/fr edge is checked
  *                     against the transposed other operand in O(1).

@@ -264,13 +264,23 @@ Rel::addColumn(const EventSet &from, size_t j)
     from.forEach([&](size_t i) { set(i, j); });
 }
 
-void
-Rel::orRowInto(size_t src, size_t dst)
+bool
+Rel::addClosedEdge(size_t u, size_t v)
 {
-    uint64_t *d = row(dst);
-    const uint64_t *s = row(src);
-    for (size_t w = 0; w < wpr_; ++w)
-        d[w] |= s[w];
+    if (u == v || test(v, u))
+        return false;
+    if (test(u, v))
+        return true; // already implied
+    const uint64_t *s = row(v);
+    for (size_t x = 0; x < n_; ++x) {
+        if (x != u && !test(x, u))
+            continue;
+        uint64_t *d = row(x);
+        for (size_t w = 0; w < wpr_; ++w)
+            d[w] |= s[w];
+        set(x, v);
+    }
+    return true;
 }
 
 void

@@ -161,12 +161,14 @@ class Rel
     void addColumn(const EventSet &from, size_t j);
 
     /**
-     * row(dst) |= row(src): the building block of incremental
-     * transitive-closure maintenance (the axiomatic enumerator's
-     * online cycle detection extends a closed reachability relation
-     * one edge at a time by OR-ing whole successor rows).
+     * Add u -> v to this transitively closed relation and keep it
+     * closed: OR the successor row of v into u and every predecessor
+     * of u.  False, leaving the relation unchanged, when the edge
+     * closes a cycle (including u == v).  The online cycle detection
+     * of the axiomatic filter and the compiled .cat filter both
+     * extend their reachability one edge at a time this way.
      */
-    void orRowInto(size_t src, size_t dst);
+    bool addClosedEdge(size_t u, size_t v);
 
     bool operator==(const Rel &o) const = default;
 

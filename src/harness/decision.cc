@@ -17,8 +17,7 @@
 #include "obs/trace.hh"
 #include "operational/explorer.hh"
 #include "operational/gam_machine.hh"
-#include "operational/sc_machine.hh"
-#include "operational/tso_machine.hh"
+#include "operational/inorder_machine.hh"
 
 namespace gam::harness
 {
@@ -488,12 +487,9 @@ runOperational(const Query &query, Decision &d)
     const uint64_t budget = query.options.stateBudget;
     switch (query.model) {
       case ModelKind::SC:
-        r = operational::exploreAll(operational::ScMachine(*query.test),
-                                    budget);
-        break;
       case ModelKind::TSO:
-        r = operational::exploreAll(operational::TsoMachine(*query.test),
-                                    budget);
+        r = operational::exploreAll(
+            operational::InOrderMachine(*query.test, query.model), budget);
         break;
       default: {
         operational::GamOptions opts;

@@ -64,12 +64,22 @@ runJob(const MatrixJob &job, const MatrixOptions &options)
 std::vector<LitmusVerdict>
 runJobs(const std::vector<MatrixJob> &jobs, const MatrixOptions &options)
 {
+    // Every SC row runs before the other rows.  A row the prescreen
+    // proves SC-equivalent is answered by its test's SC decision, which
+    // the SC pass has cached by then: two such rows of one test cannot
+    // both miss and decide SC twice.
+    std::vector<size_t> passes[2];
+    for (size_t i = 0; i < jobs.size(); ++i)
+        passes[jobs[i].model == ModelKind::SC ? 0 : 1].push_back(i);
+
     std::vector<LitmusVerdict> verdicts(jobs.size());
     ThreadPool pool(options.poolThreads);
     // One slot per job: completion order cannot affect the output.
-    pool.parallelFor(jobs.size(), [&](size_t i) {
-        verdicts[i] = runJob(jobs[i], options);
-    });
+    for (const std::vector<size_t> &pass : passes) {
+        pool.parallelFor(pass.size(), [&](size_t k) {
+            verdicts[pass[k]] = runJob(jobs[pass[k]], options);
+        });
+    }
     return verdicts;
 }
 

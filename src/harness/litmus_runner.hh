@@ -82,7 +82,11 @@ struct MatrixOptions
  * (whether or not the test records a paper verdict; recorded verdicts
  * still show up in the expected column).  Jobs run concurrently on a
  * thread pool, each verdict written to a pre-assigned slot, so the
- * result order is deterministic regardless of scheduling.
+ * result order is deterministic regardless of scheduling.  The SC
+ * rows run first, so a row the prescreen delegates to SC finds its
+ * test's SC decision already cached.  A matrix with no SC rows
+ * (@p models without SC) has no such pass: two delegating rows of one
+ * test may then both miss the cache and decide the same SC query.
  */
 std::vector<LitmusVerdict>
 runLitmusMatrix(const std::vector<litmus::LitmusTest> &tests,

@@ -92,7 +92,6 @@ class Cache : public MemLevel
 
     const CacheStats &stats() const { return _stats; }
     const CacheParams &params() const { return _params; }
-    void resetStats() { _stats = CacheStats{}; }
 
   private:
     struct Line

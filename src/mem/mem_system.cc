@@ -32,13 +32,4 @@ MemSystem::fetch(isa::Addr addr, Cycle now)
     return _l1i->access(addr, false, now, AccessKind::InstFetch);
 }
 
-void
-MemSystem::resetStats()
-{
-    _l1i->resetStats();
-    _l1d->resetStats();
-    _l2->resetStats();
-    _l3->resetStats();
-}
-
 } // namespace gam::mem

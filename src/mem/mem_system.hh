@@ -46,7 +46,6 @@ class MemSystem
     const Cache &l2() const { return *_l2; }
     const Cache &l3() const { return *_l3; }
     const MainMemory &dram() const { return *_dram; }
-    void resetStats();
 
   private:
     std::unique_ptr<MainMemory> _dram;

@@ -20,16 +20,6 @@ Histogram::bucketOf(uint64_t value)
     return value == 0 ? 0u : unsigned(64 - std::countl_zero(value));
 }
 
-uint64_t
-Histogram::bucketUpperBound(unsigned bucket)
-{
-    if (bucket == 0)
-        return 0;
-    if (bucket >= 64)
-        return ~uint64_t(0);
-    return (uint64_t(1) << bucket) - 1;
-}
-
 void
 Histogram::sample(uint64_t value)
 {

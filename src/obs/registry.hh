@@ -102,9 +102,6 @@ class Histogram
     /** Bucket index of @p value: 0 for 0, else 1 + floor(log2(v)). */
     static unsigned bucketOf(uint64_t value);
 
-    /** Inclusive upper bound of @p bucket (2^bucket - 1; 0 for 0). */
-    static uint64_t bucketUpperBound(unsigned bucket);
-
     void sample(uint64_t value);
 
     uint64_t count() const;

@@ -173,11 +173,11 @@ TraceCollector::writeChromeJson(const std::string &path) const
     std::FILE *f = std::fopen(path.c_str(), "w");
     if (!f)
         return false;
-    const size_t wrote = std::fwrite(json.data(), 1, json.size(), f);
-    const bool ok = wrote == json.size() && std::fclose(f) == 0;
-    if (!ok && wrote == json.size())
-        return false;
-    return ok;
+    const bool wrote = std::fwrite(json.data(), 1, json.size(), f)
+        == json.size();
+    // Close on every path: a short write must not leak the descriptor.
+    const bool closed = std::fclose(f) == 0;
+    return wrote && closed;
 }
 
 #ifndef GAM_NO_TRACING

@@ -27,22 +27,6 @@ sid(int proc, uint16_t pc)
 
 } // anonymous namespace
 
-std::string
-GamRule::toString() const
-{
-    static const char *names[] = {
-        "Fetch", "ExecRegToReg", "ExecBranch", "ExecFence", "ExecLoad",
-        "ComputeStoreData", "ExecStore", "ExecRmw", "ComputeMemAddr",
-    };
-    std::ostringstream os;
-    os << "P" << int(proc) << "." << names[kind];
-    if (kind != Fetch)
-        os << "[" << idx << "]";
-    if (choice)
-        os << "/alt";
-    return os.str();
-}
-
 GamMachine::GamMachine(const litmus::LitmusTest &test, GamOptions options)
     : test(test), options(options), memory(test.initialMem)
 {

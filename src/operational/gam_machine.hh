@@ -100,8 +100,6 @@ struct GamRule
      * older done load instead of the Figure 17 action.
      */
     uint8_t choice;
-
-    std::string toString() const;
 };
 
 /** The abstract multiprocessor (OOO-MP) of the paper. */

@@ -61,21 +61,6 @@ class StateSet
         return true;
     }
 
-    bool
-    contains(uint64_t key) const
-    {
-        if (key == EMPTY)
-            key = 0x9e3779b97f4a7c15ull;
-        const size_t mask = slots.size() - 1;
-        size_t i = key & mask;
-        while (slots[i] != EMPTY) {
-            if (slots[i] == key)
-                return true;
-            i = (i + 1) & mask;
-        }
-        return false;
-    }
-
     size_t size() const { return count; }
 
   private:

@@ -18,8 +18,7 @@
 #include "model/engine.hh"
 #include "operational/explorer.hh"
 #include "operational/gam_machine.hh"
-#include "operational/sc_machine.hh"
-#include "operational/tso_machine.hh"
+#include "operational/inorder_machine.hh"
 
 namespace gam::harness
 {
@@ -39,12 +38,9 @@ constexpr ModelKind allModels[] = {
 litmus::OutcomeSet
 directOperationalOutcomes(const litmus::LitmusTest &test, ModelKind model)
 {
-    if (model == ModelKind::SC)
-        return operational::exploreAll(operational::ScMachine(test))
-            .outcomes;
-    if (model == ModelKind::TSO)
-        return operational::exploreAll(operational::TsoMachine(test))
-            .outcomes;
+    if (model == ModelKind::SC || model == ModelKind::TSO)
+        return operational::exploreAll(
+            operational::InOrderMachine(test, model)).outcomes;
     operational::GamOptions opts;
     opts.kind = model;
     return operational::exploreAll(operational::GamMachine(test, opts))

@@ -16,8 +16,7 @@
 #include "litmus/suite.hh"
 #include "operational/explorer.hh"
 #include "operational/gam_machine.hh"
-#include "operational/sc_machine.hh"
-#include "operational/tso_machine.hh"
+#include "operational/inorder_machine.hh"
 
 namespace gam
 {
@@ -176,7 +175,8 @@ TEST_P(Equivalence, ArmOperationalIsSoundWrtAxioms)
 TEST_P(Equivalence, ScOperationalEqualsAxiomatic)
 {
     LitmusTest test = randomTest(GetParam());
-    auto op = operational::exploreAll(operational::ScMachine(test));
+    auto op = operational::exploreAll(
+        operational::InOrderMachine(test, ModelKind::SC));
     axiomatic::Checker checker(test, ModelKind::SC);
     auto ax = checker.enumerate();
     EXPECT_EQ(op.outcomes, ax)
@@ -186,7 +186,8 @@ TEST_P(Equivalence, ScOperationalEqualsAxiomatic)
 TEST_P(Equivalence, TsoOperationalEqualsAxiomatic)
 {
     LitmusTest test = randomTest(GetParam());
-    auto op = operational::exploreAll(operational::TsoMachine(test));
+    auto op = operational::exploreAll(
+        operational::InOrderMachine(test, ModelKind::TSO));
     axiomatic::Checker checker(test, ModelKind::TSO);
     auto ax = checker.enumerate();
     EXPECT_EQ(op.outcomes, ax)

@@ -5,6 +5,7 @@
 #include "harness/experiments.hh"
 #include "harness/litmus_runner.hh"
 #include "litmus/suite.hh"
+#include "obs/registry.hh"
 
 namespace gam::harness
 {
@@ -166,6 +167,43 @@ TEST(LitmusRunner, ParallelMatrixMatchesSerial)
             EXPECT_EQ(parallel[i].allowed, serial[i].allowed);
             EXPECT_EQ(parallel[i].expected, serial[i].expected);
         }
+    }
+}
+
+TEST(LitmusRunner, PoolSizeDoesNotChangeCacheWork)
+{
+    // A row the prescreen proves SC-equivalent is answered by its
+    // test's SC decision from the cache.  The SC rows run first, so no
+    // two such rows can both miss it and decide SC twice: a pool of
+    // four does the cache and engine work of a pool of one.
+    const std::vector<litmus::LitmusTest> tests = litmus::allTests();
+    const std::vector<ModelKind> models = {ModelKind::SC, ModelKind::TSO,
+                                           ModelKind::GAM0, ModelKind::GAM,
+                                           ModelKind::ARM};
+    struct Work
+    {
+        DecisionCacheStats cache;
+        obs::MetricSnapshot metrics;
+    };
+    auto run = [&](unsigned threads) {
+        DecisionCache cache(1 << 12);
+        MatrixOptions options;
+        options.poolThreads = threads;
+        options.cache = &cache;
+        const obs::MetricSnapshot before = obs::metrics().snapshot();
+        runLitmusMatrix(tests, models, options);
+        return Work{cache.stats(),
+                    obs::metrics().snapshot().delta(before)};
+    };
+    const Work serial = run(1);
+    const Work pooled = run(4);
+    EXPECT_GT(serial.cache.hits, 0u);
+    EXPECT_EQ(pooled.cache.hits, serial.cache.hits);
+    EXPECT_EQ(pooled.cache.misses, serial.cache.misses);
+    for (const char *engine : {"axiomatic", "operational", "cat"}) {
+        const std::string name = std::string("decide.engine.") + engine;
+        EXPECT_EQ(pooled.metrics.counter(name),
+                  serial.metrics.counter(name)) << name;
     }
 }
 

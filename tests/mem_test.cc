@@ -152,14 +152,6 @@ TEST(MemSystemTest, ProbeL1D)
     EXPECT_TRUE(sys.probeL1D(0x2000));
 }
 
-TEST(MemSystemTest, ResetStats)
-{
-    MemSystem sys;
-    sys.load(0x3000, 0);
-    sys.resetStats();
-    EXPECT_EQ(sys.l1d().stats().accesses, 0u);
-}
-
 TEST(MemSystemTest, Table1Defaults)
 {
     MemSystemParams p;

@@ -2,14 +2,16 @@
  * Tests for the observability layer: the metric registry (counters,
  * gauges, log-scale histograms), snapshot exposition and parsing
  * (JSON golden + round-trip), the trace collector
- * (Chrome JSON round-trip with span nesting, ring overflow, the
- * campaign's prepare span), and the metric invariant of the decide()
- * and decideBatch() pipelines.
+ * (Chrome JSON round-trip with span nesting, ring overflow, a failed
+ * write, the campaign's prepare span), and the metric invariant of
+ * the decide() and decideBatch() pipelines.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <string>
@@ -72,10 +74,6 @@ TEST(Registry, HistogramBucketsAreLog2)
     EXPECT_EQ(Histogram::bucketOf(7), 3u);
     EXPECT_EQ(Histogram::bucketOf(8), 4u);
     EXPECT_EQ(Histogram::bucketOf(~0ull), 64u);
-
-    EXPECT_EQ(Histogram::bucketUpperBound(0), 0u);
-    EXPECT_EQ(Histogram::bucketUpperBound(1), 1u);
-    EXPECT_EQ(Histogram::bucketUpperBound(3), 7u);
 
     Histogram h;
     h.sample(0);
@@ -346,6 +344,32 @@ TEST(Trace, RingOverflowDropsOldestAndCounts)
     EXPECT_EQ(collector.retainedEvents(), Capacity);
     collector.clear();
     EXPECT_EQ(collector.droppedEvents(), 0u);
+}
+
+size_t
+openDescriptors()
+{
+    namespace fs = std::filesystem;
+    return size_t(std::distance(fs::directory_iterator("/proc/self/fd"),
+                                fs::directory_iterator()));
+}
+
+TEST(Trace, FailedWriteClosesTheFile)
+{
+    // A document larger than the stdio buffer makes fwrite() itself
+    // come up short on /dev/full; the file must still be closed.
+    TraceCollector &collector = TraceCollector::instance();
+    collector.clear();
+    collector.enable();
+    for (int i = 0; i < 500; ++i)
+        GAM_TRACE_SCOPE("span");
+    collector.disable();
+    ASSERT_GT(collector.exportChromeJson().size(), size_t(BUFSIZ));
+
+    const size_t before = openDescriptors();
+    EXPECT_FALSE(collector.writeChromeJson("/dev/full"));
+    EXPECT_EQ(openDescriptors(), before);
+    collector.clear();
 }
 
 TEST(Trace, CampaignPrepareIsOneSpanBeforeTheWorkers)

@@ -1,19 +1,19 @@
 /**
  * Tests for the abstract machines: rule-level behavior of the GAM
- * machine, explorer verdicts against the paper, SC/TSO machines, and
- * the eager-fetch exploration reduction.
+ * machine, explorer verdicts against the paper, the in-order SC/TSO
+ * machine, and the eager-fetch exploration reduction.
  */
 
 #include <gtest/gtest.h>
 
 #include "axiomatic/checker.hh"
 #include "base/rng.hh"
+#include "litmus/generator.hh"
 #include "litmus/suite.hh"
 #include "operational/explorer.hh"
 #include "operational/state_set.hh"
 #include "operational/gam_machine.hh"
-#include "operational/sc_machine.hh"
-#include "operational/tso_machine.hh"
+#include "operational/inorder_machine.hh"
 
 namespace gam::operational
 {
@@ -30,10 +30,8 @@ litmus::OutcomeSet
 exploreModel(const LitmusTest &test, ModelKind kind,
              bool eager_fetch = true)
 {
-    if (kind == ModelKind::SC)
-        return exploreAll(ScMachine(test)).outcomes;
-    if (kind == ModelKind::TSO)
-        return exploreAll(TsoMachine(test)).outcomes;
+    if (kind == ModelKind::SC || kind == ModelKind::TSO)
+        return exploreAll(InOrderMachine(test, kind)).outcomes;
     GamOptions opts;
     opts.kind = kind;
     opts.eagerLocal = eager_fetch;
@@ -253,13 +251,6 @@ TEST(Explorer, EagerFetchMatchesFullExploration)
     }
 }
 
-TEST(Explorer, ScMachineDekkerOutcomes)
-{
-    // Figure 2: exactly three SC outcomes.
-    auto outcomes = exploreModel(testByName("dekker"), ModelKind::SC);
-    EXPECT_EQ(outcomes.size(), 3u);
-}
-
 TEST(Explorer, StateBudgetReportsIncomplete)
 {
     auto result = exploreAll(GamMachine(testByName("rsw"), {}), 10);
@@ -356,6 +347,9 @@ TEST(Explorer, InternedMatchesStringSetBaseline)
         EXPECT_EQ(interned.outcomes, baseline.outcomes) << name;
         EXPECT_EQ(interned.statesVisited, baseline.statesVisited)
             << name;
+        const InOrderMachine tso(testByName(name), ModelKind::TSO);
+        EXPECT_EQ(exploreAll(tso).statesVisited,
+                  exploreAllStringSet(tso).statesVisited) << name;
     }
 }
 
@@ -377,14 +371,15 @@ TEST(StateSet, InsertAndDeduplicate)
     StateSet set;
     EXPECT_TRUE(set.insert(42));
     EXPECT_FALSE(set.insert(42));
-    EXPECT_TRUE(set.contains(42));
-    EXPECT_FALSE(set.contains(7));
     EXPECT_EQ(set.size(), 1u);
+    EXPECT_TRUE(set.insert(7));
+    EXPECT_EQ(set.size(), 2u);
     // Key 0 collides with the internal empty marker and must still
     // round-trip.
     EXPECT_TRUE(set.insert(0));
     EXPECT_FALSE(set.insert(0));
-    EXPECT_TRUE(set.contains(0));
+    EXPECT_FALSE(set.insert(42));
+    EXPECT_EQ(set.size(), 3u);
 }
 
 TEST(StateSet, GrowsPastInitialCapacity)
@@ -397,14 +392,22 @@ TEST(StateSet, GrowsPastInitialCapacity)
     for (uint64_t k : keys)
         set.insert(k);
     // Duplicates in the stream are possible but astronomically
-    // unlikely; all keys must be present afterwards either way.
+    // unlikely; all keys must be present afterwards either way, so
+    // inserting any of them again reports it already there.
     for (uint64_t k : keys)
-        EXPECT_TRUE(set.contains(k));
+        EXPECT_FALSE(set.insert(k));
     EXPECT_LE(set.size(), keys.size());
     EXPECT_GT(set.size(), keys.size() - 3);
 }
 
-TEST(TsoMachineTest, StoreBufferForwardsOwnStore)
+TEST(InOrderMachineTest, ScDekkerOutcomes)
+{
+    // Figure 2: exactly three SC outcomes.
+    auto outcomes = exploreModel(testByName("dekker"), ModelKind::SC);
+    EXPECT_EQ(outcomes.size(), 3u);
+}
+
+TEST(InOrderMachineTest, TsoForwardsOwnBufferedStore)
 {
     // corw-style: a thread sees its own buffered store.
     LitmusTest t = litmus::LitmusBuilder("t", "unit")
@@ -418,27 +421,62 @@ TEST(TsoMachineTest, StoreBufferForwardsOwnStore)
         .requireReg(0, R(2), 5)
         .expect(ModelKind::TSO, true)
         .done();
-    auto outcomes = exploreAll(TsoMachine(t)).outcomes;
+    auto outcomes = exploreAll(InOrderMachine(t, ModelKind::TSO)).outcomes;
     for (const auto &o : outcomes)
         EXPECT_TRUE(t.conditionMatches(o));
 }
 
-TEST(TsoMachineTest, DekkerWeakOutcomeReachable)
+TEST(InOrderMachineTest, TsoDekkerWeakOutcomeReachable)
 {
     EXPECT_TRUE(allowed(testByName("dekker"), ModelKind::TSO));
 }
 
-TEST(TsoMachineTest, FenceSlDrains)
+TEST(InOrderMachineTest, TsoFenceSlDrains)
 {
     EXPECT_FALSE(allowed(testByName("sb_fenced"), ModelKind::TSO));
 }
 
-TEST(GamMachineRules, RuleToStringReadable)
+TEST(InOrderMachineTest, StateSpacesArePinned)
 {
-    GamRule r{0, GamRule::ExecLoad, 3, 0};
-    EXPECT_EQ(r.toString(), "P0.ExecLoad[3]");
-    GamRule f{1, GamRule::Fetch, 0, 1};
-    EXPECT_EQ(f.toString(), "P1.Fetch/alt");
+    // Totals of states visited and outcome-set sizes over the builtin
+    // and four-thread suites.  SC must walk exactly the states of a
+    // machine without store buffers, and TSO exactly those of one FIFO
+    // buffer per processor, whatever order the buffered stores of
+    // different processors were issued in.
+    struct Totals
+    {
+        uint64_t states = 0;
+        uint64_t outcomes = 0;
+    };
+    auto explore = [](const std::vector<LitmusTest> &suite,
+                      ModelKind kind) {
+        Totals t;
+        for (const LitmusTest &test : suite) {
+            const ExploreResult r = exploreAll(InOrderMachine(test, kind));
+            EXPECT_TRUE(r.complete) << test.name;
+            t.states += r.statesVisited;
+            t.outcomes += r.outcomes.size();
+        }
+        return t;
+    };
+    const std::vector<LitmusTest> builtins = litmus::allTests();
+    const std::vector<LitmusTest> &four = litmus::fourThreadSuite();
+    const struct
+    {
+        const std::vector<LitmusTest> &suite;
+        ModelKind kind;
+        uint64_t states, outcomes;
+    } pins[] = {
+        {builtins, ModelKind::SC, 2842, 105},
+        {builtins, ModelKind::TSO, 4492, 107},
+        {four, ModelKind::SC, 4650, 103},
+        {four, ModelKind::TSO, 6998, 104},
+    };
+    for (const auto &pin : pins) {
+        const Totals t = explore(pin.suite, pin.kind);
+        EXPECT_EQ(t.states, pin.states) << model::modelName(pin.kind);
+        EXPECT_EQ(t.outcomes, pin.outcomes) << model::modelName(pin.kind);
+    }
 }
 
 TEST(GamMachineRules, AlphaStarOffersLoadLoadForwarding)

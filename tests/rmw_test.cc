@@ -14,7 +14,7 @@
 #include "model/ppo.hh"
 #include "operational/explorer.hh"
 #include "operational/gam_machine.hh"
-#include "operational/tso_machine.hh"
+#include "operational/inorder_machine.hh"
 #include "sim/core.hh"
 #include "sim/trace_gen.hh"
 
@@ -201,7 +201,7 @@ TEST(RmwOperational, TsoRmwIsFenceLike)
     // store buffer and the in-order step keeps the younger load behind.
     const auto &test = litmus::testByName("rmw_dekker");
     auto outcomes = operational::exploreAll(
-        operational::TsoMachine(test)).outcomes;
+        operational::InOrderMachine(test, ModelKind::TSO)).outcomes;
     for (const auto &o : outcomes)
         EXPECT_FALSE(test.conditionMatches(o));
 }
