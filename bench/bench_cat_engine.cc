@@ -1,14 +1,18 @@
 /**
  * @file
- * Compiled cat engine vs. hand-coded axiomatic checker wall time.
+ * Compiled cat engine vs. hand-coded axiomatic checker CPU time.
  *
  * Decides the 3-thread suite (every built-in litmus test with at most
  * three threads) under every cat-supported model (SC, TSO, GAM0, GAM)
  * three ways -- the hand-coded axiomatic checker, the cat engine
  * running the compiled plan (cat/compile.hh), and the cat engine
  * interpreting the model through the generic evaluator -- with caching
- * disabled, and reports per-model wall times plus the two ratios that
- * matter:
+ * disabled, and reports per-model times plus the two ratios that
+ * matter.  Each engine's pass over one model is timed in thread CPU
+ * time, as the median of seven repetitions interleaved across the
+ * three engines.  A whole run takes ~20 ms, so a single wall-clock
+ * pass per engine -- what the gate once read -- counted whatever the
+ * host scheduled in between: one preemption could fail the gate.
  *
  *   compiled/axiomatic    the cost of the model being *data*.  The
  *                         compiled plan maintains the same closed
@@ -20,14 +24,15 @@
  *                         relation algebra per candidate (reported,
  *                         not gated: it grows with test size).
  *
- * Also emits BENCH_cat_compile.json (test count, wall seconds,
+ * Also emits BENCH_cat_compile.json (test count, CPU seconds,
  * candidates, ratios) in the gam-metrics-v1 snapshot schema for CI
  * artifact upload and trend tracking; the gate rides along as the
  * gauge bench.cat_compile.gate_compiled_vs_axiomatic_max.
  */
 
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <vector>
 
@@ -41,21 +46,24 @@ namespace
 
 using namespace gam;
 
+/** CPU time of the calling thread: the passes are serial, and time
+ *  the thread spends descheduled is not the engine's. */
 double
-seconds(std::chrono::steady_clock::time_point start)
+cpuSeconds()
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start)
-        .count();
+    timespec ts;
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return double(ts.tv_sec) + double(ts.tv_nsec) * 1e-9;
 }
 
-/** Decide every test under @p model with @p engine; cache disabled. */
+/** CPU seconds to decide every test under @p model with @p engine;
+ *  cache disabled. */
 double
 enginePass(const std::vector<litmus::LitmusTest> &tests,
            model::ModelKind model, harness::EngineSelect engine,
            bool cat_compile, uint64_t *candidates)
 {
-    const auto start = std::chrono::steady_clock::now();
+    const double start = cpuSeconds();
     for (const auto &test : tests) {
         harness::Query query;
         query.test = &test;
@@ -66,7 +74,17 @@ enginePass(const std::vector<litmus::LitmusTest> &tests,
         if (candidates)
             *candidates += d.statesVisited;
     }
-    return seconds(start);
+    return cpuSeconds() - start;
+}
+
+/** Timed repetitions of each engine's pass over one model. */
+constexpr int Repeats = 7;
+
+double
+median(std::vector<double> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    return samples[samples.size() / 2];
 }
 
 } // namespace
@@ -84,8 +102,9 @@ main()
     };
 
     std::printf("cat-engine benchmark: %zu 3-thread tests x %zu "
-                "models, cache disabled\n\n",
-                tests.size(), models.size());
+                "models, cache disabled, median CPU time of %d runs "
+                "per pass\n\n",
+                tests.size(), models.size(), Repeats);
     std::printf("%-6s %12s %12s %12s %9s %9s %12s\n", "model",
                 "axiomatic", "compiled", "interpreted", "cmp/ax",
                 "cmp/int", "candidates");
@@ -94,15 +113,23 @@ main()
     uint64_t candidates_total = 0;
     for (model::ModelKind model : models) {
         uint64_t candidates = 0;
-        const double ax = enginePass(tests, model,
-                                     harness::EngineSelect::Axiomatic,
-                                     true, nullptr);
-        const double compiled =
-            enginePass(tests, model, harness::EngineSelect::Cat, true,
-                       &candidates);
-        const double interp =
-            enginePass(tests, model, harness::EngineSelect::Cat, false,
-                       nullptr);
+        // Interleaved, so a slow stretch of the host slows all three
+        // engines' samples alike rather than one engine's pass.
+        std::vector<double> ax_runs, compiled_runs, interp_runs;
+        for (int rep = 0; rep < Repeats; ++rep) {
+            ax_runs.push_back(enginePass(
+                tests, model, harness::EngineSelect::Axiomatic, true,
+                nullptr));
+            compiled_runs.push_back(enginePass(
+                tests, model, harness::EngineSelect::Cat, true,
+                rep == 0 ? &candidates : nullptr));
+            interp_runs.push_back(enginePass(
+                tests, model, harness::EngineSelect::Cat, false,
+                nullptr));
+        }
+        const double ax = median(ax_runs);
+        const double compiled = median(compiled_runs);
+        const double interp = median(interp_runs);
         ax_total += ax;
         compiled_total += compiled;
         interp_total += interp;

@@ -539,7 +539,6 @@ Checker::enumerateLegacyImpl(const CandidateFilter *accept)
 std::vector<litmus::OutcomeSet>
 enumerateModels(CandidateEnumerator &enumerator,
                 const std::vector<model::ModelKind> &models,
-                bool enforceInstOrder,
                 std::vector<CheckerStats> *stats, PpoCache *ppoShapes)
 {
     GAM_TRACE_SCOPE("axiomatic.enumerate_multi");
@@ -547,7 +546,7 @@ enumerateModels(CandidateEnumerator &enumerator,
     std::vector<IncrementalFilter *> lanes;
     filters.reserve(models.size());
     for (model::ModelKind m : models) {
-        filters.emplace_back(m, enforceInstOrder, ppoShapes);
+        filters.emplace_back(m, true, ppoShapes);
         lanes.push_back(&filters.back());
     }
     return enumerator.run(lanes, stats);

@@ -163,7 +163,9 @@ class Checker
 
 /**
  * Decide several models of one test over ONE walk
- * (CandidateEnumerator::run) with one built-in filter lane per model:
+ * (CandidateEnumerator::run) with one built-in filter lane per model,
+ * each enforcing both Figure-15 axioms (the InstOrder ablation is
+ * Checker's, through Options::enforceInstOrder):
  * the rf-candidate stream, the value fixpoint and the coherence walk
  * are model-independent, so N models cost one walk plus N filters
  * instead of N walks.  Verdicts, outcome sets and -- in @p stats,
@@ -177,7 +179,6 @@ class Checker
 std::vector<litmus::OutcomeSet>
 enumerateModels(CandidateEnumerator &enumerator,
                 const std::vector<model::ModelKind> &models,
-                bool enforceInstOrder,
                 std::vector<CheckerStats> *stats = nullptr,
                 PpoCache *ppoShapes = nullptr);
 

@@ -127,9 +127,8 @@ runCampaign(const CampaignOptions &options, DecisionStore *store,
     // unit delays one worker, not the campaign.  Chunk size trades
     // steal frequency against batch amortization: 64 units x a typical
     // 4-pair matrix is a 256-query batch, which keeps the batch's
-    // ppo-shape and prescreen memos hot across units (cycle tests
-    // share thread shapes heavily) and spreads BatchContext setup
-    // thin, while still leaving enough steals per real campaign to
+    // ppo-shape memo hot across units (cycle tests share thread shapes
+    // heavily), while still leaving enough steals per real campaign to
     // keep the tail balanced.
     constexpr size_t ChunkUnits = 64;
     ThreadPool pool(options.threads);

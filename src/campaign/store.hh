@@ -7,7 +7,7 @@
  * nor to re-run every engine on resume, so each complete decision is
  * appended to an on-disk log as one fixed-size checksummed record
  * keyed by the same 64-bit queryKey the in-memory DecisionCache uses
- * -- (litmus::fingerprint, model, engine, RunOptions::fingerprint()).
+ * -- (litmus::fingerprint, model, engine, cat model file).
  * Records carry the verdict plus a compact round-trip witness of the
  * outcome set (its size and order-independent 64-bit digest,
  * litmus::outcomeSetHash), not the set itself: campaigns need

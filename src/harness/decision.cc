@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <map>
 #include <mutex>
-#include <numeric>
 #include <unordered_map>
 #include <utility>
 
@@ -34,18 +32,6 @@ prescreenKindName(PrescreenKind kind)
       case PrescreenKind::None: break;
     }
     return "";
-}
-
-uint64_t
-RunOptions::fingerprint() const
-{
-    StateHasher h;
-    h.add(stateBudget);
-    h.add(axiomatic.enforceInstOrder ? 1 : 0);
-    h.separator();
-    for (isa::Value v : axiomatic.seedValues)
-        h.add(uint64_t(v));
-    return h.digest();
 }
 
 // ------------------------------------------------------------- cache
@@ -278,39 +264,36 @@ globalDecisionCache()
 namespace
 {
 
-/** queryKey() with the test fingerprint precomputed: the batched
- *  pipeline hashes each distinct test once per batch, not once per
- *  (model, engine) key derivation. */
+/**
+ * The word every key hashes after (test, model, engine): the digest of
+ * the query options keys once folded in.  With the budget left out
+ * and no checker knobs on a query, it always came to this value
+ * (StateHasher over a budget of 0, an InstOrder flag of 1 and an empty
+ * seed list).  Stores persist the keys, so the word stays: every store
+ * written before keeps serving its records.
+ */
+constexpr uint64_t OptionsDigest = 0x9aa39db6925997feull;
+
+/** queryKey() with the test fingerprint precomputed: a test's queries
+ *  hash it once (TestContext), not once per key derivation. */
 uint64_t
 queryKeyHashed(uint64_t testFingerprint, const Query &query,
                Engine engine)
 {
-    // Canonicalize result-irrelevant knobs away before hashing.  Only
-    // complete decisions are ever cached, and a complete outcome set
-    // is independent of the budget that produced it, so *no* key
-    // includes the budget: frontends running with different budgets
-    // (fuzzer vs. runner vs. synthesis) share entries, and a query
-    // whose own budget would have truncated simply gets the better,
-    // exhaustive answer.  Checker knobs cannot affect the explorer,
-    // so operational keys drop those too; the cat engine shares the
-    // checker's candidate builder (seed values matter) but not its
-    // axioms (enforceInstOrder does not).
-    RunOptions canonical = query.options;
-    canonical.stateBudget = 0;
-    // Compiled and interpreted cat pipelines decide identically, so
-    // the mode never reaches the key (fingerprint() skips it too): a
-    // differential run warms the cache for the default pipeline.
-    canonical.catCompile = true;
-    if (engine == Engine::Operational)
-        canonical.axiomatic = {};
-    if (engine == Engine::Cat)
-        canonical.axiomatic.enforceInstOrder = true;
-
+    // No RunOptions field reaches the key.  Only complete decisions
+    // are ever cached, and a complete outcome set is independent of
+    // the budget that produced it: frontends running with different
+    // budgets (fuzzer vs. runner vs. synthesis) share entries, and a
+    // query whose own budget would have truncated simply gets the
+    // better, exhaustive answer.  Compiled and interpreted cat
+    // pipelines decide identically, so a differential run warms the
+    // cache for the default pipeline.  The prescreen never caches
+    // what it short-circuits (see RunOptions::prescreen).
     StateHasher h;
     h.add(testFingerprint);
     h.add(uint64_t(query.model));
     h.add(uint64_t(engine));
-    h.add(canonical.fingerprint());
+    h.add(OptionsDigest);
     if (engine == Engine::Cat) {
         // The model is data: fold its content hash into the key so a
         // cached decision can never outlive an edit to the file.
@@ -372,87 +355,60 @@ anyConditionMatch(const litmus::LitmusTest &test,
     return false;
 }
 
-/** The fused-group signature of a set of checker options: everything
- *  a CandidateBuilder's static tables depend on. */
-uint64_t
-axOptionsKey(const axiomatic::Options &opts)
-{
-    StateHasher h;
-    h.add(opts.enforceInstOrder ? 1 : 0);
-    h.separator();
-    for (isa::Value v : opts.seedValues)
-        h.add(uint64_t(v));
-    return h.digest();
-}
-
 /**
- * Per-batch shared state (one per decideBatch() call, single worker,
- * no locking): the amortizable fixed costs of the decide pipeline.
- * Every entry is keyed so that sharing can never change a result --
- * test fingerprints by test identity, ppo results by everything
- * preservedProgramOrder() reads.
+ * What every query of one test shares, each computed at most once and
+ * only when first asked for: the test's fingerprint, for cache and
+ * store keys, and its prescreen value fixpoint, which is
+ * model-independent (only screen()'s ppo walk is per model).
+ * decideBatch() keeps one per test, decide() one for its query.
  */
-struct BatchContext
+class TestContext
 {
-    /** litmus::fingerprint() per distinct test, hashed once. */
-    std::unordered_map<const litmus::LitmusTest *, uint64_t> testFps;
-    /**
-     * Memoized ppo edge lists shared by every built-in filter lane of
-     * every fused enumeration in the batch (axiomatic::PpoCache),
-     * keyed per model on the thread shape the walk computed once per
-     * rf candidate -- plus its rf sources under ARM only: the same few
-     * shapes recur across rf candidates and across the batch's tests.
-     * Its lookup tally and size become decide.batch.ppo_lookups /
-     * ppo_computed when the batch ends.
-     */
-    axiomatic::PpoCache ppoShapes;
-    /**
-     * One prescreen value fixpoint per test, shared across the
-     * batch's models (the fixpoint is model-independent; only the
-     * cheap ppo walk of screen() is per-model).
-     */
-    std::unordered_map<const litmus::LitmusTest *,
-                       std::unique_ptr<analysis::PrescreenAnalysis>>
-        prescreens;
+  public:
+    explicit TestContext(const litmus::LitmusTest *t) : test(t)
+    {
+        GAM_ASSERT(t != nullptr, "decide: null test");
+    }
 
     uint64_t
-    testFp(const litmus::LitmusTest &test)
+    fingerprint()
     {
-        auto [it, fresh] = testFps.try_emplace(&test, 0);
-        if (fresh)
-            it->second = litmus::fingerprint(test);
-        return it->second;
+        if (!fp)
+            fp = litmus::fingerprint(*test);
+        return *fp;
     }
 
     const analysis::PrescreenAnalysis &
-    prescreenFor(const litmus::LitmusTest &test)
+    prescreen()
     {
-        auto [it, fresh] = prescreens.try_emplace(&test);
-        if (fresh) {
-            it->second =
-                std::make_unique<analysis::PrescreenAnalysis>(test);
-        }
-        return *it->second;
+        if (!screen)
+            screen.emplace(*test);
+        return *screen;
     }
+
+    const litmus::LitmusTest *const test;
+
+  private:
+    std::optional<uint64_t> fp;
+    std::optional<analysis::PrescreenAnalysis> screen;
 };
 
-/** The per-query seeded checker options runAxiomatic()/runCat()
- *  share: OOTA candidates are seeded exactly as Checker::isAllowed()
- *  does, so OOTA-style queries are decided by the axioms rather than
- *  by omission.  Under every shipped model such candidates are
- *  rejected either way, so this does not change the outcome set. */
+/** The checker options every enumeration of @p test runs with: OOTA
+ *  candidates are seeded exactly as Checker::isAllowed() does, so
+ *  OOTA-style queries are decided by the axioms rather than by
+ *  omission.  Under every shipped model such candidates are rejected
+ *  either way, so this does not change the outcome set. */
 axiomatic::Options
-seededOptions(const Query &query)
+seededOptions(const litmus::LitmusTest &test)
 {
-    return axiomatic::withConditionSeeds(*query.test,
-                                         query.options.axiomatic);
+    return axiomatic::withConditionSeeds(test, {});
 }
 
 void
 runAxiomatic(const Query &query, Decision &d)
 {
     axiomatic::Checker checker(*query.test, query.model,
-                               seededOptions(query));
+                               seededOptions(*query.test));
     d.outcomes = checker.enumerate();
     d.allowed = anyConditionMatch(*query.test, d.outcomes);
     d.statesVisited = checker.stats().coCandidates;
@@ -468,7 +424,7 @@ runCat(const Query &query, Decision &d)
     // Seed OOTA candidates exactly as runAxiomatic() does: the two
     // engines share the candidate builder, so this keeps them
     // verdict-comparable query-for-query.
-    cat::CatEngine engine(*query.test, m, seededOptions(query),
+    cat::CatEngine engine(*query.test, m, seededOptions(*query.test),
                           query.options.catCompile
                               ? cat::CatEngine::Mode::Compiled
                               : cat::CatEngine::Mode::Interpreted);
@@ -476,7 +432,6 @@ runCat(const Query &query, Decision &d)
     d.allowed = anyConditionMatch(*query.test, d.outcomes);
     d.statesVisited = engine.stats().coCandidates;
     d.enumStats = engine.stats();
-    d.catCompiled = query.options.catCompile;
     d.complete = true;
 }
 
@@ -507,20 +462,16 @@ runOperational(const Query &query, Decision &d)
 
 /**
  * May the static pre-screen speak for this query?  Only with the
- * builtin model files and the InstOrder axiom intact: the analyses are
- * proved sound against executions those reject (in particular,
- * out-of-thin-air candidates), not against arbitrary user models or
- * ablated axiom sets.  Caller-supplied seed values signal an ablation
- * experiment, so they turn it off too.  The one builtin model that
- * admits out-of-thin-air candidates, PerLocSC, is refused by
- * analysis::PrescreenAnalysis::screen() itself.
+ * builtin model files: the analyses are proved sound against
+ * executions those reject (in particular, out-of-thin-air
+ * candidates), not against arbitrary user models.  The one builtin
+ * model that admits out-of-thin-air candidates, PerLocSC, is refused
+ * by analysis::PrescreenAnalysis::screen() itself.
  */
 bool
 prescreenApplies(const Query &query)
 {
-    return query.options.prescreen && query.catModel == nullptr
-        && query.options.axiomatic.enforceInstOrder
-        && query.options.axiomatic.seedValues.empty();
+    return query.options.prescreen && query.catModel == nullptr;
 }
 
 /**
@@ -581,21 +532,19 @@ decideMetrics()
 
 /**
  * decideBatch()'s own registry metrics.  batch.queries counts queries
- * routed through a batch; fused_groups / fused_queries count the fused
- * enumeration walks and the axiomatic engine runs they absorbed
- * (fused_queries / fused_groups is the fan-in the multi-lane walk buys
- * -- the dominant batch amortization); ppo_lookups / ppo_computed
- * count the built-in lanes' ppo requests and the ones the batch's
- * shape cache could not serve.  All are tallied in the batch and added
- * once per call.
+ * routed through a batch; fused_groups / fused_queries count the
+ * walks (one per test with a pended query) and the axiomatic engine
+ * runs they absorbed (fused_queries / fused_groups is the fan-in the
+ * multi-lane walk buys -- the dominant batch amortization);
+ * ppo_lookups / ppo_computed count the built-in lanes' ppo requests
+ * and the ones the batch's shape cache could not serve, added once
+ * per call.
  */
 struct BatchMetrics
 {
     obs::Counter &calls = obs::metrics().counter("decide.batch.calls");
     obs::Counter &queries =
         obs::metrics().counter("decide.batch.queries");
-    obs::Counter &groups =
-        obs::metrics().counter("decide.batch.groups");
     obs::Counter &fusedGroups =
         obs::metrics().counter("decide.batch.fused_groups");
     obs::Counter &fusedQueries =
@@ -614,15 +563,15 @@ batchMetrics()
 }
 
 /**
- * An axiomatic engine run decideQuery() deferred onto a fused
- * enumeration pass: everything the finish phase needs to complete the
- * request exactly as the inline pipeline would have.
+ * An axiomatic engine run decideQuery() deferred onto its test's walk:
+ * everything the finish phase needs to complete the request exactly
+ * as the inline pipeline would have.
  */
 struct PendingEngine
 {
     /** Input-order slot of the query (indexes the result vector). */
     size_t slot = 0;
-    /** Filter lane inside the fused group (SC lane for delegators). */
+    /** Filter lane of the walk (the SC lane for delegators). */
     size_t lane = 0;
     /** The query's own cache/store key. */
     uint64_t key = 0;
@@ -754,20 +703,18 @@ finishScDelegation(const Query &query, Decision &d, Engine engine,
 }
 
 /**
- * The decide() pipeline front: cache, store, prescreen, engine.  With
- * @p pending non-null (the batched pipeline; @p batch must be set
- * too), an axiomatic engine run is not executed but *pended*: the
- * request and non-terminal counters have fired, @p pending describes
- * the deferred run, and the caller owes the finish phase (a fused
- * enumeration + finishEngineDecision()).  Returns the decision
+ * The decide() pipeline front: cache, store, prescreen, engine, for a
+ * query on @p test's test.  With @p pending non-null (the batched
+ * pipeline), an axiomatic engine run is not executed but *pended*:
+ * the request and non-terminal counters have fired, @p pending
+ * describes the deferred run, and the caller owes the finish phase
+ * (the test's walk + finishEngineDecision()).  Returns the decision
  * otherwise.
  */
 std::optional<Decision>
-decideQuery(const Query &query, DecisionCache *cache,
-            DecisionBackend *backend, BatchContext *batch,
-            PendingEngine *pending)
+decideQuery(const Query &query, TestContext &test, DecisionCache *cache,
+            DecisionBackend *backend, PendingEngine *pending)
 {
-    GAM_ASSERT(query.test != nullptr, "decide: null test");
     const Engine engine = resolveEngine(query);
     // A custom cat model brings its own axioms: the (model, engine)
     // capability gate only applies when the builtin file is implied.
@@ -785,9 +732,7 @@ decideQuery(const Query &query, DecisionCache *cache,
     const auto start = std::chrono::steady_clock::now();
 
     const uint64_t key = (cache || backend)
-        ? queryKeyHashed(batch ? batch->testFp(*query.test)
-                               : litmus::fingerprint(*query.test),
-                         query, engine)
+        ? queryKeyHashed(test.fingerprint(), query, engine)
         : 0;
     if (std::optional<Decision> hit = serveStored(key, cache, backend)) {
         stampDecision(*hit, start, span.id());
@@ -796,9 +741,8 @@ decideQuery(const Query &query, DecisionCache *cache,
 
     if (prescreenApplies(query)) {
         obs::TraceSpan prescreenSpan("decide.prescreen");
-        const analysis::PrescreenResult pre = batch
-            ? batch->prescreenFor(*query.test).screen(query.model)
-            : analysis::prescreen(*query.test, query.model);
+        const analysis::PrescreenResult pre =
+            test.prescreen().screen(query.model);
         if (pre.verdict == analysis::PrescreenVerdict::Forbidden) {
             // Sound for the verdict only: no outcomes are enumerated,
             // so the decision is never cached (a prescreen-off query
@@ -832,21 +776,21 @@ decideQuery(const Query &query, DecisionCache *cache,
             // delegator must carry -- and persist -- the exact set.
             const Query sub = scSubQuery(query, engine);
             if (pending && engine == Engine::Axiomatic) {
-                // Defer the delegation onto the fused pass's SC lane.
-                // The inner SC decision is its own request (terminal
-                // at finish time: the cache once an SC group member
-                // or earlier delegator published it, or the lane
+                // Defer the delegation onto the walk's SC lane.  The
+                // inner SC decision is its own request (terminal at
+                // finish time: the cache once the test's SC query or
+                // an earlier delegator published it, or the lane
                 // itself), so count its arrival now.
                 m.requests.inc();
                 pending->key = key;
-                pending->innerKey = queryKeyHashed(
-                    batch->testFp(*query.test), sub, engine);
+                pending->innerKey =
+                    cache ? queryKeyHashed(test.fingerprint(), sub, engine)
+                          : 0;
                 pending->delegateSc = true;
                 pending->start = start;
                 return std::nullopt;
             }
-            Decision d =
-                *decideQuery(sub, cache, nullptr, batch, nullptr);
+            Decision d = *decideQuery(sub, test, cache, nullptr, nullptr);
             finishScDelegation(query, d, engine, key, backend, start,
                                span.id());
             return d;
@@ -854,7 +798,7 @@ decideQuery(const Query &query, DecisionCache *cache,
     }
 
     if (pending && engine == Engine::Axiomatic) {
-        // Defer the enumeration onto the fused pass: the finish phase
+        // Defer the enumeration onto the test's walk: the finish phase
         // reads this model's filter lane and runs
         // finishEngineDecision() with this request's key and start.
         pending->key = key;
@@ -884,12 +828,110 @@ decideQuery(const Query &query, DecisionCache *cache,
     return d;
 }
 
+/**
+ * decideBatch() for the queries of one test, at @p slots of @p queries:
+ * the front pass, the test's one walk with a filter lane per pended
+ * model, and the finish of every pended request from its lane,
+ * exactly as its inline run would have ended.
+ */
+void
+decideTest(const std::vector<Query> &queries, std::vector<size_t> &slots,
+           DecisionCache *cache, DecisionBackend *backend,
+           axiomatic::PpoCache &ppoShapes, std::vector<Decision> &out)
+{
+    // (model, engine) order -- stable, so equal queries keep their
+    // input order.  SC sorts first, so the test's SC query precedes
+    // the delegators that want its decision.
+    auto rank = [&](size_t slot) {
+        return std::pair(queries[slot].model, resolveEngine(queries[slot]));
+    };
+    std::stable_sort(slots.begin(), slots.end(),
+                     [&](size_t a, size_t b) { return rank(a) < rank(b); });
+
+    TestContext test(queries[slots.front()].test);
+    std::vector<ModelKind> lanes;
+    std::vector<PendingEngine> pended;
+    for (size_t slot : slots) {
+        const Query &q = queries[slot];
+        PendingEngine pend;
+        pend.slot = slot;
+        if (std::optional<Decision> d =
+                decideQuery(q, test, cache, backend, &pend)) {
+            out[slot] = *std::move(d);
+            continue;
+        }
+        const ModelKind lane = pend.delegateSc ? ModelKind::SC : q.model;
+        pend.lane = size_t(std::find(lanes.begin(), lanes.end(), lane)
+                           - lanes.begin());
+        if (pend.lane == lanes.size())
+            lanes.push_back(lane);
+        pended.push_back(pend);
+    }
+    if (pended.empty())
+        return;
+
+    BatchMetrics &bm = batchMetrics();
+    bm.fusedGroups.inc();
+    bm.fusedQueries.inc(pended.size());
+    const litmus::LitmusTest &t = *test.test;
+    axiomatic::CandidateEnumerator enumerator(t, seededOptions(t));
+    std::vector<axiomatic::CheckerStats> laneStats;
+    std::vector<litmus::OutcomeSet> sets;
+    {
+        obs::TraceSpan engineSpan("decide.engine");
+        sets = axiomatic::enumerateModels(enumerator, lanes, &laneStats,
+                                          &ppoShapes);
+    }
+    auto laneDecision = [&](size_t lane) {
+        Decision d;
+        d.engine = Engine::Axiomatic;
+        d.outcomes = sets[lane];
+        d.allowed = anyConditionMatch(t, d.outcomes);
+        d.statesVisited = laneStats[lane].coCandidates;
+        d.enumStats = laneStats[lane];
+        d.complete = true;
+        return d;
+    };
+    for (const PendingEngine &p : pended) {
+        const Query &q = queries[p.slot];
+        if (!p.delegateSc) {
+            Decision d = laneDecision(p.lane);
+            obs::TraceSpan span("decide");
+            finishEngineDecision(q, d, p.key, cache, backend, p.start,
+                                 span.id());
+            out[p.slot] = std::move(d);
+            continue;
+        }
+        // A deferred ScDelegate: terminate the inner SC request first
+        // -- at the cache (the test's SC query or an earlier delegator
+        // published it) or from the SC lane, never at the store --
+        // then finish the delegation exactly as the inline prescreen
+        // path does.
+        std::optional<Decision> inner =
+            serveStored(p.innerKey, cache, nullptr);
+        if (inner) {
+            stampDecision(*inner, p.start, 0);
+        } else {
+            inner = laneDecision(p.lane);
+            obs::TraceSpan innerSpan("decide");
+            finishEngineDecision(scSubQuery(q, Engine::Axiomatic), *inner,
+                                 p.innerKey, cache, nullptr, p.start,
+                                 innerSpan.id());
+        }
+        obs::TraceSpan span("decide");
+        finishScDelegation(q, *inner, Engine::Axiomatic, p.key, backend,
+                           p.start, span.id());
+        out[p.slot] = *std::move(inner);
+    }
+}
+
 } // anonymous namespace
 
 Decision
 decide(const Query &query, DecisionCache *cache, DecisionBackend *backend)
 {
-    return *decideQuery(query, cache, backend, nullptr, nullptr);
+    TestContext test(query.test);
+    return *decideQuery(query, test, cache, backend, nullptr);
 }
 
 std::vector<Decision>
@@ -900,153 +942,25 @@ decideBatch(const std::vector<Query> &queries, DecisionCache *cache,
     bm.calls.inc();
     bm.queries.inc(queries.size());
 
-    // Process grouped by (model, engine) -- stable, so queries inside
-    // a group keep their input order -- and write each decision back
-    // to its input slot.  Grouping keeps engine state hot; the batch
-    // context guarantees sharing is keyed by content, so the grouped
-    // order never changes a result.
-    std::vector<size_t> order(queries.size());
-    std::iota(order.begin(), order.end(), size_t(0));
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                         const auto ka = std::make_pair(
-                             uint64_t(queries[a].model),
-                             uint64_t(resolveEngine(queries[a])));
-                         const auto kb = std::make_pair(
-                             uint64_t(queries[b].model),
-                             uint64_t(resolveEngine(queries[b])));
-                         return ka < kb;
-                     });
-
-    uint64_t groups = 0;
-    std::optional<std::pair<uint64_t, uint64_t>> lastGroup;
-    for (size_t idx : order) {
-        const auto group =
-            std::make_pair(uint64_t(queries[idx].model),
-                           uint64_t(resolveEngine(queries[idx])));
-        if (!lastGroup || *lastGroup != group) {
-            ++groups;
-            lastGroup = group;
-        }
+    // Group the queries by test, in order of each test's first
+    // appearance, and decide each test in full -- front pass, walk,
+    // finish -- before the next, so a pended request waits for its
+    // own test's walk only.  Each decision goes to its input slot.
+    std::unordered_map<const litmus::LitmusTest *, size_t> testIndex;
+    std::vector<std::vector<size_t>> testSlots;
+    for (size_t i = 0; i < queries.size(); ++i) {
+        auto [it, fresh] =
+            testIndex.try_emplace(queries[i].test, testSlots.size());
+        if (fresh)
+            testSlots.emplace_back();
+        testSlots[it->second].push_back(i);
     }
-
-    /** One fused enumeration: every pended axiomatic run against one
-     *  (test, checker options) pair, one filter lane per model. */
-    struct FusedGroup
-    {
-        const litmus::LitmusTest *test = nullptr;
-        axiomatic::Options opts;
-        std::vector<model::ModelKind> lanes;
-        std::vector<PendingEngine> members;
-
-        size_t
-        laneFor(model::ModelKind mdl)
-        {
-            for (size_t i = 0; i < lanes.size(); ++i)
-                if (lanes[i] == mdl)
-                    return i;
-            lanes.push_back(mdl);
-            return lanes.size() - 1;
-        }
-    };
-
-    BatchContext batch;
+    axiomatic::PpoCache ppoShapes;
     std::vector<Decision> out(queries.size());
-    std::vector<FusedGroup> fused;
-    std::map<std::pair<const litmus::LitmusTest *, uint64_t>, size_t>
-        fusedIndex;
-
-    // Front pass, in grouped order: resolve everything the cache, the
-    // store, the prescreen or a non-enumerating engine can answer;
-    // pend each axiomatic engine run onto its fused group.  SC==0
-    // sorts first, so a group's SC member always precedes the
-    // delegators that will want its decision.
-    for (size_t idx : order) {
-        const Query &q = queries[idx];
-        PendingEngine pend;
-        pend.slot = idx;
-        std::optional<Decision> d =
-            decideQuery(q, cache, backend, &batch, &pend);
-        if (d) {
-            out[idx] = *std::move(d);
-            continue;
-        }
-        const axiomatic::Options opts = seededOptions(q);
-        auto [it, fresh] = fusedIndex.try_emplace(
-            {q.test, axOptionsKey(opts)}, fused.size());
-        if (fresh) {
-            fused.emplace_back();
-            fused.back().test = q.test;
-            fused.back().opts = opts;
-        }
-        FusedGroup &g = fused[it->second];
-        pend.lane =
-            g.laneFor(pend.delegateSc ? ModelKind::SC : q.model);
-        g.members.push_back(pend);
-    }
-
-    // Fused pass: one shared enumeration per group -- the rf stream,
-    // value fixpoint and coherence walk run once, with one built-in
-    // filter lane per model -- then each pended request finishes from
-    // its lane exactly as its inline run would have.
-    for (FusedGroup &g : fused) {
-        bm.fusedGroups.inc();
-        bm.fusedQueries.inc(g.members.size());
-        axiomatic::CandidateEnumerator enumerator(*g.test, g.opts);
-        std::vector<axiomatic::CheckerStats> laneStats;
-        std::vector<litmus::OutcomeSet> sets;
-        {
-            obs::TraceSpan engineSpan("decide.engine");
-            sets = axiomatic::enumerateModels(
-                enumerator, g.lanes, g.opts.enforceInstOrder,
-                &laneStats, &batch.ppoShapes);
-        }
-        auto laneDecision = [&](size_t lane) {
-            Decision d;
-            d.engine = Engine::Axiomatic;
-            d.outcomes = sets[lane];
-            d.allowed = anyConditionMatch(*g.test, d.outcomes);
-            d.statesVisited = laneStats[lane].coCandidates;
-            d.enumStats = laneStats[lane];
-            d.complete = true;
-            return d;
-        };
-        for (const PendingEngine &p : g.members) {
-            const Query &q = queries[p.slot];
-            if (!p.delegateSc) {
-                Decision d = laneDecision(p.lane);
-                obs::TraceSpan span("decide");
-                finishEngineDecision(q, d, p.key, cache, backend,
-                                     p.start, span.id());
-                out[p.slot] = std::move(d);
-                continue;
-            }
-            // A deferred ScDelegate: terminate the inner SC request
-            // first -- at the cache (the group's SC member or an
-            // earlier delegator published it) or from the SC lane,
-            // never at the store -- then finish the delegation exactly
-            // as the inline prescreen path does.
-            std::optional<Decision> inner =
-                serveStored(p.innerKey, cache, nullptr);
-            if (inner) {
-                stampDecision(*inner, p.start, 0);
-            } else {
-                inner = laneDecision(p.lane);
-                obs::TraceSpan innerSpan("decide");
-                finishEngineDecision(scSubQuery(q, Engine::Axiomatic),
-                                     *inner, p.innerKey, cache, nullptr,
-                                     p.start, innerSpan.id());
-            }
-            obs::TraceSpan span("decide");
-            finishScDelegation(q, *inner, Engine::Axiomatic, p.key,
-                               backend, p.start, span.id());
-            out[p.slot] = *std::move(inner);
-        }
-    }
-
-    bm.groups.inc(groups);
-    bm.ppoLookups.inc(batch.ppoShapes.lookups);
-    bm.ppoComputed.inc(batch.ppoShapes.shapes.size());
+    for (std::vector<size_t> &slots : testSlots)
+        decideTest(queries, slots, cache, backend, ppoShapes, out);
+    bm.ppoLookups.inc(ppoShapes.lookups);
+    bm.ppoComputed.inc(ppoShapes.shapes.size());
     return out;
 }
 

@@ -19,7 +19,7 @@
  * deleted instruction, and fence synthesis probes hundreds of fence
  * placements over the same base test.  decide() therefore memoizes
  * complete decisions in a sharded, thread-safe DecisionCache keyed by
- * (test fingerprint, model, engine, options fingerprint); truncated
+ * (test fingerprint, model, engine, model file); truncated
  * (incomplete) results are never cached, so a cached value never
  * depends on the budget it was decided under.
  */
@@ -110,15 +110,13 @@ struct RunOptions
      * the 4-thread IRIW-family corpus explores to completion.)
      */
     uint64_t stateBudget = 32'000'000;
-    /** Axiomatic checker knobs (OOTA seeding, axiom ablation). */
-    axiomatic::Options axiomatic;
     /**
      * Let decide() try the static pre-screen (analysis/prescreen.hh)
      * before running an engine.  The pre-screen never changes the
      * *verdict* -- it is differentially validated against the engines
      * -- but a ValueCover decision carries no outcome enumeration, so
      * callers that compare outcome *sets* (the fuzzer's cross-check)
-     * turn it off.  Excluded from fingerprint(): ValueCover decisions
+     * turn it off.  Not part of the cache key: ValueCover decisions
      * are never cached, and ScDelegate decisions are exact.
      */
     bool prescreen = true;
@@ -126,22 +124,11 @@ struct RunOptions
      * Run cat-engine queries through the compiled plan
      * (cat/compile.hh) rather than the interpreting evaluator.  Both
      * modes decide identical outcome sets by construction (the
-     * compiler's differential tests enforce it), so this knob is
-     * canonicalized away in queryKey(): it selects a pipeline, not an
-     * answer.  Kept as an escape hatch for differential runs and
-     * debugging.
+     * compiler's differential tests enforce it), so this knob never
+     * reaches the cache key: it selects a pipeline, not an answer.
+     * Kept as an escape hatch for differential runs and debugging.
      */
     bool catCompile = true;
-
-    /**
-     * 64-bit digest of the option fields (threads excluded: nothing
-     * reads it).  queryKey() canonicalizes result-irrelevant knobs
-     * away before calling this -- the budget always (cached decisions
-     * are complete, hence budget-independent), and the checker knobs
-     * for operational queries -- so frontends differing only in those
-     * share cache entries.
-     */
-    uint64_t fingerprint() const;
 };
 
 /** One model query: decide @p test under @p model. */
@@ -193,12 +180,6 @@ struct Decision
      * only a lower bound (a "forbidden" answer is *not* conclusive).
      */
     bool complete = true;
-    /**
-     * The cat engine decided this query through a compiled plan
-     * (RunOptions::catCompile); false for every other engine.  Cached
-     * decisions replay the flag of the run that produced them.
-     */
-    bool catCompiled = false;
     /** True when the decision was served from the DecisionCache. */
     bool cacheHit = false;
     /**
@@ -263,14 +244,15 @@ struct DecisionCacheStats
  * A sharded, thread-safe map from query keys to complete Decisions.
  *
  * The key is a single 64-bit combination of (litmus::fingerprint(test),
- * model, engine, RunOptions::fingerprint()); as with the explorer's
- * StateSet, a collision would need ~2^32 distinct queries to become
- * likely, far beyond any realistic campaign.  Sharding keeps
- * concurrent decide() calls from serialising on one mutex: a key is
- * routed to shard (key >> 59), and each shard has its own lock and
- * map.  Capacity is bounded: when a shard is full an arbitrary
- * resident entry is evicted first, so unbounded fuzz campaigns cannot
- * grow the cache without limit.
+ * model, engine, and for the cat engine the model file's source hash);
+ * no RunOptions field reaches it.  As with the explorer's StateSet, a
+ * collision would need ~2^32 distinct queries to become likely, far
+ * beyond any realistic campaign.  Sharding keeps concurrent decide()
+ * calls from serialising on one mutex: a key is routed to shard
+ * (key >> 59), and each shard has its own lock and map.  Capacity is
+ * bounded: when a shard is full an arbitrary resident entry is
+ * evicted first, so unbounded fuzz campaigns cannot grow the cache
+ * without limit.
  *
  * Each distinct outcome set is stored once, in a table the cache owns
  * keyed by litmus::outcomeSetHash (with a content check on equal
@@ -407,19 +389,24 @@ Decision decide(const Query &query,
 
 /**
  * Decide a batch of queries through the same pipeline as decide(),
- * amortizing per-query fixed costs across the batch:
+ * test by test.  The batch is ordered by each test's first appearance
+ * (by object identity), then by (model, engine), and each test is
+ * decided in full before the next one starts:
  *
- *  - axiomatic engine runs are *fused*: every query that reaches the
- *    axiomatic engine against the same (test, checker options) pair
- *    is deferred, and one shared enumeration pass decides them all
- *    (axiomatic::enumerateModels) -- the rf-candidate stream, the
- *    value fixpoint and the coherence walk run once, with one filter
- *    lane per model.  SC-delegated queries join the pass's SC lane.
- *    The fused pass sets up each rf candidate once for all lanes,
- *    and one preservedProgramOrder() memo (axiomatic::PpoCache) is
- *    shared across the whole batch;
- *  - each distinct test gets one litmus::fingerprint() hash, reused
- *    by every key computation.
+ *  - a front pass serves what the cache, the store, the prescreen or
+ *    a non-enumerating engine can answer, and pends every query that
+ *    reaches the axiomatic engine;
+ *  - one walk (axiomatic::enumerateModels) decides all of them: the
+ *    rf-candidate stream, the value fixpoint and the coherence walk
+ *    run once, with one filter lane per model, and each rf candidate
+ *    is set up once for all lanes.  SC-delegated queries join the
+ *    walk's SC lane;
+ *  - a finish completes each pended request from its lane.
+ *
+ * A test's fingerprint (computed only when a cache or a backend needs
+ * a key) and its prescreen value fixpoint serve all its queries.  One
+ * preservedProgramOrder() memo (axiomatic::PpoCache) spans the batch,
+ * because thread shapes recur across the tests of a campaign chunk.
  *
  * Results are returned in input order, and every query decides
  * exactly as the equivalent decide() call would -- same verdict, same
@@ -427,16 +414,17 @@ Decision decide(const Query &query,
  * prescreen interactions (decision_batch_test pins the equivalence).
  * A deferred SC delegation is served and finished by the same steps
  * decide() uses inline: its inner SC request ends at the cache or the
- * fused pass's SC lane, never at the store.  One caveat: duplicate
- * identical queries *within one batch* each run the (shared) engine
- * pass instead of the second hitting the cache, so each lands on an
- * engine terminal counter; verdicts and persisted records are
- * unaffected.
+ * walk's SC lane, never at the store.  One caveat: identical queries
+ * on one test *object* both pend onto its walk instead of the second
+ * hitting the cache, so each lands on an engine terminal counter;
+ * verdicts and persisted records are unaffected.  Equal tests held in
+ * distinct objects are decided one after the other, so the second is
+ * served from the cache.
  * The per-request decide.* metrics otherwise fire as usual, so every
  * request still ends at exactly one terminal counter and one
  * decide.wall_us sample (obs_test pins it).  decide.batch.* counts
- * the batch calls, grouped queries, fused passes and their fan-in,
- * and the ppo memo's lookups and computations.
+ * the batch calls and queries, the walks and the queries they
+ * absorbed, and the ppo memo's lookups and computations.
  */
 std::vector<Decision>
 decideBatch(const std::vector<Query> &queries,

@@ -47,39 +47,44 @@ appendJobs(std::vector<MatrixJob> &jobs, const litmus::LitmusTest &test,
         jobs.push_back({&test, model, engine, expected});
 }
 
-LitmusVerdict
-runJob(const MatrixJob &job, const MatrixOptions &options)
-{
-    Query query;
-    query.test = job.test;
-    query.model = job.model;
-    query.engine = engineSelectOf(job.engine);
-    query.options = options.run;
-    const Decision decision = decide(query, options.cache);
-    return {job.test->name, job.model, job.engine, decision.allowed,
-            decision.complete, job.expected, decision.enumStats,
-            decision.prescreened};
-}
-
 std::vector<LitmusVerdict>
 runJobs(const std::vector<MatrixJob> &jobs, const MatrixOptions &options)
 {
-    // Every SC row runs before the other rows.  A row the prescreen
-    // proves SC-equivalent is answered by its test's SC decision, which
-    // the SC pass has cached by then: two such rows of one test cannot
-    // both miss and decide SC twice.
-    std::vector<size_t> passes[2];
+    // The jobs come test by test.  Each test's jobs are one pool task
+    // and one decideBatch() call, so its axiomatic rows share one walk,
+    // and a row the prescreen delegates to SC finds the test's SC
+    // decision in the cache or on the walk's SC lane: no other task
+    // decides that test, whatever the pool size.
+    std::vector<size_t> firsts;
     for (size_t i = 0; i < jobs.size(); ++i)
-        passes[jobs[i].model == ModelKind::SC ? 0 : 1].push_back(i);
+        if (i == 0 || jobs[i].test != jobs[i - 1].test)
+            firsts.push_back(i);
+    firsts.push_back(jobs.size());
 
     std::vector<LitmusVerdict> verdicts(jobs.size());
     ThreadPool pool(options.poolThreads);
     // One slot per job: completion order cannot affect the output.
-    for (const std::vector<size_t> &pass : passes) {
-        pool.parallelFor(pass.size(), [&](size_t k) {
-            verdicts[pass[k]] = runJob(jobs[pass[k]], options);
-        });
-    }
+    pool.parallelFor(firsts.size() - 1, [&](size_t t) {
+        std::vector<Query> queries;
+        for (size_t i = firsts[t]; i < firsts[t + 1]; ++i) {
+            Query query;
+            query.test = jobs[i].test;
+            query.model = jobs[i].model;
+            query.engine = engineSelectOf(jobs[i].engine);
+            query.options = options.run;
+            queries.push_back(query);
+        }
+        const std::vector<Decision> decisions =
+            decideBatch(queries, options.cache);
+        for (size_t k = 0; k < decisions.size(); ++k) {
+            const MatrixJob &job = jobs[firsts[t] + k];
+            const Decision &d = decisions[k];
+            verdicts[firsts[t] + k] = {job.test->name, job.model,
+                                       job.engine, d.allowed, d.complete,
+                                       job.expected, d.enumStats,
+                                       d.prescreened};
+        }
+    });
     return verdicts;
 }
 
@@ -120,6 +125,7 @@ void
 annotateExpected(litmus::LitmusTest &test,
                  const std::vector<model::ModelKind> &models)
 {
+    std::vector<Query> queries;
     for (ModelKind model : models) {
         if (!model::supportsEngine(model, Engine::Axiomatic))
             continue; // no axiomatic definition to derive from
@@ -127,7 +133,13 @@ annotateExpected(litmus::LitmusTest &test,
         query.test = &test;
         query.model = model;
         query.engine = EngineSelect::Axiomatic;
-        const bool allowed = decide(query).allowed;
+        queries.push_back(query);
+    }
+    // One batch: the models share one walk of the test's candidates.
+    const std::vector<Decision> decisions = decideBatch(queries);
+    for (size_t i = 0; i < queries.size(); ++i) {
+        const ModelKind model = queries[i].model;
+        const bool allowed = decisions[i].allowed;
         // A conservative operational machine (ARM) cannot reach every
         // axiomatically-allowed outcome, so recording 'allowed' would
         // read as a spurious mismatch when the file is re-run; only

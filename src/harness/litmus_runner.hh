@@ -71,7 +71,7 @@ struct MatrixOptions
     std::optional<EngineSelect> engine;
     /** Per-query knobs (state budget, prescreen, ...). */
     RunOptions run;
-    /** Thread-pool workers deciding jobs; 0 = hardware concurrency. */
+    /** Thread-pool workers deciding tests; 0 = hardware concurrency. */
     unsigned poolThreads = 0;
     /** Decision cache; nullptr disables memoization. */
     DecisionCache *cache = &globalDecisionCache();
@@ -80,13 +80,15 @@ struct MatrixOptions
 /**
  * Decide every test in @p tests under every model in @p models
  * (whether or not the test records a paper verdict; recorded verdicts
- * still show up in the expected column).  Jobs run concurrently on a
- * thread pool, each verdict written to a pre-assigned slot, so the
- * result order is deterministic regardless of scheduling.  The SC
- * rows run first, so a row the prescreen delegates to SC finds its
- * test's SC decision already cached.  A matrix with no SC rows
- * (@p models without SC) has no such pass: two delegating rows of one
- * test may then both miss the cache and decide the same SC query.
+ * still show up in the expected column).  Each test's rows are one
+ * decideBatch() call, and the tests run concurrently on a thread
+ * pool, each verdict written to a pre-assigned slot, so the result
+ * order is deterministic regardless of scheduling.  A test's
+ * axiomatic rows share one walk, and a row the prescreen delegates to
+ * SC finds its test's SC decision in the cache (or on that walk's SC
+ * lane), with or without SC rows: the pool size does not change the
+ * cache and engine work.  (Two equal tests in @p tests are still two
+ * tasks, which may both decide one key.)
  */
 std::vector<LitmusVerdict>
 runLitmusMatrix(const std::vector<litmus::LitmusTest> &tests,
@@ -105,13 +107,13 @@ runPaperMatrix(const std::vector<litmus::LitmusTest> &tests,
 /**
  * Stamp expect verdicts onto @p test, derived by asking the axiomatic
  * checker whether the test's condition is reachable under each of
- * @p models.  Lets `gam-litmus gen` emit self-checking corpus files:
- * re-running them cross-checks the operational engine against the
- * recorded axiomatic verdicts.  Models without an axiomatic engine
- * (Alpha*) are skipped, and so are axiomatically-*allowed* verdicts of
- * models whose operational outcomes are conservative (ARM; see
- * model::operationalOutcomesExact): only 'forbidden' is sound to
- * record for them.
+ * @p models, all in one decideBatch() call.  Lets `gam-litmus gen`
+ * emit self-checking corpus files: re-running them cross-checks the
+ * operational engine against the recorded axiomatic verdicts.  Models
+ * without an axiomatic engine (Alpha*) are skipped, and so are
+ * axiomatically-*allowed* verdicts of models whose operational
+ * outcomes are conservative (ARM; see model::operationalOutcomesExact):
+ * only 'forbidden' is sound to record for them.
  */
 void annotateExpected(litmus::LitmusTest &test,
                       const std::vector<model::ModelKind> &models);

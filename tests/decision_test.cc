@@ -298,32 +298,34 @@ TEST(DecisionCache, KeysSeparateModelEngineAndOptions)
     const Query base = queryFor(test, ModelKind::GAM,
                                 EngineSelect::Axiomatic);
     const uint64_t k = queryKey(base, Engine::Axiomatic);
+    // Campaign stores persist these keys, and a re-run resumes from
+    // them: a key that changes orphans every record written before.
+    EXPECT_EQ(k, 0xd49f81efc6073585ull);
     EXPECT_NE(k, queryKey(base, Engine::Operational));
 
     Query other_model = base;
     other_model.model = ModelKind::TSO;
     EXPECT_NE(k, queryKey(other_model, Engine::Axiomatic));
 
-    // The budget never affects a key: only complete (exhaustive)
+    // No RunOptions field affects a key.  Only complete (exhaustive)
     // decisions are cached and those are budget-independent, so
-    // frontends running with different budgets share entries.
-    Query other_budget = base;
-    other_budget.options.stateBudget = 7;
-    EXPECT_EQ(k, queryKey(other_budget, Engine::Axiomatic));
-    EXPECT_EQ(queryKey(base, Engine::Operational),
-              queryKey(other_budget, Engine::Operational));
-
-    // ... and symmetrically, checker knobs cannot affect the explorer.
-    Query other_axioms = base;
-    other_axioms.options.axiomatic.enforceInstOrder = false;
-    EXPECT_NE(k, queryKey(other_axioms, Engine::Axiomatic));
-    EXPECT_EQ(queryKey(base, Engine::Operational),
-              queryKey(other_axioms, Engine::Operational));
-
-    // threads must NOT affect the key: no engine reads it.
-    Query other_threads = base;
-    other_threads.options.threads = 8;
-    EXPECT_EQ(k, queryKey(other_threads, Engine::Axiomatic));
+    // frontends running with different budgets share entries; no
+    // engine reads threads; the prescreen caches nothing it
+    // short-circuits; compiled and interpreted cat decide alike.
+    const std::pair<const char *, void (*)(RunOptions &)> fields[] = {
+        {"threads", [](RunOptions &o) { o.threads = 8; }},
+        {"stateBudget", [](RunOptions &o) { o.stateBudget = 7; }},
+        {"prescreen", [](RunOptions &o) { o.prescreen = false; }},
+        {"catCompile", [](RunOptions &o) { o.catCompile = false; }},
+    };
+    for (const auto &[field, change] : fields) {
+        Query other = base;
+        change(other.options);
+        for (Engine engine : model::allEngines) {
+            EXPECT_EQ(queryKey(base, engine), queryKey(other, engine))
+                << field << " under " << model::engineName(engine);
+        }
+    }
 }
 
 TEST(DecisionCache, CapacityIsBounded)

@@ -59,7 +59,7 @@ TEST(Enumerate, PrunedMatchesLegacyOnAllBuiltinsEveryModel)
         PpoCache ppoShapes;
         std::vector<CheckerStats> laneStats;
         const std::vector<litmus::OutcomeSet> lanes = enumerateModels(
-            enumerator, models, true, &laneStats, &ppoShapes);
+            enumerator, models, &laneStats, &ppoShapes);
         ASSERT_EQ(lanes.size(), models.size()) << test.name;
         ASSERT_EQ(laneStats.size(), models.size()) << test.name;
 
@@ -333,7 +333,7 @@ TEST(Enumerate, PpoCacheKeysGamOnThreadShapesAlone)
     PpoCache cache;
     std::vector<CheckerStats> stats;
     const std::vector<litmus::OutcomeSet> sets = enumerateModels(
-        enumerator, {ModelKind::GAM}, true, &stats, &cache);
+        enumerator, {ModelKind::GAM}, &stats, &cache);
     ASSERT_EQ(sets.size(), 1u);
     EXPECT_EQ(sets[0], Checker(test, ModelKind::GAM).enumerate());
     EXPECT_GT(stats[0].valueConsistent, 2u);
@@ -355,8 +355,7 @@ TEST(Enumerate, PpoCacheKeysArmOnReadFromSourcesToo)
     PpoCache cache;
     std::vector<CheckerStats> stats;
     const std::vector<litmus::OutcomeSet> sets = enumerateModels(
-        enumerator, {ModelKind::ARM, ModelKind::GAM}, true, &stats,
-        &cache);
+        enumerator, {ModelKind::ARM, ModelKind::GAM}, &stats, &cache);
     ASSERT_EQ(sets.size(), 2u);
     EXPECT_EQ(sets[0], Checker(test, ModelKind::ARM).enumerate());
     EXPECT_EQ(sets[1], Checker(test, ModelKind::GAM).enumerate());
